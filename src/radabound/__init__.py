@@ -9,52 +9,20 @@ fails.
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundMethod,
-    compare_bounds_table,
-    est_error_bernstein,
-    est_error_mcdiarmid,
-    est_error_mcdiarmid_single,
-    est_error_mclt,
-    gen_error_mclt,
-    normal_cdf,
-    overfit_bound,
-    overfit_bound_bernstein_single,
-    overfit_bound_mcdiarmid_combined,
-    overfit_bound_mclt,
-    overfit_bound_two_term,
-)
+from .bounds import BoundMethod
 from .errors import (
     ConfigurationError,
     DimensionError,
     DomainError,
     GuardHaltedError,
 )
-from .guard import (
-    Guard,
-    GuardConfig,
-    HoldoutSample,
-    QueryOutcome,
-    QueryStatus,
-    filtration_bound,
-    new_guard,
-    stopping_threshold,
-)
+from .guard import Guard, GuardConfig, HoldoutSample, QueryOutcome, QueryStatus
 from .harness import (
     ExperimentTrace,
     LinearClassifier,
     evaluate_on,
-    feature_order,
     run_adaptive_analysis,
     run_experiment,
-    zero_one_loss_query,
 )
-from .rademacher import (
-    RademacherState,
-    SignMatrix,
-    exact_empirical_rademacher,
-    init_state,
-)
-from .seeding import seed_substream
-from .synthdata import DatasetSpec, LabeledDataset, SyntheticData, generate
-from .thresholdout import ThresholdoutParams, comparison_report, min_holdout_size
+from .synthdata import DatasetSpec, generate
+from .thresholdout import ThresholdoutParams, comparison_report

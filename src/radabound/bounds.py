@@ -9,7 +9,7 @@ The ``slack`` argument is the remaining error budget after subtracting twice
 the current complexity estimate from the user's tolerance; it is always
 non-negative (the caller clamps at zero) and slack = 0 is a legal degenerate
 input: exponential bounds return 1 there, the normal-approximation bound
-returns 0.5.
+returns 0.5.  The normal tail comes from the stdlib ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -38,104 +38,17 @@ class BoundMethod(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Standard normal CDF (self-contained, no scipy / math.erf dependency)
+# Standard normal CDF (stdlib math.erfc)
 # ---------------------------------------------------------------------------
-
-# Rational approximations for erf/erfc due to W. J. Cody, "Rational Chebyshev
-# approximation for the error function" (1969), as used in SPECFUN's CALERF.
-# Relative accuracy is near machine precision over the whole double range.
-_ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
-    3.20937758913846947e03,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
-    2.84423683343917062e03,
-)
-_ERF_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
-    1.23033935479799725e03,
-    2.15311535474403846e-8,
-)
-_ERF_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
-    1.23033935480374942e03,
-)
-_ERF_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-    1.63153871373020978e-2,
-)
-_ERF_Q = (
-    2.56852019228982242e00,
-    1.87295284992346047e00,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-_ONE_OVER_SQRT_PI = 5.6418958354775628695e-1
-_ERFC_XBIG = 26.543  # erfc underflows to 0 beyond this
-
-
-def _erfc_nonneg(y: float) -> float:
-    """erfc(y) for y >= 0 via Cody's three-region rational approximation."""
-    if y <= 0.46875:
-        z = y * y
-        num = _ERF_A[4] * z
-        den = z
-        for i in range(3):
-            num = (num + _ERF_A[i]) * z
-            den = (den + _ERF_B[i]) * z
-        return 1.0 - y * (num + _ERF_A[3]) / (den + _ERF_B[3])
-    if y <= 4.0:
-        num = _ERF_C[8] * y
-        den = y
-        for i in range(7):
-            num = (num + _ERF_C[i]) * y
-            den = (den + _ERF_D[i]) * y
-        result = (num + _ERF_C[7]) / (den + _ERF_D[7])
-    else:
-        if y >= _ERFC_XBIG:
-            return 0.0
-        z = 1.0 / (y * y)
-        num = _ERF_P[5] * z
-        den = z
-        for i in range(4):
-            num = (num + _ERF_P[i]) * z
-            den = (den + _ERF_Q[i]) * z
-        result = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-        result = (_ONE_OVER_SQRT_PI - result) / y
-    # Split exp(-y^2) to keep full relative accuracy in the far tail.
-    ysq = math.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    return math.exp(-ysq * ysq) * math.exp(-delta) * result
 
 
 def erfc(x: float) -> float:
-    """Complementary error function, accurate to ~1e-15 relative."""
+    """Stdlib ``math.erfc``, reflected as 2 - erfc(-x) for x < 0 so that
+    normal_cdf(x) + normal_cdf(-x) == 1 holds exactly, as it does not for
+    plain ``math.erfc``."""
     if x >= 0.0:
-        return _erfc_nonneg(x)
-    return 2.0 - _erfc_nonneg(-x)
+        return math.erfc(x)
+    return 2.0 - math.erfc(-x)
 
 
 def normal_cdf(x: float) -> float:
@@ -363,8 +276,7 @@ def compare_bounds_table(m: int, eps: float, l_values) -> list[tuple[int, float,
     _check_eps(eps)
     rows = []
     for l in l_values:
-        if l < 1:
-            raise DomainError(f"sign-vector count must be >= 1, got {l}")
+        # est_error_mcdiarmid rejects l < 1 before anything is appended.
         rows.append(
             (
                 int(l),

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +26,7 @@ from .bounds import compare_bounds_csv, compare_bounds_table
 from .errors import ConfigurationError, DomainError
 from .guard import GuardConfig
 from .harness import ExperimentTrace, run_adaptive_analysis
-from .seeding import GENERATOR_IDENTITY, SUBSTREAM_LABELS
+from .seeding import GENERATOR_IDENTITY, SUBSTREAM_LABELS, validate_type
 from .synthdata import NORMAL_SAMPLER_IDENTITY, DatasetSpec, dump_csv, generate
 from .thresholdout import ThresholdoutParams, comparison_report
 
@@ -46,6 +47,8 @@ class RunConfig:
 
     def __post_init__(self):
         eps = self.epsilon_list
+        for e in eps:
+            validate_type("epsilon_list entry", e, numbers.Real)
         if any(not 0.0 < e < 1.0 for e in eps):
             raise ConfigurationError("epsilon_list entries must be in (0, 1)")
         if any(a >= b for a, b in zip(eps, eps[1:])):
@@ -96,12 +99,10 @@ def load_run_config(path) -> RunConfig:
             raise ConfigurationError(
                 f"RADABOUND_SEED must be an integer, got {env_seed!r}"
             ) from None
-        config = RunConfig(
-            experiment=DatasetSpec.from_dict({**config.experiment.to_dict(), "seed": seed}),
-            guard=GuardConfig.from_dict({**config.guard.to_dict(), "seed": seed}),
-            epsilon_list=config.epsilon_list,
-            output_dir=config.output_dir,
-            emit_dataset_dump=config.emit_dataset_dump,
+        config = replace(
+            config,
+            experiment=replace(config.experiment, seed=seed),
+            guard=replace(config.guard, seed=seed),
         )
     return config
 
@@ -145,14 +146,11 @@ def cmd_run_experiment(config: RunConfig) -> int:
     data = generate(config.experiment)
     runs = []
     for epsilon in config.epsilons:
-        guard_config = GuardConfig.from_dict(
-            {**config.guard.to_dict(), "epsilon": epsilon}
-        )
         trace = run_adaptive_analysis(
             data.train,
             data.holdout,
             data.fresh,
-            guard_config,
+            replace(config.guard, epsilon=epsilon),
             dataset_spec=config.experiment,
         )
         write_trace_csv(trace, out_dir / _trace_filename(epsilon))
@@ -275,18 +273,16 @@ def main(argv=None) -> int:
                         f"no powers of two in [{args.l_min}, {args.l_max}]"
                     )
             return cmd_compare_bounds(args.m, args.eps, l_values, args.output)
-        if args.command == "thresholdout-size":
-            return cmd_thresholdout_size(
-                args.k, args.b, args.eps, args.delta, args.radabound_m
-            )
-        parser.error(f"unknown command {args.command}")
+        # thresholdout-size: argparse admits only the three subcommands.
+        return cmd_thresholdout_size(
+            args.k, args.b, args.eps, args.delta, args.radabound_m
+        )
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ class DomainError(ValueError):
     """A numeric argument is outside its valid domain."""
 
 
-class DimensionError(ValueError):
+class DimensionError(DomainError):
     """Array shapes or lengths do not match what an operation requires."""
 
 

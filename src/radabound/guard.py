@@ -14,7 +14,8 @@ GuardHaltedError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import rademacher
 from .bounds import BoundMethod, overfit_bound
 from .errors import ConfigurationError, DomainError, GuardHaltedError
-from .seeding import seed_substream, validate_seed
+from .seeding import seed_substream, validate_seed, validate_type
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,9 @@ class GuardConfig:
     seed: int = 0
 
     def __post_init__(self):
+        validate_type("epsilon", self.epsilon, numbers.Real)
+        validate_type("delta", self.delta, numbers.Real)
+        validate_type("n_vectors", self.n_vectors)
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
@@ -153,26 +157,16 @@ class Guard:
         self._threshold = stopping_threshold(config.delta)
 
     def _evaluate(self, query) -> np.ndarray:
+        # Shape and range are checked once, by RademacherState.preview.
         if getattr(query, "vectorized", False):
-            values = np.asarray(query(self.sample.points), dtype=float)
-        else:
-            values = np.fromiter(
-                (float(query(x)) for x in self.sample.points),
-                dtype=float,
-                count=self.sample.m,
-            )
-        if values.shape != (self.sample.m,):
-            raise DomainError(
-                f"query produced {values.shape} values for m={self.sample.m}"
-            )
-        if values.min() < 0.0 or values.max() > 1.0:
-            raise DomainError("query values must lie in [0, 1]")
-        return values
+            return np.asarray(query(self.sample.points), dtype=float)
+        return np.fromiter((float(query(x)) for x in self.sample.points), dtype=float)
 
     def submit_query(self, query) -> QueryOutcome:
         """Answer one query, or halt permanently if validity cannot be
-        certified.  Domain errors (values outside [0,1]) reject the query
-        without touching guard state."""
+        certified.  A malformed query (a value count other than m, a NaN, or
+        a value outside [0, 1]) raises DomainError without touching guard
+        state."""
         if self.halted:
             raise GuardHaltedError(
                 "guard has halted; statistical validity of further queries "
@@ -184,27 +178,18 @@ class Guard:
         delta_prime = overfit_bound(
             self.config.method, self.sample.m, self.config.n_vectors, slack
         )
-        if delta_prime <= self._threshold:
+        answered = delta_prime <= self._threshold
+        if answered:
             self.rad.commit(candidate)
-            outcome = QueryOutcome(
-                empirical_mean=float(values.mean()),
-                r_tilde=estimate,
-                delta_prime=delta_prime,
-                status=QueryStatus.ANSWERED,
-            )
         else:
             # Halt: the triggering query is rejected, its mean withheld, and
             # the tentative complexity update is not committed.
             self.halted = True
-            outcome = QueryOutcome(
-                empirical_mean=None,
-                r_tilde=estimate,
-                delta_prime=delta_prime,
-                status=QueryStatus.HALTED,
-            )
+        outcome = QueryOutcome(
+            empirical_mean=float(values.mean()) if answered else None,
+            r_tilde=estimate,
+            delta_prime=delta_prime,
+            status=QueryStatus.ANSWERED if answered else QueryStatus.HALTED,
+        )
         self.history.append(outcome)
         return outcome
-
-
-def new_guard(sample: HoldoutSample, config: GuardConfig) -> Guard:
-    return Guard(sample, config)

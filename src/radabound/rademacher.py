@@ -77,7 +77,8 @@ class RademacherState:
             raise DimensionError(
                 f"expected {self.m} query values, got shape {values.shape}"
             )
-        if values.min(initial=0.0) < 0.0 or values.max(initial=0.0) > 1.0:
+        # Written so that NaN fails it.
+        if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
             raise DomainError("query values must lie in [0, 1]")
         return values
 

@@ -6,6 +6,8 @@ of them never perturbs the others.  Streams are numpy PCG64 generators keyed
 by ``SeedSequence(master_seed, spawn_key=(label_index,))``.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -24,9 +26,16 @@ SUBSTREAM_LABELS = {
 GENERATOR_IDENTITY = "pcg64/seedsequence-spawn-key"
 
 
+def validate_type(name: str, value, kind: type = int):
+    """Raise ConfigurationError unless ``value`` is a ``kind`` (``int`` for
+    counts and seeds, ``numbers.Real`` for tolerances) and not a bool."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def validate_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
+    validate_type("seed", seed)
     if not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed

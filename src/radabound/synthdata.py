@@ -15,12 +15,13 @@ placement of the biased columns; the permutation is recorded on the result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .seeding import seed_substream, validate_seed
+from .seeding import seed_substream, validate_seed, validate_type
 
 NORMAL_SAMPLER_IDENTITY = "marsaglia-polar"
 
@@ -37,6 +38,10 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m_train", "m_holdout", "m_fresh", "d", "n_biased"):
+            validate_type(name, getattr(self, name))
+        for name in ("variance", "bias"):
+            validate_type(name, getattr(self, name), numbers.Real)
         if min(self.m_train, self.m_holdout, self.m_fresh) < 1:
             raise ConfigurationError("all set sizes must be >= 1")
         if self.d < 1:
@@ -137,10 +142,6 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-def standard_normal(rng: np.random.Generator) -> float:
-    return float(standard_normals(rng, 1)[0])
-
-
 def _draw_labels(rng: np.random.Generator, n: int) -> np.ndarray:
     return 2 * rng.integers(0, 2, size=n) - 1
 
@@ -170,12 +171,7 @@ def generate(spec: DatasetSpec) -> SyntheticData:
             features[:, : spec.n_biased] += spec.bias * labels[:, None]
         sets[name] = LabeledDataset(features=features[:, perm], labels=labels)
 
-    return SyntheticData(
-        train=sets["train"],
-        holdout=sets["holdout"],
-        fresh=sets["fresh"],
-        column_permutation=perm,
-    )
+    return SyntheticData(**sets, column_permutation=perm)
 
 
 def dump_csv(dataset: LabeledDataset, path) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,10 +117,67 @@ class TestRunExperimentCommand:
             assert (out / f"dataset_{name}.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
-        cfg = small_config_dict(tmp_path)
-        cfg["guard"]["epsilon"] = 0.0
-        path = write_config(tmp_path, cfg)
-        assert main(["run-experiment", "--config", str(path)]) == EXIT_BAD_CONFIG
+        cases = [
+            ("guard", "epsilon", 0.0),
+            ("guard", "epsilon", "0.1"),
+            ("guard", "delta", None),
+            ("guard", "n_vectors", 8.7),
+            ("guard", "n_vectors", True),
+            ("experiment", "m_train", 10.5),
+            ("experiment", "d", "5"),
+            ("experiment", "n_biased", False),
+            ("experiment", "variance", "4"),
+            ("experiment", "bias", [0.5]),
+            ("experiment", "seed", 7.0),
+            (None, "epsilon_list", ["0.2", "0.3"]),
+        ]
+        for section, field, value in cases:
+            cfg = small_config_dict(tmp_path)
+            (cfg[section] if section else cfg)[field] = value
+            path = write_config(tmp_path, cfg)
+            rc = main(["run-experiment", "--config", str(path)])
+            assert rc == EXIT_BAD_CONFIG, (section, field, value)
+
+    # sha256 of each trace CSV for one small config per bound method.  Any
+    # change to a bound value, a guard decision or the CSV format moves them.
+    # Each config halts after 20+ rows, so the halting row is pinned as well.
+    GOLDEN_TRACES = {
+        "mclt": {
+            0.23: "6803f8a4bd17c188b6411c962bbb7650867aeddb4409167db394d3326480384a",
+            0.3: "2a6130f37b5b0e86cf5d389eb6117d4ef6fd33d3201a30ec6fd785ab626e1cd9",
+        },
+        "bernstein_single": {
+            0.29: "1d5c14d40dd5d6ea3d3bf3e3bca02244587c06bfc5128af0a36c4749c0346ea0",
+            0.35: "9237424a574a7ab4de2091ba3df053e3dead3f595510c301515bb3bf4fc41d38",
+        },
+        "bernstein_two_term": {
+            0.34: "abc996c2522a465f8e3070652b8ea5477012940dd0121cce911366a9dcbc1e44",
+            0.4: "ee167a1335ea18ca22e9d69da793aea3dd46e952d337b18d13d8fadc94342e4f",
+        },
+        "mcdiarmid_combined": {
+            0.38: "a350f154b42981135041a40281cb0acfa127355ad843f6a9faa66f72f4013090",
+            0.39: "da55693200580afa17a4a25aecf29cdb72bedf4a8adabc9005e26368beb8e479",
+        },
+    }
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN_TRACES))
+    def test_golden_trace_bytes(self, tmp_path, method):
+        golden = self.GOLDEN_TRACES[method]
+        cfg = small_config_dict(tmp_path / "out", epsilon_list=sorted(golden))
+        cfg["experiment"] = {
+            "m_train": 300, "m_holdout": 300, "m_fresh": 300, "d": 40,
+            "variance": 4.0, "n_biased": 3, "bias": 0.5, "seed": 3,
+        }
+        cfg["guard"].update(epsilon=max(golden), method=method, seed=3)
+        assert main(["run-experiment", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+        halts = 0
+        for eps, digest in golden.items():
+            data = (tmp_path / "out" / f"trace_eps{eps:g}.csv").read_bytes()
+            rows = data.decode().splitlines()[1:]
+            assert len(rows) >= 20
+            halts += rows[-1].endswith(",true")
+            assert hashlib.sha256(data).hexdigest() == digest, eps
+        assert halts >= 1
 
     def test_missing_config_exit_code(self, tmp_path):
         assert (

@@ -9,7 +9,6 @@ from radabound.guard import (
     HoldoutSample,
     QueryStatus,
     filtration_bound,
-    new_guard,
     stopping_threshold,
 )
 
@@ -17,6 +16,11 @@ from radabound.guard import (
 def make_sample(m, seed=0):
     rng = np.random.default_rng(seed)
     return HoldoutSample(points=list(rng.uniform(size=m)), m=m)
+
+
+def vectorized(fn):
+    fn.vectorized = True
+    return fn
 
 
 def mean_query(fn):
@@ -61,7 +65,7 @@ class TestFiltrationBound:
 
 class TestGuardConstruction:
     def test_fresh_guard_state(self):
-        g = new_guard(
+        g = Guard(
             make_sample(16),
             GuardConfig(epsilon=0.1, delta=0.1, n_vectors=32, seed=5),
         )
@@ -155,17 +159,25 @@ class TestSubmitQuery:
         assert all(o.answered for o in g.history)
 
     def test_domain_error_rejects_without_state_change(self):
-        g = Guard(
-            make_sample(10, seed=4),
-            GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5),
-        )
-        g.submit_query(lambda x: x)
-        sup_before = g.rad.running_sup.copy()
-        with pytest.raises(DomainError):
-            g.submit_query(lambda x: 2.0)
-        assert g.rad.query_count == 1
-        assert np.array_equal(g.rad.running_sup, sup_before)
-        assert not g.halted
+        cases = {
+            "out of range": (10, lambda x: 2.0),
+            "nan": (10, lambda x: np.nan),
+            "nan vectorized": (10, vectorized(lambda points: np.r_[np.full(9, 0.5), np.nan])),
+            "more points than m": (12, lambda x: x),
+            "fewer points than m": (8, lambda x: x),
+        }
+        for case, (n_points, query) in cases.items():
+            sample = HoldoutSample(points=make_sample(n_points, seed=4).points, m=10)
+            g = Guard(sample, GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5))
+            g.submit_query(vectorized(lambda points: np.linspace(0.0, 1.0, 10)))
+            sup_before = g.rad.running_sup.copy()
+            history_before = list(g.history)
+            with pytest.raises(DomainError):
+                g.submit_query(query)
+            assert g.rad.query_count == 1, case
+            assert np.array_equal(g.rad.running_sup, sup_before), case
+            assert g.history == history_before, case
+            assert not g.halted, case
 
     def test_delta_prime_non_decreasing(self):
         rng = np.random.default_rng(6)
