@@ -10,12 +10,21 @@ the current complexity estimate from the user's tolerance; it is always
 non-negative (the caller clamps at zero) and slack = 0 is a legal degenerate
 input: exponential bounds return 1 there, the normal-approximation bound
 returns 0.5.  The normal tail comes from the stdlib ``math.erfc``.
+
+The two bounds defined as a minimum over a split of the budget
+(``overfit_bound_two_term``, ``overfit_bound_mcdiarmid_combined``) write
+their objective once as ``objective(x, exp)``: arithmetic on ``x`` plus the
+given ``exp``.  ``_minimize_split`` calls it with a numpy grid and
+``np.exp`` to find the best grid point, and with floats and ``math.exp`` for
+every value it can return, so results are Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -148,38 +157,38 @@ def gen_error_mclt(m: int, slack: float) -> float:
 def _minimize_split(objective, upper: float) -> float:
     """Minimize a smooth scalar function over the open interval (0, upper).
 
-    Coarse uniform grid (_GRID_POINTS interior points) followed by
-    golden-section refinement around the best grid point.  The grid guards
-    against stray local minima; golden section then converges to relative
-    tolerance _REFINE_REL_TOL on the argument.
+    ``objective(x, exp)`` takes a float with ``exp=math.exp`` or a float
+    array with ``exp=np.exp``.  The coarse uniform grid (_GRID_POINTS
+    interior points) is one numpy call and only picks the best grid point.
+    That point and the golden-section refinement around it, to relative
+    tolerance _REFINE_REL_TOL on the argument, are evaluated on floats with
+    ``math.exp``, so the minimum is a Python float equal to what a scalar
+    loop over the same grid returns.
     """
     h = upper / (_GRID_POINTS + 1)
-    best_i = 1
-    best_v = math.inf
-    for i in range(1, _GRID_POINTS + 1):
-        v = objective(i * h)
-        if v < best_v:
-            best_v = v
-            best_i = i
-    lo = max(best_i - 1, 0) * h
-    hi = min(best_i + 1, _GRID_POINTS + 1) * h
+    grid = objective(np.arange(1, _GRID_POINTS + 1) * h, np.exp)
+    best_i = int(np.argmin(grid)) + 1
+    best_v = objective(best_i * h, math.exp)
+
+    def f(x: float) -> float:
+        return objective(x, math.exp)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = (best_i - 1) * h, (best_i + 1) * h
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
+    fc, fd = f(c), f(d)
     while (b - a) > _REFINE_REL_TOL * upper:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = objective(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = objective(d)
+            fd = f(d)
     mid = 0.5 * (a + b)
-    return min(best_v, fc, fd, objective(mid))
+    return min(best_v, fc, fd, f(mid))
 
 
 def overfit_bound_two_term(m: int, n_vectors: int, slack: float) -> float:
@@ -193,9 +202,9 @@ def overfit_bound_two_term(m: int, n_vectors: int, slack: float) -> float:
     if slack == 0.0:
         return 1.0
 
-    def objective(a: float) -> float:
-        t1 = math.exp(-2.0 * m * (slack - a) ** 2)
-        t2 = math.exp(-3.0 * m * n_vectors * a * a / (30.0 + 8.0 * n_vectors * a))
+    def objective(a, exp):
+        t1 = exp(-2.0 * m * (slack - a) ** 2)
+        t2 = exp(-3.0 * m * n_vectors * a * a / (30.0 + 8.0 * n_vectors * a))
         return t1 + t2
 
     return _clamp(_minimize_split(objective, slack))
@@ -240,10 +249,10 @@ def overfit_bound_mcdiarmid_combined(m: int, n_vectors: int, slack: float) -> fl
     if slack == 0.0:
         return 1.0
 
-    def objective(e1: float) -> float:
+    def objective(e1, exp):
         e2 = (slack - e1) / 2.0
-        t1 = math.exp(-2.0 * m * e1 * e1)
-        t2 = math.exp(-2.0 * m * n_vectors * e2 * e2 / (n_vectors + 4.0))
+        t1 = exp(-2.0 * m * e1 * e1)
+        t2 = exp(-2.0 * m * n_vectors * e2 * e2 / (n_vectors + 4.0))
         return t1 + t2
 
     return _clamp(_minimize_split(objective, slack))

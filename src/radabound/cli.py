@@ -46,6 +46,8 @@ class RunConfig:
     emit_dataset_dump: bool = False
 
     def __post_init__(self):
+        validate_type("output_dir", self.output_dir, str)
+        validate_type("emit_dataset_dump", self.emit_dataset_dump, bool)
         eps = self.epsilon_list
         for e in eps:
             validate_type("epsilon_list entry", e, numbers.Real)
@@ -69,13 +71,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        validate_type("run config", d, dict)
         try:
+            experiment = validate_type("experiment", d["experiment"], dict)
+            guard = validate_type("guard", d["guard"], dict)
+            epsilon_list = validate_type("epsilon_list", d.get("epsilon_list", []), list)
             return cls(
-                experiment=DatasetSpec.from_dict(d["experiment"]),
-                guard=GuardConfig.from_dict(d["guard"]),
-                epsilon_list=tuple(d.get("epsilon_list", ())),
+                experiment=DatasetSpec.from_dict(experiment),
+                guard=GuardConfig.from_dict(guard),
+                epsilon_list=tuple(epsilon_list),
                 output_dir=d.get("output_dir", "."),
-                emit_dataset_dump=bool(d.get("emit_dataset_dump", False)),
+                emit_dataset_dump=d.get("emit_dataset_dump", False),
             )
         except KeyError as exc:
             raise ConfigurationError(f"run config missing field {exc}") from None

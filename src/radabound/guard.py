@@ -36,6 +36,7 @@ class HoldoutSample:
     m: int
 
     def __post_init__(self):
+        validate_type("m", self.m)
         if self.m < 1:
             raise ConfigurationError(f"holdout sample must be non-empty, got m={self.m}")
 
@@ -53,6 +54,7 @@ class GuardConfig:
         validate_type("epsilon", self.epsilon, numbers.Real)
         validate_type("delta", self.delta, numbers.Real)
         validate_type("n_vectors", self.n_vectors)
+        validate_type("negation_closure", self.negation_closure, bool)
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
@@ -155,6 +157,11 @@ class Guard:
         self.halted = False
         self.history: list[QueryOutcome] = []
         self._threshold = stopping_threshold(config.delta)
+        # Last (slack, delta_prime) pair.  The bound is pure and r_tilde never
+        # decreases, so slack never increases and equal slacks come in runs:
+        # one pair is an exact memo.
+        self._slack = None
+        self._delta_prime = None
 
     def _evaluate(self, query) -> np.ndarray:
         # Shape and range are checked once, by RademacherState.preview.
@@ -175,9 +182,12 @@ class Guard:
         values = self._evaluate(query)
         candidate, estimate = self.rad.preview(values)
         slack = max(0.0, self.config.epsilon - 2.0 * estimate)
-        delta_prime = overfit_bound(
-            self.config.method, self.sample.m, self.config.n_vectors, slack
-        )
+        if slack != self._slack:
+            self._delta_prime = overfit_bound(
+                self.config.method, self.sample.m, self.config.n_vectors, slack
+            )
+            self._slack = slack
+        delta_prime = self._delta_prime
         answered = delta_prime <= self._threshold
         if answered:
             self.rad.commit(candidate)

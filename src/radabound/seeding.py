@@ -28,8 +28,10 @@ GENERATOR_IDENTITY = "pcg64/seedsequence-spawn-key"
 
 def validate_type(name: str, value, kind: type = int):
     """Raise ConfigurationError unless ``value`` is a ``kind`` (``int`` for
-    counts and seeds, ``numbers.Real`` for tolerances) and not a bool."""
-    if not isinstance(value, kind) or isinstance(value, bool):
+    counts and seeds, ``numbers.Real`` for tolerances, ``bool`` for flags,
+    ``dict`` or ``list`` for config sections).  A bool passes only as a
+    ``bool``, never as a number."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
     return value
 

@@ -199,6 +199,112 @@ class TestOverfitBounds:
             overfit_bound_mclt(100, 8, -0.01)
 
 
+# float.hex of the two split-minimised bounds, recorded from the scalar
+# (one math.exp call per grid point) minimiser before it was vectorised.
+# Columns: m, l, slack, bernstein_two_term, mcdiarmid_combined.  The first
+# rows have slack near 0, where both bounds clamp to 1; the rest reach
+# slack 0.2, the largest epsilon the experiments use.
+GOLDEN_SPLIT_BOUNDS = [
+    (50, 8, 1e-12, '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (100, 1, 1e-09, '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (1000, 8, 1e-10, '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (4000, 32, 1e-08, '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (4000, 32, 0.01, '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (50, 64, 0.2, '0x1.4fbf77f3b8aefp-1', '0x1.0000000000000p+0'),
+    (100, 64, 0.19999999, '0x1.bf29863d6f805p-3', '0x1.84c3241bc8c73p-1'),
+    (250, 32, 0.125, '0x1.1444afa67b4c0p-2', '0x1.9453c51e089afp-1'),
+    (250, 128, 0.2, '0x1.0151be6b93e78p-8', '0x1.af2985664da42p-3'),
+    (500, 16, 0.15, '0x1.cfc6c24b64e0cp-6', '0x1.b30a1af067f8cp-3'),
+    (500, 64, 0.0999, '0x1.27889b6bf58e6p-4', '0x1.3f509acd198b2p-1'),
+    (1000, 32, 0.0999, '0x1.45268630f478cp-7', '0x1.e569bc0e78f2ep-3'),
+    (1000, 32, 0.0625, '0x1.c55278c55130ep-3', '0x1.9453c51e089afp-1'),
+    (1000, 64, 0.2, '0x1.239d293f01921p-31', '0x1.821cc4a125f0ap-12'),
+    (1000, 128, 0.075, '0x1.2273138c77fc3p-6', '0x1.12e849db5e1dep-1'),
+    (2000, 16, 0.055, '0x1.43cf2bcb4977bp-3', '0x1.1f5f75a1d6338p-1'),
+    (2000, 32, 0.055, '0x1.03fc2ee4276d8p-4', '0x1.0bb6a621d696cp-1'),
+    (2000, 64, 0.04, '0x1.67b4a289b29f7p-3', '0x1.c348dbca15201p-1'),
+    (4000, 32, 0.025, '0x1.c8da0d1376bb3p-2', '0x1.fb757f4df39f2p-1'),
+    (4000, 32, 0.05, '0x1.a1aa79fe06d60p-8', '0x1.e37222a0dc7bfp-3'),
+    (4000, 32, 0.035, '0x1.c86e2b31eee98p-4', '0x1.4f4dbcf816072p-1'),
+    (4000, 64, 0.0333, '0x1.0d214c4f8c9e9p-4', '0x1.64e700f0f20b6p-1'),
+    (4000, 64, 0.0999999, '0x1.831af4a81d843p-38', '0x1.821e7464ac819p-12'),
+    (4000, 64, 0.2, '0x1.bb24d042eea3bp-127', '0x1.9375442e04aeap-49'),
+    (4000, 8, 0.06, '0x1.fe588390b0e3ap-6', '0x1.460309e7c3b4ap-3'),
+    (10000, 32, 0.03, '0x1.38809585fbf06p-7', '0x1.281691e719d8bp-2'),
+    (10000, 128, 0.04, '0x1.9f2ccb3268bf6p-21', '0x1.d61abf6480346p-5'),
+    (10000, 64, 0.0175, '0x1.5e2a01d5bdd62p-3', '0x1.ce37753a73c14p-1'),
+    (12000, 500, 0.02, '0x1.d239757c765e4p-9', '0x1.426653cef526ep-1'),
+    (12000, 32, 0.1, '0x1.fc54f269772f2p-92', '0x1.49633f8cbed82p-35'),
+]
+
+
+def reference_minimize_split(objective, upper):
+    """The scalar minimiser: 1024 grid points, then golden section, all
+    with math.exp.  Kept as the reference the vectorised grid must equal."""
+    n = 1024
+    h = upper / (n + 1)
+    best_i, best_v = 1, math.inf
+    for i in range(1, n + 1):
+        v = objective(i * h)
+        if v < best_v:
+            best_i, best_v = i, v
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = (best_i - 1) * h, (best_i + 1) * h
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while (b - a) > 1e-10 * upper:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = objective(d)
+    return min(1.0, best_v, fc, fd, objective(0.5 * (a + b)))
+
+
+def reference_two_term(m, l, slack):
+    return reference_minimize_split(
+        lambda a: math.exp(-2.0 * m * (slack - a) ** 2)
+        + math.exp(-3.0 * m * l * a * a / (30.0 + 8.0 * l * a)),
+        slack,
+    )
+
+
+def reference_mcdiarmid_combined(m, l, slack):
+    def objective(e1):
+        e2 = (slack - e1) / 2.0
+        return math.exp(-2.0 * m * e1 * e1) + math.exp(-2.0 * m * l * e2 * e2 / (l + 4.0))
+
+    return reference_minimize_split(objective, slack)
+
+
+class TestSplitBoundsExact:
+    @pytest.mark.parametrize("m,l,slack,two_term,mcdiarmid", GOLDEN_SPLIT_BOUNDS)
+    def test_golden_values(self, m, l, slack, two_term, mcdiarmid):
+        assert overfit_bound_two_term(m, l, slack).hex() == two_term
+        assert overfit_bound_mcdiarmid_combined(m, l, slack).hex() == mcdiarmid
+
+    def test_equal_to_scalar_reference(self):
+        rng = np.random.default_rng(2024)
+        for m in (50, 1000, 4000):
+            for l in (8, 32, 64):
+                for slack in rng.uniform(0.0, 0.2, size=8).tolist():
+                    assert overfit_bound_two_term(m, l, slack) == reference_two_term(
+                        m, l, slack
+                    ), (m, l, slack)
+                    assert overfit_bound_mcdiarmid_combined(
+                        m, l, slack
+                    ) == reference_mcdiarmid_combined(m, l, slack), (m, l, slack)
+
+    @pytest.mark.parametrize("method", list(BoundMethod))
+    def test_returns_python_float(self, method):
+        for m, l, slack in ((100, 8, 0.0), (100, 8, 1e-9), (4000, 32, 0.05)):
+            assert type(overfit_bound(method, m, l, slack)) is float
+
+
 class TestTwoStepBounds:
     def test_gen_error_frozen_value(self):
         # 1 - Phi(2 * 0.1 * sqrt(100)) = 1 - Phi(2)

@@ -130,13 +130,22 @@ class TestRunExperimentCommand:
             ("experiment", "bias", [0.5]),
             ("experiment", "seed", 7.0),
             (None, "epsilon_list", ["0.2", "0.3"]),
+            (None, "epsilon_list", 0.2),
+            (None, "guard", 5),
+            (None, "experiment", [1]),
+            ("guard", "negation_closure", "no"),
+            (None, "emit_dataset_dump", "no"),
+            (None, "output_dir", 5),
         ]
         for section, field, value in cases:
-            cfg = small_config_dict(tmp_path)
+            cfg = small_config_dict(tmp_path / "out")
             (cfg[section] if section else cfg)[field] = value
             path = write_config(tmp_path, cfg)
             rc = main(["run-experiment", "--config", str(path)])
             assert rc == EXIT_BAD_CONFIG, (section, field, value)
+            assert not (tmp_path / "out").exists(), (section, field, value)
+        path = write_config(tmp_path, [small_config_dict(tmp_path / "out")])
+        assert main(["run-experiment", "--config", str(path)]) == EXIT_BAD_CONFIG
 
     # sha256 of each trace CSV for one small config per bound method.  Any
     # change to a bound value, a guard decision or the CSV format moves them.

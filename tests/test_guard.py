@@ -87,6 +87,11 @@ class TestGuardConstruction:
         with pytest.raises(ConfigurationError):
             HoldoutSample(points=[], m=0)
 
+    def test_non_int_sample_size_rejected(self):
+        for m in (10.5, True, "10", None):
+            with pytest.raises(ConfigurationError):
+                HoldoutSample(points=list(range(10)), m=m)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             GuardConfig(epsilon=0.0, delta=0.1, n_vectors=8)
@@ -94,6 +99,8 @@ class TestGuardConstruction:
             GuardConfig(epsilon=0.1, delta=1.0, n_vectors=8)
         with pytest.raises(ConfigurationError):
             GuardConfig(epsilon=0.1, delta=0.1, n_vectors=0)
+        with pytest.raises(ConfigurationError):
+            GuardConfig(epsilon=0.1, delta=0.1, n_vectors=8, negation_closure="no")
 
 
 class TestSubmitQuery:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from radabound.errors import ConfigurationError
-from radabound.seeding import SUBSTREAM_LABELS, seed_substream, validate_seed
+from radabound.seeding import (
+    SUBSTREAM_LABELS,
+    seed_substream,
+    validate_seed,
+    validate_type,
+)
 
 
 def test_labels_are_fixed():
@@ -41,3 +46,11 @@ def test_seed_validation():
     for bad in (-1, 2**64, 1.5, "7"):
         with pytest.raises(ConfigurationError):
             validate_seed(bad)
+
+
+def test_bool_passes_only_as_bool():
+    assert validate_type("flag", False, bool) is False
+    assert validate_type("count", 3) == 3
+    for value, kind in ((1, bool), ("no", bool), (True, int), (False, float)):
+        with pytest.raises(ConfigurationError):
+            validate_type("x", value, kind)
