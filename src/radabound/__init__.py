@@ -22,6 +22,7 @@ from .harness import (
     LinearClassifier,
     evaluate_on,
     run_adaptive_analysis,
+    run_epsilon_sweep,
     run_experiment,
 )
 from .synthdata import DatasetSpec, generate

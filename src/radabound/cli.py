@@ -2,7 +2,8 @@
 
 Subcommands:
   run-experiment --config <path>   adaptive experiment, one trace CSV per
-                                   epsilon plus summary.json
+                                   epsilon (all from one guard run) plus
+                                   summary.json
   compare-bounds                   estimate-error bound comparison CSV
   thresholdout-size                differential-privacy holdout size report
 
@@ -25,7 +26,7 @@ from . import __version__
 from .bounds import compare_bounds_csv, compare_bounds_table
 from .errors import ConfigurationError, DomainError
 from .guard import GuardConfig
-from .harness import ExperimentTrace, run_adaptive_analysis
+from .harness import ExperimentTrace, run_epsilon_sweep
 from .seeding import GENERATOR_IDENTITY, SUBSTREAM_LABELS, validate_type
 from .synthdata import NORMAL_SAMPLER_IDENTITY, DatasetSpec, dump_csv, generate
 from .thresholdout import ThresholdoutParams, comparison_report
@@ -35,6 +36,10 @@ EXIT_BAD_CONFIG = 2
 EXIT_IO_FAILURE = 3
 
 TRACE_HEADER = "query_index,holdout_acc,fresh_acc,r_tilde,delta_prime,accepted,halted"
+
+
+def _trace_filename(epsilon: float) -> str:
+    return f"trace_eps{epsilon:g}.csv"
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,12 @@ class RunConfig:
             raise ConfigurationError("epsilon_list entries must be in (0, 1)")
         if any(a >= b for a, b in zip(eps, eps[1:])):
             raise ConfigurationError("epsilon_list must be strictly increasing")
+        names = [_trace_filename(e) for e in eps]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(
+                "epsilon_list entries must differ in their first 6 significant "
+                f"digits, which name the trace files: {eps}"
+            )
 
     @property
     def epsilons(self) -> tuple[float, ...]:
@@ -139,26 +150,24 @@ def write_trace_csv(trace: ExperimentTrace, path) -> None:
             fh.write(line + "\n")
 
 
-def _trace_filename(epsilon: float) -> str:
-    return f"trace_eps{epsilon:g}.csv"
-
-
 def cmd_run_experiment(config: RunConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # One full run per epsilon over identical data and sign vectors, so the
-    # trajectories coincide and only the halt indices differ.
+    # Every epsilon sees the same data and sign vectors, so one guard run at
+    # the largest epsilon serves the whole sweep: the smaller epsilons'
+    # traces are prefixes of it that differ only in delta_prime and halt row.
     data = generate(config.experiment)
+    traces = run_epsilon_sweep(
+        data.train,
+        data.holdout,
+        data.fresh,
+        config.guard,
+        config.epsilons,
+        dataset_spec=config.experiment,
+    )
     runs = []
-    for epsilon in config.epsilons:
-        trace = run_adaptive_analysis(
-            data.train,
-            data.holdout,
-            data.fresh,
-            replace(config.guard, epsilon=epsilon),
-            dataset_spec=config.experiment,
-        )
+    for epsilon, trace in zip(config.epsilons, traces):
         write_trace_csv(trace, out_dir / _trace_filename(epsilon))
         runs.append(
             {

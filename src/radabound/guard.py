@@ -140,6 +140,34 @@ def filtration_bound(p_k: float, p_km1: float) -> float:
     return min(1.0, (1.0 - p_k) / p_km1)
 
 
+class Certifier:
+    """The per-query certification test for one config and sample size:
+    ``r_tilde -> (delta_prime, answered)``.
+
+    The guard and the one-run epsilon sweep both decide through this class,
+    so a derived decision is bit-equal to a direct one.  It keeps the last
+    (slack, delta_prime) pair: the bound is pure and r_tilde never decreases,
+    so slack never increases and equal slacks come in runs, and one pair is
+    an exact memo.
+    """
+
+    def __init__(self, config: GuardConfig, m: int):
+        self.config = config
+        self.m = m
+        self.threshold = stopping_threshold(config.delta)
+        self._slack = None
+        self._delta_prime = None
+
+    def __call__(self, r_tilde: float) -> tuple[float, bool]:
+        slack = max(0.0, self.config.epsilon - 2.0 * r_tilde)
+        if slack != self._slack:
+            self._delta_prime = overfit_bound(
+                self.config.method, self.m, self.config.n_vectors, slack
+            )
+            self._slack = slack
+        return self._delta_prime, self._delta_prime <= self.threshold
+
+
 class Guard:
     """Single-writer state machine answering queries on a fixed sample."""
 
@@ -156,12 +184,7 @@ class Guard:
         )
         self.halted = False
         self.history: list[QueryOutcome] = []
-        self._threshold = stopping_threshold(config.delta)
-        # Last (slack, delta_prime) pair.  The bound is pure and r_tilde never
-        # decreases, so slack never increases and equal slacks come in runs:
-        # one pair is an exact memo.
-        self._slack = None
-        self._delta_prime = None
+        self._certify = Certifier(config, sample.m)
 
     def _evaluate(self, query) -> np.ndarray:
         # Shape and range are checked once, by RademacherState.preview.
@@ -181,14 +204,7 @@ class Guard:
             )
         values = self._evaluate(query)
         candidate, estimate = self.rad.preview(values)
-        slack = max(0.0, self.config.epsilon - 2.0 * estimate)
-        if slack != self._slack:
-            self._delta_prime = overfit_bound(
-                self.config.method, self.sample.m, self.config.n_vectors, slack
-            )
-            self._slack = slack
-        delta_prime = self._delta_prime
-        answered = delta_prime <= self._threshold
+        delta_prime, answered = self._certify(estimate)
         if answered:
             self.rad.commit(candidate)
         else:

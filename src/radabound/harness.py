@@ -7,17 +7,22 @@ candidate's 0-1 loss to the guard, and keeps a candidate only when its
 released holdout loss strictly improves on the current best.  The learner
 sees nothing but released means; fresh-set accuracy is computed outside the
 guard as ground truth for the trace.
+
+For the same reason an epsilon sweep needs only one guard run, at the
+largest epsilon: a smaller epsilon's trace is a prefix of that run's rows,
+cut at the first row its own certification test rejects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .guard import Guard, GuardConfig, HoldoutSample
+from .guard import Certifier, Guard, GuardConfig, HoldoutSample
 from .synthdata import DatasetSpec, LabeledDataset, generate
 
 
@@ -54,6 +59,9 @@ class TraceRow:
     delta_prime: float
     accepted: bool
     halted: bool
+    feature: int | None  # feature whose weight was tried; None for the baseline
+    candidate: int  # weight tried for ``feature``; 0 for the baseline
+    holdout_loss: float  # exact released mean; NaN on the halting row
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,9 @@ def run_adaptive_analysis(
     def fresh_accuracy(scores: np.ndarray) -> float:
         return float(np.mean(np.where(scores >= 0, 1, -1) == fresh.labels))
 
-    def submit(cand_scores_h, cand_scores_f):
-        """Submit the candidate's loss; returns (outcome, accepted) and
-        appends the trace row.  accepted is None when the guard halted."""
+    def submit(cand_scores_h, cand_scores_f, feature=None, candidate=0):
+        """Submit the candidate's loss and append the trace row; returns
+        whether it was accepted, or None when the guard halted."""
         nonlocal query_index, halt_index, best_loss
         query_index += 1
         outcome = guard.submit_query(
@@ -140,11 +148,12 @@ def run_adaptive_analysis(
             accepted = outcome.empirical_mean < best_loss
             if accepted:
                 best_loss = outcome.empirical_mean
-            holdout_acc = 1.0 - outcome.empirical_mean
+            holdout_loss = outcome.empirical_mean
+            holdout_acc = 1.0 - holdout_loss
         else:
             accepted = None
             halt_index = query_index
-            holdout_acc = math.nan
+            holdout_loss = holdout_acc = math.nan
         rows.append(
             TraceRow(
                 query_index=query_index,
@@ -154,6 +163,9 @@ def run_adaptive_analysis(
                 delta_prime=outcome.delta_prime,
                 accepted=bool(accepted),
                 halted=not outcome.answered,
+                feature=feature,
+                candidate=candidate,
+                holdout_loss=holdout_loss,
             )
         )
         return accepted
@@ -166,7 +178,9 @@ def run_adaptive_analysis(
             chosen = 0
             halted = False
             for cand in (-1, 1):
-                accepted = submit(scores_h + cand * col_h, scores_f + cand * col_f)
+                accepted = submit(
+                    scores_h + cand * col_h, scores_f + cand * col_f, int(i), cand
+                )
                 if accepted is None:
                     halted = True
                     break
@@ -187,6 +201,82 @@ def run_adaptive_analysis(
         dataset_spec=dataset_spec,
         guard_config=guard_config,
     )
+
+
+def _derive_trace(
+    largest: ExperimentTrace, guard_config: GuardConfig, m: int
+) -> ExperimentTrace | None:
+    """``guard_config``'s trace cut from the rows of a run at a larger
+    epsilon, or None when this epsilon answers the run's halting row, whose
+    successors the run never saw."""
+    certify = Certifier(guard_config, m)
+    rows = []
+    for row in largest.rows:
+        delta_prime, answered = certify(row.r_tilde)
+        if answered:
+            if row.halted:
+                return None
+            rows.append(replace(row, delta_prime=delta_prime))
+        else:
+            rows.append(
+                replace(
+                    row,
+                    holdout_acc=math.nan,
+                    delta_prime=delta_prime,
+                    accepted=False,
+                    halted=True,
+                    holdout_loss=math.nan,
+                )
+            )
+            break
+
+    # Replay the accepted rows: a later acceptance for the same feature
+    # overrides an earlier one, as the learner's own loop does.
+    weights = np.zeros(len(largest.final_classifier.weights), dtype=int)
+    best_loss = math.inf
+    for row in rows:
+        if row.accepted:
+            best_loss = row.holdout_loss
+            if row.feature is not None:
+                weights[row.feature] = row.candidate
+    return ExperimentTrace(
+        rows=rows,
+        halt_index=rows[-1].query_index if rows[-1].halted else None,
+        final_classifier=LinearClassifier(weights=weights),
+        final_holdout_loss=best_loss,
+        dataset_spec=largest.dataset_spec,
+        guard_config=guard_config,
+    )
+
+
+def run_epsilon_sweep(
+    train: LabeledDataset,
+    holdout: LabeledDataset,
+    fresh: LabeledDataset,
+    guard_config: GuardConfig,
+    epsilons: Iterable[float],
+    dataset_spec: DatasetSpec | None = None,
+) -> list[ExperimentTrace]:
+    """One trace per entry of ``epsilons``, equal field for field to
+    ``run_adaptive_analysis`` with ``guard_config`` at that epsilon.
+
+    The guard runs once, at the largest epsilon, and every smaller epsilon
+    is derived from its rows.  An epsilon that would still answer the run's
+    halting row (possible only if the bound were not monotone in slack) is
+    run directly.
+    """
+    configs = [replace(guard_config, epsilon=eps) for eps in epsilons]
+    if not configs:
+        return []
+    top = max(configs, key=lambda c: c.epsilon)
+    largest = run_adaptive_analysis(train, holdout, fresh, top, dataset_spec)
+    traces = []
+    for config in configs:
+        trace = largest if config == top else _derive_trace(largest, config, len(holdout))
+        if trace is None:
+            trace = run_adaptive_analysis(train, holdout, fresh, config, dataset_spec)
+        traces.append(trace)
+    return traces
 
 
 def run_experiment(spec: DatasetSpec, guard_config: GuardConfig) -> ExperimentTrace:

@@ -121,6 +121,9 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
     Implemented on top of the generator's uniform stream so the sampling
     algorithm itself is pinned independently of the numpy version's ziggurat.
+    Accepted pairs fill ``out`` in order as (u * factor, v * factor), with
+    factor = sqrt(-2 log(s) / s); the in-place steps below round exactly as
+    that expression does.
     """
     out = np.empty(n)
     filled = 0
@@ -129,15 +132,21 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
         batch = int(need * 0.7) + 32  # ~pi/4 pair acceptance, 2 values/pair
         u = rng.uniform(-1.0, 1.0, size=batch)
         v = rng.uniform(-1.0, 1.0, size=batch)
-        s = u * u + v * v
-        keep = (s > 0.0) & (s < 1.0)
-        u, v, s = u[keep], v[keep], s[keep]
-        factor = np.sqrt(-2.0 * np.log(s) / s)
-        pair = np.empty(2 * u.size)
-        pair[0::2] = u * factor
-        pair[1::2] = v * factor
-        take = min(pair.size, need)
-        out[filled : filled + take] = pair[:take]
+        s = u * u
+        s += v * v
+        keep = s < 1.0
+        keep &= s > 0.0
+        idx = np.flatnonzero(keep)[: (need + 1) // 2]
+        s = s.take(idx)
+        factor = np.log(s)
+        factor *= -2.0
+        factor /= s
+        np.sqrt(factor, out=factor)
+        take = min(2 * idx.size, need)
+        chunk = out[filled : filled + take]
+        np.multiply(u.take(idx), factor, out=chunk[0::2])
+        n_v = take // 2
+        np.multiply(v.take(idx[:n_v]), factor[:n_v], out=chunk[1::2])
         filled += take
     return out
 
@@ -166,7 +175,8 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     ):
         labels = _draw_labels(label_rng, n)
         features = standard_normals(seed_substream(spec.seed, name), n * spec.d)
-        features = features.reshape(n, spec.d) * scale
+        features = features.reshape(n, spec.d)
+        features *= scale
         if spec.n_biased > 0:
             features[:, : spec.n_biased] += spec.bias * labels[:, None]
         sets[name] = LabeledDataset(features=features[:, perm], labels=labels)
@@ -178,7 +188,7 @@ def dump_csv(dataset: LabeledDataset, path) -> None:
     """Debug dump: one row per point, d feature columns then `label`."""
     d = dataset.features.shape[1]
     header = ",".join(f"f{i}" for i in range(d)) + ",label"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row, label in dataset:
             fh.write(",".join(f"{v:.10g}" for v in row) + f",{int(label)}\n")

@@ -136,6 +136,8 @@ class TestRunExperimentCommand:
             ("guard", "negation_closure", "no"),
             (None, "emit_dataset_dump", "no"),
             (None, "output_dir", 5),
+            # both would be written to trace_eps0.1.csv
+            (None, "epsilon_list", [0.1, 0.1000001]),
         ]
         for section, field, value in cases:
             cfg = small_config_dict(tmp_path / "out")

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from radabound import bounds, guard, harness
 from radabound.bounds import BoundMethod
 from radabound.errors import ConfigurationError, DimensionError
 from radabound.guard import GuardConfig
@@ -11,6 +13,7 @@ from radabound.harness import (
     evaluate_on,
     feature_order,
     run_adaptive_analysis,
+    run_epsilon_sweep,
     run_experiment,
     zero_one_loss_query,
 )
@@ -194,3 +197,136 @@ class TestRunExperiment:
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=4, seed=1)
         with pytest.raises(DimensionError):
             run_adaptive_analysis(data.train, other.holdout, data.fresh, cfg)
+
+
+def row_key(row):
+    # NaN marks the halting row's withheld answer; compare it as a token.
+    return tuple(
+        "nan" if isinstance(v, float) and math.isnan(v) else v
+        for v in dataclasses.astuple(row)
+    )
+
+
+def assert_same_trace(got, want):
+    assert [row_key(r) for r in got.rows] == [row_key(r) for r in want.rows]
+    assert got.halt_index == want.halt_index
+    assert got.final_classifier.weights.dtype == want.final_classifier.weights.dtype
+    assert np.array_equal(got.final_classifier.weights, want.final_classifier.weights)
+    assert got.final_holdout_loss == want.final_holdout_loss
+    assert got.guard_config == want.guard_config
+    assert got.dataset_spec == want.dataset_spec
+
+
+@pytest.fixture
+def count_runs(monkeypatch):
+    """Counts run_adaptive_analysis calls made through the harness module."""
+    calls = []
+    original = harness.run_adaptive_analysis
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].epsilon)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_adaptive_analysis", counted)
+    return calls
+
+
+class TestEpsilonSweep:
+    # At seed 2 with signal, the third epsilon of each sweep halts on row 9:
+    # the +1 candidate of a feature whose -1 candidate row 8 accepted.
+    SWEEPS = {
+        BoundMethod.MCLT: (0.05, 0.19, 0.25, 0.28, 0.55),
+        BoundMethod.BERNSTEIN_SINGLE: (0.05, 0.25, 0.31, 0.34, 0.61),
+        BoundMethod.BERNSTEIN_TWO_TERM: (0.05, 0.31, 0.37, 0.4, 0.67),
+        BoundMethod.MCDIARMID_COMBINED: (0.05, 0.38, 0.44, 0.47, 0.74),
+    }
+
+    @staticmethod
+    def spec(signal):
+        bias = {"n_biased": 3, "bias": 0.4} if signal else {}
+        return DatasetSpec(m_train=200, m_holdout=200, m_fresh=200, d=12, seed=2, **bias)
+
+    @pytest.mark.parametrize("signal", [True, False])
+    @pytest.mark.parametrize("method", list(BoundMethod))
+    def test_equals_direct_runs(self, method, signal, count_runs):
+        spec = self.spec(signal)
+        data = generate(spec)
+        cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, method=method, seed=2)
+        all_eps = self.SWEEPS[method]
+        full, head = (
+            self.sweep_equals_direct_runs(data, cfg, epsilons, spec, count_runs)
+            for epsilons in (all_eps, all_eps[:3])
+        )
+        # The full sweep's largest epsilon never halts; the head's does.
+        assert full[-1].halt_index is None
+        assert head[0].halt_index < head[-1].halt_index
+        if signal:
+            # derived from the full sweep's run
+            halt_row, prev = full[2].rows[-1], full[2].rows[-2]
+            assert halt_row.halted and halt_row.candidate == 1
+            assert prev.feature == halt_row.feature and prev.accepted
+            assert prev.candidate == -1
+            assert full[2].final_classifier.weights[halt_row.feature] == -1
+
+    @staticmethod
+    def sweep_equals_direct_runs(data, cfg, epsilons, spec, count_runs):
+        count_runs.clear()
+        traces = run_epsilon_sweep(*data, cfg, epsilons, dataset_spec=spec)
+        assert count_runs == [max(epsilons)]
+        assert len(traces) == len(epsilons)
+        for eps, trace in zip(epsilons, traces):
+            direct = run_adaptive_analysis(
+                *data, dataclasses.replace(cfg, epsilon=eps), dataset_spec=spec
+            )
+            assert_same_trace(trace, direct)
+        return traces
+
+    def test_later_acceptance_overrides_earlier(self, count_runs):
+        # At seed 9, rows 10 and 11 accept -1 and then +1 for one feature,
+        # and eps 0.23 halts on row 12: that feature's final weight is +1.
+        spec = dataclasses.replace(self.spec(True), seed=9)
+        data = generate(spec)
+        cfg = GuardConfig(epsilon=0.3, delta=0.1, n_vectors=16, seed=9)
+        derived, _ = run_epsilon_sweep(*data, cfg, (0.23, 0.3))
+        assert count_runs == [0.3]
+        direct = run_adaptive_analysis(*data, dataclasses.replace(cfg, epsilon=0.23))
+        assert_same_trace(derived, direct)
+        first, second = derived.rows[9:11]
+        assert first.feature == second.feature
+        assert (first.candidate, second.candidate) == (-1, 1)
+        assert first.accepted and second.accepted and derived.halt_index == 12
+        assert derived.final_classifier.weights[first.feature] == 1
+
+    def test_order_and_duplicates_kept(self):
+        spec = self.spec(True)
+        data = generate(spec)
+        cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, seed=2)
+        epsilons = (0.28, 0.05, 0.28, 0.25)
+        traces = run_epsilon_sweep(*data, cfg, epsilons)
+        assert [t.guard_config.epsilon for t in traces] == list(epsilons)
+        assert [t.halt_index for t in traces] == [None, 1, None, 9]
+        assert run_epsilon_sweep(*data, cfg, ()) == []
+
+    def test_non_monotone_bound_runs_directly(self, monkeypatch, count_runs):
+        # A bound that rises again at large slack: eps 0.5 halts on row 1,
+        # while eps 0.28 answers that row, so its trace cannot be cut from the
+        # eps 0.5 run and must be run directly.  eps 0.01 halts on row 1 too,
+        # and is still derived.
+        real = bounds.overfit_bound
+
+        def non_monotone(method, m, l, slack):
+            return 1.0 if slack > 0.3 else real(method, m, l, slack)
+
+        monkeypatch.setattr(guard, "overfit_bound", non_monotone)
+        spec = self.spec(True)
+        data = generate(spec)
+        cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, seed=2)
+        epsilons = (0.01, 0.28, 0.5)
+        traces = run_epsilon_sweep(*data, cfg, epsilons, dataset_spec=spec)
+        assert count_runs == [0.5, 0.28]
+        assert [t.halt_index for t in traces] == [1, None, 1]
+        for eps, trace in zip(epsilons, traces):
+            direct = run_adaptive_analysis(
+                *data, dataclasses.replace(cfg, epsilon=eps), dataset_spec=spec
+            )
+            assert_same_trace(trace, direct)
