@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -176,7 +177,13 @@ def cmd_run_experiment(config: RunConfig) -> int:
                 "halt_index": trace.halt_index,
                 "n_queries": len(trace.rows),
                 "final_weights": trace.final_classifier.weights.tolist(),
-                "final_holdout_loss": trace.final_holdout_loss,
+                # A run that halts on its first query has no loss; JSON has
+                # no infinity, so it is written as null.
+                "final_holdout_loss": (
+                    trace.final_holdout_loss
+                    if math.isfinite(trace.final_holdout_loss)
+                    else None
+                ),
             }
         )
 
@@ -201,7 +208,7 @@ def cmd_run_experiment(config: RunConfig) -> int:
         "runs": runs,
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+        json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     halts = ", ".join(
         f"eps={r['epsilon']:g}: halt={r['halt_index']}" for r in runs

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -192,18 +193,16 @@ class Guard:
             return np.asarray(query(self.sample.points), dtype=float)
         return np.fromiter((float(query(x)) for x in self.sample.points), dtype=float)
 
-    def submit_query(self, query) -> QueryOutcome:
-        """Answer one query, or halt permanently if validity cannot be
-        certified.  A malformed query (a value count other than m, a NaN, or
-        a value outside [0, 1]) raises DomainError without touching guard
-        state."""
+    def _check_open(self) -> None:
         if self.halted:
             raise GuardHaltedError(
                 "guard has halted; statistical validity of further queries "
                 "cannot be guaranteed"
             )
-        values = self._evaluate(query)
-        candidate, estimate = self.rad.preview(values)
+
+    def _answer(self, values, candidate, estimate) -> QueryOutcome:
+        """Certify one previewed query: commit its suprema and release its
+        mean, or halt.  Records and returns the outcome."""
         delta_prime, answered = self._certify(estimate)
         if answered:
             self.rad.commit(candidate)
@@ -219,3 +218,43 @@ class Guard:
         )
         self.history.append(outcome)
         return outcome
+
+    def submit_query(self, query) -> QueryOutcome:
+        """Answer one query, or halt permanently if validity cannot be
+        certified.  A malformed query (a value count other than m, a NaN, or
+        a value outside [0, 1]) raises DomainError without touching guard
+        state."""
+        self._check_open()
+        values = self._evaluate(query)
+        candidate, estimate = self.rad.preview(values)
+        return self._answer(values, candidate, estimate)
+
+    def submit_batch(self, query) -> Iterator[QueryOutcome]:
+        """Answer a block of k queries, one per row of ``query(points)``, a
+        k x m value matrix.
+
+        The whole matrix is validated and correlated with the sign vectors
+        (one matrix product) before this returns; a malformed matrix raises
+        DomainError without touching guard state.  The returned iterator
+        answers one row per ``next()``, exactly as ``submit_query`` would at
+        that moment: it commits, certifies and records that row only, so rows
+        never pulled are never committed or recorded.  Iteration ends after a
+        halting row, and ``next()`` raises GuardHaltedError if the guard was
+        halted in between.
+
+        Rows of {0, 1} values give outcomes bit-equal to sequential
+        ``submit_query`` calls.  For other values in [0, 1] r_tilde and
+        delta_prime may differ from them by a few ulps, because a matrix
+        product may sum in a different order than a matrix-vector product.
+        """
+        self._check_open()
+        values, corr = self.rad.correlations(query(self.sample.points))
+        return self._answer_rows(values, corr)
+
+    def _answer_rows(self, values, corr) -> Iterator[QueryOutcome]:
+        for row_values, row_corr in zip(values, corr):
+            self._check_open()
+            outcome = self._answer(row_values, *self.rad.preview_corr(row_corr))
+            yield outcome
+            if not outcome.answered:
+                return

@@ -11,6 +11,16 @@ guard as ground truth for the trace.
 For the same reason an epsilon sweep needs only one guard run, at the
 largest epsilon: a smaller epsilon's trace is a prefix of that run's rows,
 cut at the first row its own certification test rejects.
+
+The candidates are fixed until one is accepted, since only an acceptance
+moves the scores.  So the learner submits them in blocks: the losses of the
+next features' candidates form one k x m 0/1 matrix, in the order the learner
+tries them, and ``Guard.submit_batch`` answers it with one matrix product.
+The learner reads the outcomes in order and abandons the rest of the block
+after the first feature with an accepted candidate, or at a halt.  A block
+starts at one feature after an acceptance and doubles, up to 64 features,
+after each block without one.  The losses are 0/1, so every outcome is
+bit-equal to submitting the candidates one query at a time.
 """
 
 from __future__ import annotations
@@ -99,15 +109,19 @@ def evaluate_on(dataset: LabeledDataset, w: LinearClassifier) -> float:
     return float(np.mean(w.predict(dataset.features) == dataset.labels))
 
 
-def _loss_query_from_scores(scores: np.ndarray, labels: np.ndarray):
-    # The guard evaluates queries itself; this closure reuses the harness's
-    # incrementally maintained score vector instead of a fresh matmul.
-    def query(_dataset) -> np.ndarray:
-        predictions = np.where(scores >= 0, 1, -1)
-        return (predictions != labels).astype(float)
+# Blocks start at one feature and double, up to this many, while no
+# candidate is accepted.
+_MAX_BLOCK = 64
 
-    query.vectorized = True
-    return query
+
+def _candidate_scores(features: np.ndarray, scores: np.ndarray, block) -> np.ndarray:
+    """The scores of the block's candidates, one row each, in the order the
+    learner tries them: feature-major, then weight -1 and +1."""
+    cols = features[:, block].T
+    out = np.empty((len(block), 2, len(scores)))
+    np.subtract(scores, cols, out=out[:, 0])
+    np.add(scores, cols, out=out[:, 1])
+    return out.reshape(-1, len(scores))
 
 
 def run_adaptive_analysis(
@@ -124,26 +138,30 @@ def run_adaptive_analysis(
 
     guard = Guard(HoldoutSample(points=holdout, m=len(holdout)), guard_config)
     order = feature_order(train)
+    positive_h = holdout.labels == 1
+    positive_f = fresh.labels == 1
 
     weights = np.zeros(d, dtype=np.int8)
     scores_h = np.zeros(len(holdout))
     scores_f = np.zeros(len(fresh))
     rows: list[TraceRow] = []
     halt_index: int | None = None
-    query_index = 0
     best_loss = math.inf
 
-    def fresh_accuracy(scores: np.ndarray) -> float:
-        return float(np.mean(np.where(scores >= 0, 1, -1) == fresh.labels))
+    def submit_block(cand_scores_h, cand_scores_f):
+        """Submit the candidates' losses as one batch; yields the outcome and
+        fresh accuracy of each row the caller pulls."""
+        losses = (cand_scores_h >= 0) != positive_h
+        fresh_accs = np.count_nonzero(
+            (cand_scores_f >= 0) == positive_f, axis=1
+        ) / len(fresh)
+        return zip(guard.submit_batch(lambda _points: losses), fresh_accs)
 
-    def submit(cand_scores_h, cand_scores_f, feature=None, candidate=0):
-        """Submit the candidate's loss and append the trace row; returns
-        whether it was accepted, or None when the guard halted."""
-        nonlocal query_index, halt_index, best_loss
-        query_index += 1
-        outcome = guard.submit_query(
-            _loss_query_from_scores(cand_scores_h, holdout.labels)
-        )
+    def record(outcome, fresh_acc, feature=None, candidate=0):
+        """Append the trace row; returns whether the candidate was accepted,
+        or None when the guard halted."""
+        nonlocal halt_index, best_loss
+        query_index = len(rows) + 1
         if outcome.answered:
             accepted = outcome.empirical_mean < best_loss
             if accepted:
@@ -158,7 +176,7 @@ def run_adaptive_analysis(
             TraceRow(
                 query_index=query_index,
                 holdout_acc=holdout_acc,
-                fresh_acc=fresh_accuracy(cand_scores_f),
+                fresh_acc=float(fresh_acc),
                 r_tilde=outcome.r_tilde,
                 delta_prime=outcome.delta_prime,
                 accepted=bool(accepted),
@@ -171,27 +189,32 @@ def run_adaptive_analysis(
         return accepted
 
     # Baseline query: the all-zero classifier (predicts +1 everywhere).
-    if submit(scores_h, scores_f) is not None:
-        for i in order:
-            col_h = holdout.features[:, i]
-            col_f = fresh.features[:, i]
+    record(*next(submit_block(scores_h[None], scores_f[None])))
+    start, size = 0, 1
+    while start < d and halt_index is None:
+        block = order[start : start + size]
+        answers = submit_block(
+            _candidate_scores(holdout.features, scores_h, block),
+            _candidate_scores(fresh.features, scores_f, block),
+        )
+        for i in block:
             chosen = 0
-            halted = False
             for cand in (-1, 1):
-                accepted = submit(
-                    scores_h + cand * col_h, scores_f + cand * col_f, int(i), cand
-                )
+                accepted = record(*next(answers), int(i), cand)
                 if accepted is None:
-                    halted = True
                     break
                 if accepted:
                     chosen = cand
+            start += 1
             if chosen != 0:
                 weights[i] = chosen
-                scores_h = scores_h + chosen * col_h
-                scores_f = scores_f + chosen * col_f
-            if halted:
+                scores_h = scores_h + chosen * holdout.features[:, i]
+                scores_f = scores_f + chosen * fresh.features[:, i]
+            if chosen != 0 or halt_index is not None:
                 break
+        # An acceptance moves the scores and leaves the rest of the block
+        # stale: it is abandoned, and the next block starts at one feature.
+        size = 1 if chosen != 0 else min(2 * size, _MAX_BLOCK)
 
     return ExperimentTrace(
         rows=rows,

@@ -71,29 +71,50 @@ class RademacherState:
         """Current complexity estimate: mean of the per-vector suprema."""
         return float(self.running_sup.mean())
 
-    def _validate(self, values: np.ndarray) -> np.ndarray:
+    def _validate(self, values, ndim: int = 1) -> np.ndarray:
+        """``values`` as floats: m of them (``ndim=1``) or k rows of m
+        (``ndim=2``), each in [0, 1]."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.m,):
+        if values.ndim != ndim or values.shape[-1] != self.m:
             raise DimensionError(
-                f"expected {self.m} query values, got shape {values.shape}"
+                f"expected {'rows of ' if ndim == 2 else ''}{self.m} query values, "
+                f"got shape {values.shape}"
             )
         # Written so that NaN fails it.
         if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
             raise DomainError("query values must lie in [0, 1]")
         return values
 
+    def _fold(self, corr: np.ndarray) -> np.ndarray:
+        return np.abs(corr) if self.negation_closure else corr
+
     def preview(self, values) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate as they would be after absorbing
         ``values``, without mutating the state."""
         values = self._validate(values)
-        corr = self.signs.entries @ values / self.m
-        if self.negation_closure:
-            corr = np.abs(corr)
+        return self.preview_corr(self._fold(self.signs.entries @ values / self.m))
+
+    def correlations(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Validate a k x m value matrix and correlate every row with every
+        sign vector in one matrix product.  Returns the values as floats and
+        the k x n_vectors correlations; the state is not touched.
+
+        Rows of {0, 1} values give the same bits as preview() on each row:
+        every partial sum is an integer below 2^53, so summation order cannot
+        round.  For general values in [0, 1] the product may round a few ulps
+        differently from the matrix-vector product in preview().
+        """
+        values = self._validate(values, ndim=2)
+        return values, self._fold(values @ self.signs.entries.T / self.m)
+
+    def preview_corr(self, corr: np.ndarray) -> tuple[np.ndarray, float]:
+        """Per-vector suprema and estimate after absorbing one query's
+        correlations, without mutating the state."""
         candidate = np.maximum(self.running_sup, corr)
         return candidate, float(candidate.mean())
 
     def commit(self, candidate: np.ndarray) -> None:
-        """Adopt suprema previously produced by preview()."""
+        """Adopt suprema previously produced by preview() or preview_corr()."""
         self.running_sup = candidate
         self.query_count += 1
 

@@ -12,9 +12,11 @@ ever presented alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
+from .seeding import validate_type
 
 # Parameters and value of the published worked example.
 _PUBLISHED_EXAMPLE_PARAMS = (10, 1, 0.5, 0.1)
@@ -34,6 +36,10 @@ class ThresholdoutParams:
     delta: float
 
     def __post_init__(self):
+        validate_type("k", self.k)
+        validate_type("budget", self.budget)
+        validate_type("epsilon", self.epsilon, numbers.Real)
+        validate_type("delta", self.delta, numbers.Real)
         if self.k < 1:
             raise ConfigurationError(f"query count must be >= 1, got {self.k}")
         if self.budget < 1:
@@ -42,8 +48,6 @@ class ThresholdoutParams:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
-        if not self.epsilon * self.delta < 1.0:
-            raise DomainError("epsilon * delta must be < 1")
 
 
 def min_holdout_size(p: ThresholdoutParams) -> float:
@@ -61,6 +65,7 @@ def comparison_report(p: ThresholdoutParams, radabound_m: int) -> dict:
     Carries both the formula-faithful size and (when the parameters match the
     published worked example) the published figure with its discrepancy note.
     """
+    validate_type("radabound_m", radabound_m)
     if radabound_m < 1:
         raise ConfigurationError(f"holdout size must be >= 1, got {radabound_m}")
     formula_n = min_holdout_size(p)

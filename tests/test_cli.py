@@ -190,6 +190,21 @@ class TestRunExperimentCommand:
             assert hashlib.sha256(data).hexdigest() == digest, eps
         assert halts >= 1
 
+    def test_halt_on_first_query_writes_null_loss(self, tmp_path):
+        # eps 0.05 halts on the baseline query, before any loss is released.
+        cfg = small_config_dict(tmp_path / "out", epsilon_list=[0.05, 0.6])
+        cfg["guard"].update(epsilon=0.6, method="bernstein_two_term")
+        assert main(["run-experiment", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "out" / "summary.json").read_text()
+        first, last = json.loads(text, parse_constant=reject)["runs"]
+        assert (first["halt_index"], first["n_queries"]) == (1, 1)
+        assert first["final_holdout_loss"] is None
+        assert isinstance(last["final_holdout_loss"], float)
+
     def test_missing_config_exit_code(self, tmp_path):
         assert (
             main(["run-experiment", "--config", str(tmp_path / "nope.json")])

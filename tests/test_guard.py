@@ -261,3 +261,150 @@ class TestGuardConfigSerialization:
             GuardConfig.from_dict(
                 {"epsilon": 0.1, "delta": 0.1, "n_vectors": 8, "method": "bogus"}
             )
+
+
+def binary_rows(k, m, seed):
+    return np.random.default_rng(seed).integers(0, 2, size=(k, m)).astype(float)
+
+
+def batch(values):
+    return lambda points: values
+
+
+def submit_rows(g, rows):
+    """Sequential submit_query per row, up to and including a halt."""
+    outcomes = []
+    for row in rows:
+        outcomes.append(g.submit_query(vectorized(lambda points, row=row: row)))
+        if not outcomes[-1].answered:
+            break
+    return outcomes
+
+
+def guard_state(g):
+    return g.rad.running_sup.copy(), g.rad.query_count, list(g.history), g.halted
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert a[1:] == b[1:]
+
+
+class TestSubmitBatch:
+    M = 40
+
+    def make_guard(self, epsilon=0.9, method=BoundMethod.MCLT, seed=4):
+        return Guard(
+            HoldoutSample(points=list(range(self.M)), m=self.M),
+            GuardConfig(
+                epsilon=epsilon, delta=0.1, n_vectors=8, method=method, seed=seed
+            ),
+        )
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.9])
+    @pytest.mark.parametrize("method", list(BoundMethod))
+    def test_binary_batch_equals_sequential_queries(self, method, epsilon):
+        rows = binary_rows(12, self.M, seed=3)
+        batched, sequential = (self.make_guard(epsilon, method) for _ in range(2))
+        outcomes = list(batched.submit_batch(batch(rows)))
+        assert outcomes == submit_rows(sequential, rows)
+        assert_same_state(guard_state(batched), guard_state(sequential))
+
+    def test_general_values_agree_to_rounding(self):
+        rows = np.random.default_rng(5).uniform(size=(12, self.M))
+        batched, sequential = self.make_guard(), self.make_guard()
+        outcomes = list(batched.submit_batch(batch(rows)))
+        expected = submit_rows(sequential, rows)
+        assert len(outcomes) == len(expected) == 12
+        for got, want in zip(outcomes, expected):
+            assert got.empirical_mean == want.empirical_mean
+            assert got.r_tilde == pytest.approx(want.r_tilde, rel=1e-12)
+            assert got.status is want.status
+
+    MALFORMED = {
+        "one-dimensional": lambda good: good[0],
+        "scalar": lambda good: np.float64(0.5),
+        "three-dimensional": lambda good: good[None],
+        "too narrow": lambda good: good[:, :-1],
+        "too wide": lambda good: np.hstack([good, good[:, :1]]),
+        "nan": lambda good: np.where(np.arange(good.shape[1]) == 7, np.nan, good),
+        "above one": lambda good: good + 0.5,
+        "below zero": lambda good: good - 0.5,
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_batch_rejected_without_state_change(self, case):
+        good = binary_rows(3, self.M, seed=1)
+        g = self.make_guard()
+        g.submit_query(vectorized(lambda points: good[0]))
+        before = guard_state(g)
+        with pytest.raises(DomainError):
+            g.submit_batch(batch(self.MALFORMED[case](good)))
+        assert_same_state(guard_state(g), before)
+
+    def test_rows_never_pulled_are_never_committed(self):
+        rows = binary_rows(5, self.M, seed=2)
+        g = self.make_guard()
+        outcomes = g.submit_batch(batch(rows))
+        assert g.rad.query_count == 0 and g.history == []
+        pulled = [next(outcomes), next(outcomes)]
+        del outcomes
+        reference = self.make_guard()
+        assert pulled == submit_rows(reference, rows[:2])
+        assert_same_state(guard_state(g), guard_state(reference))
+        # the guard goes on as if the abandoned rows had never been submitted
+        extra = vectorized(lambda points: rows[4])
+        assert g.submit_query(extra) == reference.submit_query(extra)
+        assert_same_state(guard_state(g), guard_state(reference))
+
+    def test_mid_batch_halt_ends_iteration(self):
+        rows = binary_rows(8, self.M, seed=3)
+        g = self.make_guard(epsilon=0.5)
+        outcomes = g.submit_batch(batch(rows))
+        pulled = list(outcomes)
+        assert 1 < len(pulled) < len(rows)
+        assert all(o.answered for o in pulled[:-1])
+        assert not pulled[-1].answered and g.halted
+        assert g.rad.query_count == len(pulled) - 1
+        assert next(outcomes, None) is None
+        before = guard_state(g)
+        with pytest.raises(GuardHaltedError):
+            g.submit_batch(batch(rows))
+        with pytest.raises(GuardHaltedError):
+            g.submit_query(vectorized(lambda points: rows[0]))
+        assert_same_state(guard_state(g), before)
+
+    def test_interleaved_submit_query_gives_sequential_result(self):
+        rows = binary_rows(3, self.M, seed=6)
+        extra = binary_rows(2, self.M, seed=7)
+        g, reference = self.make_guard(), self.make_guard()
+        outcomes = g.submit_batch(batch(rows))
+        got = [
+            next(outcomes),
+            g.submit_query(vectorized(lambda points: extra[0])),
+            next(outcomes),
+            g.submit_query(vectorized(lambda points: extra[1])),
+            next(outcomes),
+        ]
+        assert next(outcomes, None) is None
+        want = submit_rows(reference, [rows[0], extra[0], rows[1], extra[1], rows[2]])
+        assert got == want
+        assert_same_state(guard_state(g), guard_state(reference))
+
+    def test_pulling_after_an_interleaved_halt_raises(self):
+        # at epsilon 0.3 the first query already halts
+        rows = binary_rows(2, self.M, seed=8)
+        g = self.make_guard(epsilon=0.3)
+        outcomes = g.submit_batch(batch(rows))
+        assert not g.submit_query(vectorized(lambda points: rows[0])).answered
+        before = guard_state(g)
+        with pytest.raises(GuardHaltedError):
+            next(outcomes)
+        assert_same_state(guard_state(g), before)
+
+    def test_empty_batch_changes_nothing(self):
+        g = self.make_guard()
+        g.submit_query(vectorized(lambda points: binary_rows(1, self.M, seed=9)[0]))
+        before = guard_state(g)
+        assert list(g.submit_batch(batch(np.empty((0, self.M))))) == []
+        assert_same_state(guard_state(g), before)

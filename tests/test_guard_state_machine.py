@@ -1,10 +1,11 @@
 """Stateful property test of the guard's contract.
 
 Hypothesis drives a small guard (m = 50, each bound method in turn) with valid,
-out-of-range, NaN and wrong-length queries, and checks after every step that
-halting is absorbing, that a rejected query leaves the state untouched, that
-r_tilde never decreases, and that each decision follows from the bound
-evaluated afresh at the recorded r_tilde.
+out-of-range, NaN and wrong-length queries, and with batches of binary queries
+that it reads only in part.  After every step it checks that halting is
+absorbing, that a rejected query leaves the state untouched, that r_tilde
+never decreases, and that each decision follows from the bound evaluated
+afresh at the recorded r_tilde.
 """
 
 import numpy as np
@@ -22,6 +23,9 @@ M = 50
 # Value patterns for a query: spread-out values move r_tilde, flat ones
 # mostly leave it where it is, so both memo hits and misses occur.
 PATTERNS = ("uniform", "binary", "constant", "sparse")
+# Batches draw only {0, 1} patterns, whose correlations are exact in any
+# summation order, so the recomputation below can compare with ==.
+BATCH_PATTERNS = ("binary", "sparse")
 
 
 def query_values(pattern: str, seed: int) -> np.ndarray:
@@ -75,24 +79,13 @@ class GuardMachine(RuleBasedStateMachine):
         assert self.guard.rad.query_count == count
         assert self.guard.history == history
 
-    def _submit_rejected(self, query, expected):
+    def _submit_rejected(self, query, expected, submit=None):
         before = self._snapshot()
         with pytest.raises(GuardHaltedError if self.was_halted else expected):
-            self.guard.submit_query(query)
+            (submit or self.guard.submit_query)(query)
         self._assert_unchanged(before)
 
-    @rule(
-        pattern=st.sampled_from(PATTERNS),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        vectorized=st.booleans(),
-    )
-    def submit_valid(self, pattern, seed, vectorized):
-        values = query_values(pattern, seed)
-        query = as_query(values, vectorized)
-        if self.was_halted:
-            self._submit_rejected(query, GuardHaltedError)
-            return
-        outcome = self.guard.submit_query(query)
+    def _check_outcome(self, values, outcome):
         assert outcome.r_tilde >= self.last_r_tilde
         slack = max(0.0, self.config.epsilon - 2.0 * outcome.r_tilde)
         fresh = overfit_bound(self.config.method, M, self.config.n_vectors, slack)
@@ -107,6 +100,44 @@ class GuardMachine(RuleBasedStateMachine):
             assert outcome.empirical_mean is None
             assert self.guard.halted
             self.was_halted = True
+
+    @rule(
+        pattern=st.sampled_from(PATTERNS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        vectorized=st.booleans(),
+    )
+    def submit_valid(self, pattern, seed, vectorized):
+        values = query_values(pattern, seed)
+        query = as_query(values, vectorized)
+        if self.was_halted:
+            self._submit_rejected(query, GuardHaltedError)
+            return
+        self._check_outcome(values, self.guard.submit_query(query))
+
+    @rule(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(BATCH_PATTERNS),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            max_size=4,
+        ),
+        pull=st.integers(min_value=0, max_value=4),
+    )
+    def submit_batch(self, rows, pull):
+        values = np.array([query_values(*row) for row in rows]).reshape(len(rows), M)
+        query = as_query(values, vectorized=True)
+        if self.was_halted:
+            self._submit_rejected(query, GuardHaltedError, self.guard.submit_batch)
+            return
+        # Rows past ``pull`` are abandoned, and must leave no trace.
+        outcomes = self.guard.submit_batch(query)
+        for row in values[:pull]:
+            outcome = next(outcomes)
+            self._check_outcome(row, outcome)
+            if not outcome.answered:
+                assert next(outcomes, None) is None
+                break
 
     @rule(
         index=st.integers(min_value=0, max_value=M - 1),

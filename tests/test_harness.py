@@ -7,9 +7,11 @@ import pytest
 from radabound import bounds, guard, harness
 from radabound.bounds import BoundMethod
 from radabound.errors import ConfigurationError, DimensionError
-from radabound.guard import GuardConfig
+from radabound.guard import Guard, GuardConfig, HoldoutSample
 from radabound.harness import (
+    ExperimentTrace,
     LinearClassifier,
+    TraceRow,
     evaluate_on,
     feature_order,
     run_adaptive_analysis,
@@ -330,3 +332,192 @@ class TestEpsilonSweep:
                 *data, dataclasses.replace(cfg, epsilon=eps), dataset_spec=spec
             )
             assert_same_trace(trace, direct)
+
+
+def reference_analysis(train, holdout, fresh, guard_config):
+    """The learner one query at a time, through Guard.submit_query: the loop
+    that the blocked run_adaptive_analysis must reproduce bit for bit."""
+    d = train.features.shape[1]
+    g = Guard(HoldoutSample(points=holdout, m=len(holdout)), guard_config)
+    weights = np.zeros(d, dtype=np.int8)
+    scores_h = np.zeros(len(holdout))
+    scores_f = np.zeros(len(fresh))
+    rows = []
+    halt_index = None
+    best_loss = math.inf
+
+    def loss_query(scores):
+        def query(_dataset):
+            return (np.where(scores >= 0, 1, -1) != holdout.labels).astype(float)
+
+        query.vectorized = True
+        return query
+
+    def submit(cand_scores_h, cand_scores_f, feature=None, candidate=0):
+        nonlocal halt_index, best_loss
+        query_index = len(rows) + 1
+        outcome = g.submit_query(loss_query(cand_scores_h))
+        if outcome.answered:
+            accepted = outcome.empirical_mean < best_loss
+            if accepted:
+                best_loss = outcome.empirical_mean
+            holdout_loss = outcome.empirical_mean
+            holdout_acc = 1.0 - holdout_loss
+        else:
+            accepted = None
+            halt_index = query_index
+            holdout_loss = holdout_acc = math.nan
+        fresh_acc = float(np.mean(np.where(cand_scores_f >= 0, 1, -1) == fresh.labels))
+        rows.append(
+            TraceRow(
+                query_index=query_index,
+                holdout_acc=holdout_acc,
+                fresh_acc=fresh_acc,
+                r_tilde=outcome.r_tilde,
+                delta_prime=outcome.delta_prime,
+                accepted=bool(accepted),
+                halted=not outcome.answered,
+                feature=feature,
+                candidate=candidate,
+                holdout_loss=holdout_loss,
+            )
+        )
+        return accepted
+
+    if submit(scores_h, scores_f) is not None:
+        for i in feature_order(train):
+            col_h = holdout.features[:, i]
+            col_f = fresh.features[:, i]
+            chosen = 0
+            halted = False
+            for cand in (-1, 1):
+                accepted = submit(
+                    scores_h + cand * col_h, scores_f + cand * col_f, int(i), cand
+                )
+                if accepted is None:
+                    halted = True
+                    break
+                if accepted:
+                    chosen = cand
+            if chosen != 0:
+                weights[i] = chosen
+                scores_h = scores_h + chosen * col_h
+                scores_f = scores_f + chosen * col_f
+            if halted:
+                break
+
+    return ExperimentTrace(
+        rows=rows,
+        halt_index=halt_index,
+        final_classifier=LinearClassifier(weights=weights.astype(int)),
+        final_holdout_loss=best_loss,
+        dataset_spec=None,
+        guard_config=guard_config,
+    )
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """[rows submitted, rows read] for each Guard.submit_batch call."""
+    log = []
+    original = Guard.submit_batch
+
+    def spy(self, query):
+        values = query(self.sample.points)
+        entry = [len(values), 0]
+        log.append(entry)
+        for outcome in original(self, lambda _points: values):
+            entry[1] += 1
+            yield outcome
+
+    monkeypatch.setattr(Guard, "submit_batch", spy)
+    return log
+
+
+def ranked_data(d, live=(), m=100):
+    """Train ranks the features in index order.  On the holdout and fresh sets
+    every feature is the constant 1, except the ``live`` ones, which equal the
+    label.  60% of labels are +1, so a constant feature never beats the
+    all-positive baseline and a live one is accepted at weight +1."""
+    labels = np.where(np.arange(m) % 5 < 3, 1, -1)
+    train = make_dataset(labels[:, None] * (d - np.arange(d)), labels)
+    features = np.ones((m, d))
+    features[:, list(live)] = labels[:, None]
+    return train, make_dataset(features, labels), make_dataset(features, labels)
+
+
+class TestBlockedAnalysis:
+    EPSILONS = {
+        BoundMethod.MCLT: (0.22, 0.25, 0.3),
+        BoundMethod.BERNSTEIN_SINGLE: (0.28, 0.31, 0.36),
+        BoundMethod.BERNSTEIN_TWO_TERM: (0.34, 0.37, 0.42),
+        BoundMethod.MCDIARMID_COMBINED: (0.4, 0.44, 0.5),
+    }
+
+    @pytest.mark.parametrize("signal", [True, False])
+    @pytest.mark.parametrize("method", list(BoundMethod))
+    def test_equals_per_query_reference(self, method, signal):
+        bias = {"n_biased": 4, "bias": 0.4} if signal else {}
+        data = generate(
+            DatasetSpec(m_train=200, m_holdout=200, m_fresh=300, d=40, seed=2, **bias)
+        )
+        ran_to_end = set()
+        for eps in self.EPSILONS[method]:
+            cfg = GuardConfig(
+                epsilon=eps, delta=0.1, n_vectors=16, method=method, seed=2
+            )
+            trace = run_adaptive_analysis(*data, cfg)
+            assert_same_trace(trace, reference_analysis(*data, cfg))
+            ran_to_end.add(trace.halt_index is None)
+        # each method halts on some epsilon and runs to the end on another
+        assert ran_to_end == {True, False}
+
+    def test_halt_inside_a_block(self, batches):
+        data = generate(
+            DatasetSpec(m_train=200, m_holdout=200, m_fresh=200, d=40, seed=2)
+        )
+        cfg = GuardConfig(epsilon=0.25, delta=0.1, n_vectors=16, seed=2)
+        trace = run_adaptive_analysis(*data, cfg)
+        assert_same_trace(trace, reference_analysis(*data, cfg))
+        submitted, read = batches[-1]
+        assert trace.rows[-1].halted and 1 < read < submitted
+
+    def test_acceptance_on_last_feature_of_a_capped_block(self, batches):
+        cap = harness._MAX_BLOCK
+        # blocks of 1, 2, 4, ... features end at feature 2 * cap - 2
+        live = 2 * cap - 2
+        data = ranked_data(d=live + 4, live=[live])
+        cfg = GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=1)
+        trace = run_adaptive_analysis(*data, cfg)
+        assert_same_trace(trace, reference_analysis(*data, cfg))
+        capped = [i for i, (submitted, _) in enumerate(batches) if submitted == 2 * cap]
+        assert len(capped) == 1
+        assert batches[capped[0]] == [2 * cap, 2 * cap]
+        assert batches[capped[0] + 1 :] == [[2, 2], [4, 4]]
+        last = trace.rows[2 * live + 2]
+        assert (last.feature, last.candidate, last.accepted) == (live, 1, True)
+        assert [r.query_index for r in trace.rows if r.accepted] == [1, 2 * live + 3]
+
+    def test_fewer_features_than_the_cap(self, batches):
+        data = ranked_data(d=12)
+        cfg = GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=1)
+        trace = run_adaptive_analysis(*data, cfg)
+        assert_same_trace(trace, reference_analysis(*data, cfg))
+        # the baseline, then blocks of 1, 2 and 4 features and the last 5
+        assert batches == [[1, 1], [2, 2], [4, 4], [8, 8], [10, 10]]
+        assert trace.halt_index is None and len(trace.rows) == 25
+
+    def test_both_candidates_of_one_feature_accepted(self):
+        # At seed 9, rows 10 and 11 accept -1 and then +1 for one feature.
+        spec = DatasetSpec(
+            m_train=200, m_holdout=200, m_fresh=200, d=12, n_biased=3, bias=0.4, seed=9
+        )
+        data = generate(spec)
+        cfg = GuardConfig(epsilon=0.3, delta=0.1, n_vectors=16, seed=9)
+        trace = run_adaptive_analysis(*data, cfg)
+        assert_same_trace(trace, reference_analysis(*data, cfg))
+        first, second = trace.rows[9:11]
+        assert first.feature == second.feature
+        assert (first.candidate, second.candidate) == (-1, 1)
+        assert first.accepted and second.accepted
+        assert trace.final_classifier.weights[first.feature] == 1

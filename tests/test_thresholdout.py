@@ -57,6 +57,24 @@ class TestMinHoldoutSize:
         with pytest.raises(ConfigurationError):
             params(delta=1.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"k": 10.5},
+            {"k": True},
+            {"k": "10"},
+            {"budget": 1.0},
+            {"budget": False},
+            {"epsilon": "0.1"},
+            {"epsilon": None},
+            {"delta": "0.1"},
+            {"delta": True},
+        ],
+    )
+    def test_parameter_types(self, bad):
+        with pytest.raises(ConfigurationError):
+            params(**bad)
+
 
 class TestComparisonReport:
     def test_worked_example_carries_both_numbers(self):
@@ -83,3 +101,8 @@ class TestComparisonReport:
     def test_invalid_holdout_size(self):
         with pytest.raises(ConfigurationError):
             comparison_report(params(), radabound_m=0)
+
+    @pytest.mark.parametrize("bad", [4000.5, 4000.0, True, "4000", None])
+    def test_holdout_size_must_be_int(self, bad):
+        with pytest.raises(ConfigurationError):
+            comparison_report(params(), radabound_m=bad)
