@@ -16,7 +16,7 @@ from .errors import (
     DomainError,
     GuardHaltedError,
 )
-from .guard import Guard, GuardConfig, HoldoutSample, QueryOutcome, QueryStatus
+from .guard import Guard, GuardConfig, HoldoutSample, QueryOutcome
 from .harness import (
     ExperimentTrace,
     LinearClassifier,

@@ -123,13 +123,6 @@ def est_error_mcdiarmid(m: int, n_vectors: int, eps: float) -> float:
     return _clamp(math.exp(-2.0 * m * n_vectors * eps * eps / (n_vectors + 4.0)))
 
 
-def est_error_mcdiarmid_single(m: int, eps: float) -> float:
-    """McDiarmid bound for a single sign vector: exp(-m eps^2 / 2)."""
-    _check_counts(m)
-    _check_eps(eps)
-    return _clamp(math.exp(-m * eps * eps / 2.0))
-
-
 def est_error_mclt(m: int, n_vectors: int, slack: float) -> float:
     """Normal-limit bound on the complexity-estimate error.
 
@@ -139,14 +132,6 @@ def est_error_mclt(m: int, n_vectors: int, slack: float) -> float:
     _check_counts(m, n_vectors)
     _check_slack(slack)
     return normal_sf(2.0 * slack * math.sqrt(n_vectors * m / 5.0))
-
-
-def gen_error_mclt(m: int, slack: float) -> float:
-    """Normal-limit bound on the deviation of the worst-case estimation error
-    from its mean: tail of N(0, 1/(4m)) at ``slack``.  Analysis use only."""
-    _check_counts(m)
-    _check_slack(slack)
-    return normal_sf(2.0 * slack * math.sqrt(m))
 
 
 # ---------------------------------------------------------------------------

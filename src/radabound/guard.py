@@ -13,11 +13,9 @@ GuardHaltedError.
 
 from __future__ import annotations
 
-import json
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -93,33 +91,17 @@ class GuardConfig:
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from None
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GuardConfig":
-        return cls.from_dict(json.loads(text))
-
-
-class QueryStatus(Enum):
-    ANSWERED = "answered"
-    HALTED = "halted"
-
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """Result of one submission.  ``empirical_mean`` is None when the guard
-    halted on this query (the answer is withheld); ``r_tilde`` and
-    ``delta_prime`` are still recorded for diagnostics."""
+    """Result of one submission.  ``answered`` is False when the guard halted
+    on this query: ``empirical_mean`` is then None (the answer is withheld),
+    while ``r_tilde`` and ``delta_prime`` are still recorded for diagnostics."""
 
     empirical_mean: float | None
     r_tilde: float
     delta_prime: float
-    status: QueryStatus
-
-    @property
-    def answered(self) -> bool:
-        return self.status is QueryStatus.ANSWERED
+    answered: bool
 
 
 def stopping_threshold(delta: float) -> float:
@@ -127,18 +109,6 @@ def stopping_threshold(delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     return delta * (1.0 - delta)
-
-
-def filtration_bound(p_k: float, p_km1: float) -> float:
-    """Offline bound (1 - p_k) / p_km1 on the conditioned overfit probability,
-    clamped to [0, 1].  p_km1 = 0 is reported as certain failure (1)."""
-    if not 0.0 <= p_k <= 1.0:
-        raise DomainError(f"p_k must be a probability, got {p_k}")
-    if not 0.0 <= p_km1 <= 1.0:
-        raise DomainError(f"p_km1 must be a probability, got {p_km1}")
-    if p_km1 == 0.0:
-        return 1.0
-    return min(1.0, (1.0 - p_k) / p_km1)
 
 
 class Certifier:
@@ -166,7 +136,8 @@ class Certifier:
                 self.config.method, self.m, self.config.n_vectors, slack
             )
             self._slack = slack
-        return self._delta_prime, self._delta_prime <= self.threshold
+        # A plain bool, also when numpy-typed config values make it np.bool_.
+        return self._delta_prime, bool(self._delta_prime <= self.threshold)
 
 
 class Guard:
@@ -188,10 +159,11 @@ class Guard:
         self._certify = Certifier(config, sample.m)
 
     def _evaluate(self, query) -> np.ndarray:
-        # Shape and range are checked once, by RademacherState.preview.
+        # Values that are not numbers are rejected here; shape and range are
+        # checked once, by RademacherState.preview.
         if getattr(query, "vectorized", False):
-            return np.asarray(query(self.sample.points), dtype=float)
-        return np.fromiter((float(query(x)) for x in self.sample.points), dtype=float)
+            return rademacher.as_floats(query(self.sample.points))
+        return rademacher.as_floats([query(x) for x in self.sample.points])
 
     def _check_open(self) -> None:
         if self.halted:
@@ -214,16 +186,16 @@ class Guard:
             empirical_mean=float(values.mean()) if answered else None,
             r_tilde=estimate,
             delta_prime=delta_prime,
-            status=QueryStatus.ANSWERED if answered else QueryStatus.HALTED,
+            answered=answered,
         )
         self.history.append(outcome)
         return outcome
 
     def submit_query(self, query) -> QueryOutcome:
         """Answer one query, or halt permanently if validity cannot be
-        certified.  A malformed query (a value count other than m, a NaN, or
-        a value outside [0, 1]) raises DomainError without touching guard
-        state."""
+        certified.  A malformed query (a value count other than m, a NaN, a
+        value outside [0, 1], or a value that is not a bool, int or float)
+        raises DomainError without touching guard state."""
         self._check_open()
         values = self._evaluate(query)
         candidate, estimate = self.rad.preview(values)

@@ -93,17 +93,6 @@ def feature_order(train: LabeledDataset) -> np.ndarray:
     return np.argsort(-np.abs(corr), kind="stable")
 
 
-def zero_one_loss_query(w: LinearClassifier):
-    """Vectorized query returning the 0-1 loss of ``w`` on each point."""
-
-    def query(dataset: LabeledDataset) -> np.ndarray:
-        predictions = w.predict(dataset.features)
-        return (predictions != dataset.labels).astype(float)
-
-    query.vectorized = True
-    return query
-
-
 def evaluate_on(dataset: LabeledDataset, w: LinearClassifier) -> float:
     """Accuracy (1 - mean 0-1 loss) of ``w`` over ``dataset``."""
     return float(np.mean(w.predict(dataset.features) == dataset.labels))

@@ -23,6 +23,24 @@ from .errors import ConfigurationError, DimensionError, DomainError
 _ENUMERATION_LIMIT = 20
 
 
+def as_floats(values) -> np.ndarray:
+    """``values`` as a float array, provided each is a bool, int or float.
+
+    Anything else (a string, a complex number, None, another object, ragged
+    rows) raises DomainError: a string would otherwise be parsed as a number
+    and a complex number lose its imaginary part.
+    """
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:
+        raise DomainError(f"query values must be numbers: {exc}") from None
+    if values.dtype.kind not in "biuf":
+        raise DomainError(
+            f"query values must be bool, int or float, got dtype {values.dtype}"
+        )
+    return values.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class SignMatrix:
     """A fixed matrix of n_vectors x m entries in {-1, +1}."""
@@ -74,7 +92,7 @@ class RademacherState:
     def _validate(self, values, ndim: int = 1) -> np.ndarray:
         """``values`` as floats: m of them (``ndim=1``) or k rows of m
         (``ndim=2``), each in [0, 1]."""
-        values = np.asarray(values, dtype=float)
+        values = as_floats(values)
         if values.ndim != ndim or values.shape[-1] != self.m:
             raise DimensionError(
                 f"expected {'rows of ' if ndim == 2 else ''}{self.m} query values, "

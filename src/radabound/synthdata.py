@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,10 @@ class DatasetSpec:
         for name in ("m_train", "m_holdout", "m_fresh", "d", "n_biased"):
             validate_type(name, getattr(self, name))
         for name in ("variance", "bias"):
-            validate_type(name, getattr(self, name), numbers.Real)
+            value = validate_type(name, getattr(self, name), numbers.Real)
+            # Python's json reads NaN, Infinity and integers beyond any float.
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigurationError(f"{name} must be a finite float, got {value}")
         if min(self.m_train, self.m_holdout, self.m_fresh) < 1:
             raise ConfigurationError("all set sizes must be >= 1")
         if self.d < 1:

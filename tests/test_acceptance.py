@@ -183,6 +183,51 @@ def test_4_guard_validity_monte_carlo():
             assert violating_runs[eps] <= 9, (eps, violating_runs)
 
 
+def aggregation_attack(data, config):
+    """The reusable-holdout attack of Dwork et al. (Science 2015): submit
+    every feature's 0-1 loss as one batch, then the loss of the sign vote of
+    the features whose released accuracy is more than one standard deviation
+    from 0.5.  Returns the released means and the vote's fresh accuracy, or
+    None for it if the guard halted before the vote."""
+    holdout, m = data.holdout, len(data.holdout)
+    guard = Guard(HoldoutSample(points=holdout, m=m), config)
+    losses = (holdout.features.T >= 0) != (holdout.labels == 1)
+    means = [o.empirical_mean for o in guard.submit_batch(lambda _: losses) if o.answered]
+    if guard.halted:
+        return means, None
+    deviation = 0.5 - np.array(means)  # accuracy - 0.5
+    weights = np.where(np.abs(deviation) > 0.5 / math.sqrt(m), np.sign(deviation), 0.0)
+
+    def vote_loss(dataset):
+        return (dataset.features @ weights >= 0) != (dataset.labels == 1)
+
+    vote_loss.vectorized = True
+    outcome = guard.submit_query(vote_loss)
+    if outcome.answered:
+        means.append(outcome.empirical_mean)
+    return means, 1.0 - float(vote_loss(data.fresh).mean())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: the guard answers the vote's loss with an error above "
+    "epsilon, while its r_tilde stays low",
+)
+def test_answers_stay_within_epsilon_under_aggregation_attack():
+    # No signal, so the true mean of every 0-1 loss query is exactly 0.5.
+    data = generate(
+        DatasetSpec(m_train=4000, m_holdout=4000, m_fresh=4000, d=2000, seed=0)
+    )
+    eps = 0.1
+    cfg = GuardConfig(
+        epsilon=eps, delta=0.1, n_vectors=32, method=rb.BoundMethod.MCLT, seed=0
+    )
+    means, fresh_acc = aggregation_attack(data, cfg)
+    worst = max(abs(mean - 0.5) for mean in means)
+    assert worst <= eps, (len(means), worst, fresh_acc)
+
+
 def test_5_signal_detection_and_method_comparison():
     with criterion(5, "signal detection and method comparison"):
         eps = 0.055

@@ -11,9 +11,7 @@ from radabound.bounds import (
     compare_bounds_table,
     est_error_bernstein,
     est_error_mcdiarmid,
-    est_error_mcdiarmid_single,
     est_error_mclt,
-    gen_error_mclt,
     normal_cdf,
     normal_sf,
     overfit_bound,
@@ -69,22 +67,10 @@ class TestEstErrorBounds:
         # exponent magnitude approaches 2 m eps^2 from below
         assert vals[-1] > math.exp(-2 * 1000 * 0.01**2)
 
-    def test_mcdiarmid_single_frozen_value(self):
-        assert est_error_mcdiarmid_single(1000, 0.1) == pytest.approx(
-            0.0067379469990854670966, rel=1e-12
-        )
-
-    def test_mcdiarmid_single_limits(self):
-        assert est_error_mcdiarmid_single(1000, 1e-12) == pytest.approx(1.0)
-        assert est_error_mcdiarmid_single(2000, 0.1) < est_error_mcdiarmid_single(
-            1000, 0.1
-        )
-
     def test_eps_domain_errors(self):
         for fn in (
             lambda e: est_error_bernstein(10, 2, e),
             lambda e: est_error_mcdiarmid(10, 2, e),
-            lambda e: est_error_mcdiarmid_single(10, e),
         ):
             with pytest.raises(DomainError):
                 fn(0.0)
@@ -306,12 +292,6 @@ class TestSplitBoundsExact:
 
 
 class TestTwoStepBounds:
-    def test_gen_error_frozen_value(self):
-        # 1 - Phi(2 * 0.1 * sqrt(100)) = 1 - Phi(2)
-        assert gen_error_mclt(100, 0.1) == pytest.approx(
-            0.0227501319481792072, rel=1e-12
-        )
-
     def test_est_error_frozen_value(self):
         # 1 - Phi(2 * 0.01 * sqrt(8000/5)) = 1 - Phi(0.8)
         assert est_error_mclt(1000, 8, 0.01) == pytest.approx(
@@ -319,11 +299,9 @@ class TestTwoStepBounds:
         )
 
     def test_slack_zero(self):
-        assert gen_error_mclt(100, 0.0) == 0.5
         assert est_error_mclt(100, 8, 0.0) == 0.5
 
     def test_decreasing_in_m_and_l(self):
-        assert gen_error_mclt(400, 0.1) < gen_error_mclt(100, 0.1)
         assert est_error_mclt(1000, 16, 0.01) < est_error_mclt(1000, 8, 0.01)
 
 

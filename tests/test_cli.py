@@ -128,6 +128,9 @@ class TestRunExperimentCommand:
             ("experiment", "n_biased", False),
             ("experiment", "variance", "4"),
             ("experiment", "bias", [0.5]),
+            ("experiment", "bias", float("nan")),
+            ("experiment", "variance", float("inf")),
+            ("experiment", "bias", -(10**400)),
             ("experiment", "seed", 7.0),
             (None, "epsilon_list", ["0.2", "0.3"]),
             (None, "epsilon_list", 0.2),

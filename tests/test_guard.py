@@ -7,8 +7,6 @@ from radabound.guard import (
     Guard,
     GuardConfig,
     HoldoutSample,
-    QueryStatus,
-    filtration_bound,
     stopping_threshold,
 )
 
@@ -39,28 +37,6 @@ class TestStoppingThreshold:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(DomainError):
                 stopping_threshold(bad)
-
-
-class TestFiltrationBound:
-    def test_no_error_mass(self):
-        assert filtration_bound(1.0, 1.0) == 0.0
-
-    def test_hand_computed(self):
-        assert filtration_bound(0.91, 0.95) == pytest.approx(0.09 / 0.95, rel=1e-12)
-        assert filtration_bound(0.91, 0.95) == pytest.approx(0.0947, abs=5e-5)
-
-    def test_clamps_to_one(self):
-        assert filtration_bound(0.0, 0.5) == 1.0
-        assert filtration_bound(0.0, 1.0) == 1.0
-
-    def test_zero_denominator_is_certain_failure(self):
-        assert filtration_bound(0.5, 0.0) == 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            filtration_bound(1.2, 0.5)
-        with pytest.raises(DomainError):
-            filtration_bound(0.5, -0.1)
 
 
 class TestGuardConstruction:
@@ -108,7 +84,7 @@ class TestSubmitQuery:
         sample = make_sample(50, seed=3)
         g = Guard(sample, GuardConfig(epsilon=0.9, delta=0.1, n_vectors=64, seed=1))
         outcome = g.submit_query(lambda x: x)
-        assert outcome.status is QueryStatus.ANSWERED
+        assert outcome.answered is True
         assert outcome.empirical_mean == pytest.approx(
             np.mean(sample.points), abs=1e-12
         )
@@ -125,7 +101,7 @@ class TestSubmitQuery:
                 ),
             )
             outcome = g.submit_query(lambda x: 1.0)
-            assert outcome.status is QueryStatus.HALTED
+            assert outcome.answered is False
             assert outcome.empirical_mean is None
             expected_dp = 0.5 if method is BoundMethod.MCLT else 1.0
             assert outcome.delta_prime == expected_dp
@@ -172,6 +148,15 @@ class TestSubmitQuery:
             "nan vectorized": (10, vectorized(lambda points: np.r_[np.full(9, 0.5), np.nan])),
             "more points than m": (12, lambda x: x),
             "fewer points than m": (8, lambda x: x),
+            "numeric string": (10, lambda x: "0.5"),
+            "non-numeric string": (10, lambda x: "a"),
+            "none": (10, lambda x: None),
+            "complex": (10, lambda x: x + 0.5j),
+            "numeric strings vectorized": (10, vectorized(lambda points: ["0.5"] * 10)),
+            "complex vectorized": (10, vectorized(lambda points: np.full(10, 0.5 + 0j))),
+            "dict vectorized": (10, vectorized(lambda points: {})),
+            "ragged vectorized": (10, vectorized(lambda points: [0.5] * 9 + [[0.5]])),
+            "a list per point": (10, lambda x: [x]),
         }
         for case, (n_points, query) in cases.items():
             sample = HoldoutSample(points=make_sample(n_points, seed=4).points, m=10)
@@ -185,6 +170,19 @@ class TestSubmitQuery:
             assert np.array_equal(g.rad.running_sup, sup_before), case
             assert g.history == history_before, case
             assert not g.halted, case
+
+    def test_numeric_value_types_answer_alike(self):
+        sample = make_sample(10, seed=4)
+        cfg = GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5)
+        want = Guard(sample, cfg).submit_query(lambda x: float(x > 0.5))
+        queries = {
+            convert.__name__: lambda x, convert=convert: convert(x > 0.5)
+            for convert in (bool, np.bool_, int, np.int64, np.float32, np.asarray)
+        }
+        queries["bool array"] = vectorized(lambda points: np.asarray(points) > 0.5)
+        queries["int list"] = vectorized(lambda points: [int(x > 0.5) for x in points])
+        for name, query in queries.items():
+            assert Guard(sample, cfg).submit_query(query) == want, name
 
     def test_delta_prime_non_decreasing(self):
         rng = np.random.default_rng(6)
@@ -248,7 +246,7 @@ class TestGuardConfigSerialization:
             negation_closure=False,
             seed=987654321,
         )
-        assert GuardConfig.from_json(cfg.to_json()) == cfg
+        assert GuardConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_method_string_stability(self):
         assert BoundMethod.MCLT.value == "mclt"
@@ -319,7 +317,7 @@ class TestSubmitBatch:
         for got, want in zip(outcomes, expected):
             assert got.empirical_mean == want.empirical_mean
             assert got.r_tilde == pytest.approx(want.r_tilde, rel=1e-12)
-            assert got.status is want.status
+            assert got.answered == want.answered
 
     MALFORMED = {
         "one-dimensional": lambda good: good[0],
@@ -330,6 +328,10 @@ class TestSubmitBatch:
         "nan": lambda good: np.where(np.arange(good.shape[1]) == 7, np.nan, good),
         "above one": lambda good: good + 0.5,
         "below zero": lambda good: good - 0.5,
+        "numeric strings": lambda good: good.astype(str),
+        "complex": lambda good: good + 0j,
+        "ragged": lambda good: [good[0], good[1, :-1]],
+        "dict": lambda good: {},
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

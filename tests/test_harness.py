@@ -17,7 +17,6 @@ from radabound.harness import (
     run_adaptive_analysis,
     run_epsilon_sweep,
     run_experiment,
-    zero_one_loss_query,
 )
 from radabound.synthdata import DatasetSpec, LabeledDataset, generate
 
@@ -71,32 +70,12 @@ class TestFeatureOrder:
         assert np.array_equal(a, b)
 
 
-class TestZeroOneLossQuery:
-    def test_zero_classifier_loss_marks_negative_labels(self):
-        ds = make_dataset(np.zeros((4, 2)), [1, -1, -1, 1])
-        losses = zero_one_loss_query(LinearClassifier(weights=np.zeros(2, dtype=int)))(
-            ds
-        )
-        assert list(losses) == [0.0, 1.0, 1.0, 0.0]
-
-    def test_weight_negation_flips_loss_off_ties(self):
-        rng = np.random.default_rng(5)
-        features = rng.normal(size=(50, 3))
-        labels = 2 * rng.integers(0, 2, size=50) - 1
-        ds = make_dataset(features, labels)
-        w = np.array([1, -1, 1])
-        a = zero_one_loss_query(LinearClassifier(weights=w))(ds)
-        b = zero_one_loss_query(LinearClassifier(weights=-w))(ds)
-        # continuous features: ties have probability zero
-        assert np.array_equal(b, 1.0 - a)
-
-    def test_separating_classifier_zero_loss(self):
-        features = np.array([[3.0, 0.1], [-2.0, 0.2], [5.0, -0.3]])
-        labels = np.array([1, -1, 1])
-        ds = make_dataset(features, labels)
-        w = LinearClassifier(weights=np.array([1, 0]))
-        assert zero_one_loss_query(w)(ds).sum() == 0.0
-        assert evaluate_on(ds, w) == 1.0
+def test_evaluate_on_separating_classifier():
+    features = np.array([[3.0, 0.1], [-2.0, 0.2], [5.0, -0.3]])
+    labels = np.array([1, -1, 1])
+    ds = make_dataset(features, labels)
+    w = LinearClassifier(weights=np.array([1, 0]))
+    assert evaluate_on(ds, w) == 1.0
 
 
 def test_evaluate_on_duplicated_rows():
