@@ -141,35 +141,37 @@ class TestSubmitQuery:
         assert len(g.history) == 5
         assert all(o.answered for o in g.history)
 
-    def test_domain_error_rejects_without_state_change(self):
-        cases = {
-            "out of range": (10, lambda x: 2.0),
-            "nan": (10, lambda x: np.nan),
-            "nan vectorized": (10, vectorized(lambda points: np.r_[np.full(9, 0.5), np.nan])),
-            "more points than m": (12, lambda x: x),
-            "fewer points than m": (8, lambda x: x),
-            "numeric string": (10, lambda x: "0.5"),
-            "non-numeric string": (10, lambda x: "a"),
-            "none": (10, lambda x: None),
-            "complex": (10, lambda x: x + 0.5j),
-            "numeric strings vectorized": (10, vectorized(lambda points: ["0.5"] * 10)),
-            "complex vectorized": (10, vectorized(lambda points: np.full(10, 0.5 + 0j))),
-            "dict vectorized": (10, vectorized(lambda points: {})),
-            "ragged vectorized": (10, vectorized(lambda points: [0.5] * 9 + [[0.5]])),
-            "a list per point": (10, lambda x: [x]),
-        }
-        for case, (n_points, query) in cases.items():
-            sample = HoldoutSample(points=make_sample(n_points, seed=4).points, m=10)
-            g = Guard(sample, GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5))
-            g.submit_query(vectorized(lambda points: np.linspace(0.0, 1.0, 10)))
-            sup_before = g.rad.running_sup.copy()
-            history_before = list(g.history)
-            with pytest.raises(DomainError):
-                g.submit_query(query)
-            assert g.rad.query_count == 1, case
-            assert np.array_equal(g.rad.running_sup, sup_before), case
-            assert g.history == history_before, case
-            assert not g.halted, case
+    DOMAIN_ERRORS = {
+        "out of range": (10, lambda x: 2.0),
+        "nan": (10, lambda x: np.nan),
+        "nan vectorized": (10, vectorized(lambda points: np.r_[np.full(9, 0.5), np.nan])),
+        "more points than m": (12, lambda x: x),
+        "fewer points than m": (8, lambda x: x),
+        "numeric string": (10, lambda x: "0.5"),
+        "non-numeric string": (10, lambda x: "a"),
+        "none": (10, lambda x: None),
+        "complex": (10, lambda x: x + 0.5j),
+        "numeric strings vectorized": (10, vectorized(lambda points: ["0.5"] * 10)),
+        "complex vectorized": (10, vectorized(lambda points: np.full(10, 0.5 + 0j))),
+        "dict vectorized": (10, vectorized(lambda points: {})),
+        "ragged vectorized": (10, vectorized(lambda points: [0.5] * 9 + [[0.5]])),
+        "a list per point": (10, lambda x: [x]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DOMAIN_ERRORS))
+    def test_domain_error_rejects_without_state_change(self, case):
+        n_points, query = self.DOMAIN_ERRORS[case]
+        sample = HoldoutSample(points=make_sample(n_points, seed=4).points, m=10)
+        g = Guard(sample, GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5))
+        g.submit_query(vectorized(lambda points: np.linspace(0.0, 1.0, 10)))
+        sup_before = g.rad.running_sup.copy()
+        history_before = list(g.history)
+        with pytest.raises(DomainError):
+            g.submit_query(query)
+        assert g.rad.query_count == 1
+        assert np.array_equal(g.rad.running_sup, sup_before)
+        assert g.history == history_before
+        assert not g.halted
 
     def test_numeric_value_types_answer_alike(self):
         sample = make_sample(10, seed=4)

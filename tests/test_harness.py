@@ -78,6 +78,23 @@ def test_evaluate_on_separating_classifier():
     assert evaluate_on(ds, w) == 1.0
 
 
+def test_evaluate_on_zero_classifier_predicts_positive():
+    ds = make_dataset(np.zeros((4, 2)), [1, -1, -1, 1])
+    assert evaluate_on(ds, LinearClassifier(weights=np.zeros(2, dtype=int))) == 0.5
+
+
+def test_evaluate_on_weight_negation_complements_accuracy():
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(50, 3))
+    labels = 2 * rng.integers(0, 2, size=50) - 1
+    ds = make_dataset(features, labels)
+    w = np.array([1, -1, 1])
+    a = evaluate_on(ds, LinearClassifier(weights=w))
+    b = evaluate_on(ds, LinearClassifier(weights=-w))
+    # continuous features: ties have probability zero
+    assert a + b == pytest.approx(1.0, abs=1e-12)
+
+
 def test_evaluate_on_duplicated_rows():
     features = np.array([[1.0, 0.0], [-1.0, 0.0]])
     labels = np.array([1, -1])
