@@ -23,7 +23,6 @@ from .harness import (
     evaluate_on,
     run_adaptive_analysis,
     run_epsilon_sweep,
-    run_experiment,
 )
 from .synthdata import DatasetSpec, generate
 from .thresholdout import ThresholdoutParams, comparison_report

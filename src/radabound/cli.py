@@ -28,7 +28,12 @@ from .bounds import compare_bounds_csv, compare_bounds_table
 from .errors import ConfigurationError, DomainError
 from .guard import GuardConfig
 from .harness import ExperimentTrace, run_epsilon_sweep
-from .seeding import GENERATOR_IDENTITY, SUBSTREAM_LABELS, validate_type
+from .seeding import (
+    GENERATOR_IDENTITY,
+    SUBSTREAM_LABELS,
+    validate_fields,
+    validate_type,
+)
 from .synthdata import NORMAL_SAMPLER_IDENTITY, DatasetSpec, dump_csv, generate
 from .thresholdout import ThresholdoutParams, comparison_report
 
@@ -83,20 +88,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        validate_type("run config", d, dict)
-        try:
-            experiment = validate_type("experiment", d["experiment"], dict)
-            guard = validate_type("guard", d["guard"], dict)
-            epsilon_list = validate_type("epsilon_list", d.get("epsilon_list", []), list)
-            return cls(
-                experiment=DatasetSpec.from_dict(experiment),
-                guard=GuardConfig.from_dict(guard),
-                epsilon_list=tuple(epsilon_list),
-                output_dir=d.get("output_dir", "."),
-                emit_dataset_dump=d.get("emit_dataset_dump", False),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"run config missing field {exc}") from None
+        validate_fields("run config", d, cls)
+        epsilon_list = validate_type("epsilon_list", d.get("epsilon_list", []), list)
+        return cls(
+            **{
+                **d,
+                "experiment": DatasetSpec.from_dict(d["experiment"]),
+                "guard": GuardConfig.from_dict(d["guard"]),
+                "epsilon_list": tuple(epsilon_list),
+            }
+        )
 
 
 def load_run_config(path) -> RunConfig:
@@ -159,14 +160,7 @@ def cmd_run_experiment(config: RunConfig) -> int:
     # the largest epsilon serves the whole sweep: the smaller epsilons'
     # traces are prefixes of it that differ only in delta_prime and halt row.
     data = generate(config.experiment)
-    traces = run_epsilon_sweep(
-        data.train,
-        data.holdout,
-        data.fresh,
-        config.guard,
-        config.epsilons,
-        dataset_spec=config.experiment,
-    )
+    traces = run_epsilon_sweep(*data, config.guard, config.epsilons)
     runs = []
     for epsilon, trace in zip(config.epsilons, traces):
         write_trace_csv(trace, out_dir / _trace_filename(epsilon))

@@ -22,7 +22,13 @@ import numpy as np
 from . import rademacher
 from .bounds import BoundMethod, overfit_bound
 from .errors import ConfigurationError, DomainError, GuardHaltedError
-from .seeding import seed_substream, validate_seed, validate_type
+from .seeding import (
+    seed_substream,
+    validate_count,
+    validate_fields,
+    validate_seed,
+    validate_type,
+)
 
 
 @dataclass(frozen=True)
@@ -35,9 +41,7 @@ class HoldoutSample:
     m: int
 
     def __post_init__(self):
-        validate_type("m", self.m)
-        if self.m < 1:
-            raise ConfigurationError(f"holdout sample must be non-empty, got m={self.m}")
+        validate_count("m", self.m)
 
 
 @dataclass(frozen=True)
@@ -52,14 +56,12 @@ class GuardConfig:
     def __post_init__(self):
         validate_type("epsilon", self.epsilon, numbers.Real)
         validate_type("delta", self.delta, numbers.Real)
-        validate_type("n_vectors", self.n_vectors)
+        validate_count("n_vectors", self.n_vectors)
         validate_type("negation_closure", self.negation_closure, bool)
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
-        if self.n_vectors < 1:
-            raise ConfigurationError(f"n_vectors must be >= 1, got {self.n_vectors}")
         if not isinstance(self.method, BoundMethod):
             raise ConfigurationError(f"method must be a BoundMethod, got {self.method!r}")
         validate_seed(self.seed)
@@ -76,20 +78,12 @@ class GuardConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuardConfig":
+        validate_fields("guard config", d, cls)
         try:
-            method = BoundMethod(d["method"]) if "method" in d else BoundMethod.MCLT
-            return cls(
-                epsilon=d["epsilon"],
-                delta=d["delta"],
-                n_vectors=d["n_vectors"],
-                method=method,
-                negation_closure=d.get("negation_closure", True),
-                seed=d.get("seed", 0),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"guard config missing field {exc}") from None
+            method = BoundMethod(d.get("method", BoundMethod.MCLT))
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from None
+        return cls(**{**d, "method": method})
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .guard import Certifier, Guard, GuardConfig, HoldoutSample
-from .synthdata import DatasetSpec, LabeledDataset, generate
+from .synthdata import LabeledDataset
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class LinearClassifier:
 @dataclass(frozen=True)
 class TraceRow:
     query_index: int
-    holdout_acc: float  # NaN on the halting row (released mean withheld)
     fresh_acc: float
     r_tilde: float
     delta_prime: float
@@ -73,6 +72,11 @@ class TraceRow:
     candidate: int  # weight tried for ``feature``; 0 for the baseline
     holdout_loss: float  # exact released mean; NaN on the halting row
 
+    @property
+    def holdout_acc(self) -> float:
+        """The released accuracy; NaN on the halting row."""
+        return 1.0 - self.holdout_loss
+
 
 @dataclass(frozen=True)
 class ExperimentTrace:
@@ -80,7 +84,6 @@ class ExperimentTrace:
     halt_index: int | None
     final_classifier: LinearClassifier
     final_holdout_loss: float
-    dataset_spec: DatasetSpec
     guard_config: GuardConfig
 
 
@@ -118,7 +121,6 @@ def run_adaptive_analysis(
     holdout: LabeledDataset,
     fresh: LabeledDataset,
     guard_config: GuardConfig,
-    dataset_spec: DatasetSpec | None = None,
 ) -> ExperimentTrace:
     """Run the greedy classifier search on pre-generated data."""
     d = train.features.shape[1]
@@ -130,11 +132,9 @@ def run_adaptive_analysis(
     positive_h = holdout.labels == 1
     positive_f = fresh.labels == 1
 
-    weights = np.zeros(d, dtype=np.int8)
     scores_h = np.zeros(len(holdout))
     scores_f = np.zeros(len(fresh))
     rows: list[TraceRow] = []
-    halt_index: int | None = None
     best_loss = math.inf
 
     def submit_block(cand_scores_h, cand_scores_f):
@@ -147,32 +147,22 @@ def run_adaptive_analysis(
         return zip(guard.submit_batch(lambda _points: losses), fresh_accs)
 
     def record(outcome, fresh_acc, feature=None, candidate=0):
-        """Append the trace row; returns whether the candidate was accepted,
-        or None when the guard halted."""
-        nonlocal halt_index, best_loss
-        query_index = len(rows) + 1
-        if outcome.answered:
-            accepted = outcome.empirical_mean < best_loss
-            if accepted:
-                best_loss = outcome.empirical_mean
-            holdout_loss = outcome.empirical_mean
-            holdout_acc = 1.0 - holdout_loss
-        else:
-            accepted = None
-            halt_index = query_index
-            holdout_loss = holdout_acc = math.nan
+        """Append the trace row; returns whether the candidate was accepted."""
+        nonlocal best_loss
+        accepted = outcome.answered and outcome.empirical_mean < best_loss
+        if accepted:
+            best_loss = outcome.empirical_mean
         rows.append(
             TraceRow(
-                query_index=query_index,
-                holdout_acc=holdout_acc,
+                query_index=len(rows) + 1,
                 fresh_acc=float(fresh_acc),
                 r_tilde=outcome.r_tilde,
                 delta_prime=outcome.delta_prime,
-                accepted=bool(accepted),
+                accepted=accepted,
                 halted=not outcome.answered,
                 feature=feature,
                 candidate=candidate,
-                holdout_loss=holdout_loss,
+                holdout_loss=outcome.empirical_mean if outcome.answered else math.nan,
             )
         )
         return accepted
@@ -180,7 +170,7 @@ def run_adaptive_analysis(
     # Baseline query: the all-zero classifier (predicts +1 everywhere).
     record(*next(submit_block(scores_h[None], scores_f[None])))
     start, size = 0, 1
-    while start < d and halt_index is None:
+    while start < d and not rows[-1].halted:
         block = order[start : start + size]
         answers = submit_block(
             _candidate_scores(holdout.features, scores_h, block),
@@ -189,28 +179,41 @@ def run_adaptive_analysis(
         for i in block:
             chosen = 0
             for cand in (-1, 1):
-                accepted = record(*next(answers), int(i), cand)
-                if accepted is None:
-                    break
-                if accepted:
+                if record(*next(answers), int(i), cand):
                     chosen = cand
+                if rows[-1].halted:
+                    break
             start += 1
             if chosen != 0:
-                weights[i] = chosen
                 scores_h = scores_h + chosen * holdout.features[:, i]
                 scores_f = scores_f + chosen * fresh.features[:, i]
-            if chosen != 0 or halt_index is not None:
+            if chosen != 0 or rows[-1].halted:
                 break
         # An acceptance moves the scores and leaves the rest of the block
         # stale: it is abandoned, and the next block starts at one feature.
         size = 1 if chosen != 0 else min(2 * size, _MAX_BLOCK)
 
+    return _finish(rows, d, guard_config)
+
+
+def _finish(
+    rows: list[TraceRow], d: int, guard_config: GuardConfig
+) -> ExperimentTrace:
+    """The trace of ``rows``: its halt index, and the final classifier and
+    loss that replaying its accepted rows gives.  A later acceptance for the
+    same feature overrides an earlier one, as in the learner's own loop."""
+    weights = np.zeros(d, dtype=int)
+    best_loss = math.inf
+    for row in rows:
+        if row.accepted:
+            best_loss = row.holdout_loss
+            if row.feature is not None:
+                weights[row.feature] = row.candidate
     return ExperimentTrace(
         rows=rows,
-        halt_index=halt_index,
-        final_classifier=LinearClassifier(weights=weights.astype(int)),
+        halt_index=rows[-1].query_index if rows[-1].halted else None,
+        final_classifier=LinearClassifier(weights=weights),
         final_holdout_loss=best_loss,
-        dataset_spec=dataset_spec,
         guard_config=guard_config,
     )
 
@@ -233,7 +236,6 @@ def _derive_trace(
             rows.append(
                 replace(
                     row,
-                    holdout_acc=math.nan,
                     delta_prime=delta_prime,
                     accepted=False,
                     halted=True,
@@ -241,24 +243,7 @@ def _derive_trace(
                 )
             )
             break
-
-    # Replay the accepted rows: a later acceptance for the same feature
-    # overrides an earlier one, as the learner's own loop does.
-    weights = np.zeros(len(largest.final_classifier.weights), dtype=int)
-    best_loss = math.inf
-    for row in rows:
-        if row.accepted:
-            best_loss = row.holdout_loss
-            if row.feature is not None:
-                weights[row.feature] = row.candidate
-    return ExperimentTrace(
-        rows=rows,
-        halt_index=rows[-1].query_index if rows[-1].halted else None,
-        final_classifier=LinearClassifier(weights=weights),
-        final_holdout_loss=best_loss,
-        dataset_spec=largest.dataset_spec,
-        guard_config=guard_config,
-    )
+    return _finish(rows, len(largest.final_classifier.weights), guard_config)
 
 
 def run_epsilon_sweep(
@@ -267,7 +252,6 @@ def run_epsilon_sweep(
     fresh: LabeledDataset,
     guard_config: GuardConfig,
     epsilons: Iterable[float],
-    dataset_spec: DatasetSpec | None = None,
 ) -> list[ExperimentTrace]:
     """One trace per entry of ``epsilons``, equal field for field to
     ``run_adaptive_analysis`` with ``guard_config`` at that epsilon.
@@ -281,19 +265,11 @@ def run_epsilon_sweep(
     if not configs:
         return []
     top = max(configs, key=lambda c: c.epsilon)
-    largest = run_adaptive_analysis(train, holdout, fresh, top, dataset_spec)
+    largest = run_adaptive_analysis(train, holdout, fresh, top)
     traces = []
     for config in configs:
         trace = largest if config == top else _derive_trace(largest, config, len(holdout))
         if trace is None:
-            trace = run_adaptive_analysis(train, holdout, fresh, config, dataset_spec)
+            trace = run_adaptive_analysis(train, holdout, fresh, config)
         traces.append(trace)
     return traces
-
-
-def run_experiment(spec: DatasetSpec, guard_config: GuardConfig) -> ExperimentTrace:
-    """Generate data per ``spec`` and run the adaptive analysis."""
-    data = generate(spec)
-    return run_adaptive_analysis(
-        data.train, data.holdout, data.fresh, guard_config, dataset_spec=spec
-    )

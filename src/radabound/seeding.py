@@ -6,7 +6,7 @@ of them never perturbs the others.  Streams are numpy PCG64 generators keyed
 by ``SeedSequence(master_seed, spawn_key=(label_index,))``.
 """
 
-import numbers
+import dataclasses
 
 import numpy as np
 
@@ -34,6 +34,37 @@ def validate_type(name: str, value, kind: type = int):
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+# Largest count (sample size, feature count, sign vectors) a config may give:
+# numpy cannot size an array beyond its index type.
+MAX_COUNT = np.iinfo(np.intp).max
+
+
+def validate_count(name: str, value) -> int:
+    """Raise ConfigurationError unless ``value`` is an int in [1, MAX_COUNT]."""
+    validate_type(name, value)
+    if not 1 <= value <= MAX_COUNT:
+        raise ConfigurationError(f"{name} must be in [1, {MAX_COUNT}], got {value}")
+    return value
+
+
+def validate_fields(name: str, section, cls) -> dict:
+    """Raise ConfigurationError unless ``section`` is a dict that gives every
+    field of the dataclass ``cls`` without a default, and no other key: a
+    misspelled key would otherwise be ignored and its default used."""
+    validate_type(name, section, dict)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    for key in section:
+        if key not in names:
+            raise ConfigurationError(
+                f"{name} has unknown field {key!r}; its fields are {names}"
+            )
+    for f in fields:
+        if f.name not in section and f.default is dataclasses.MISSING:
+            raise ConfigurationError(f"{name} missing field {f.name!r}")
+    return section
 
 
 def validate_seed(seed: int) -> int:

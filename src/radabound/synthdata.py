@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .seeding import seed_substream, validate_seed, validate_type
+from .seeding import (
+    seed_substream,
+    validate_count,
+    validate_fields,
+    validate_seed,
+    validate_type,
+)
 
 NORMAL_SAMPLER_IDENTITY = "marsaglia-polar"
 
@@ -39,17 +45,14 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("m_train", "m_holdout", "m_fresh", "d", "n_biased"):
-            validate_type(name, getattr(self, name))
+        for name in ("m_train", "m_holdout", "m_fresh", "d"):
+            validate_count(name, getattr(self, name))
+        validate_type("n_biased", self.n_biased)
         for name in ("variance", "bias"):
             value = validate_type(name, getattr(self, name), numbers.Real)
             # Python's json reads NaN, Infinity and integers beyond any float.
             if not abs(value) <= sys.float_info.max:
                 raise ConfigurationError(f"{name} must be a finite float, got {value}")
-        if min(self.m_train, self.m_holdout, self.m_fresh) < 1:
-            raise ConfigurationError("all set sizes must be >= 1")
-        if self.d < 1:
-            raise ConfigurationError(f"feature count must be >= 1, got {self.d}")
         if not self.variance > 0.0:
             raise ConfigurationError(f"variance must be > 0, got {self.variance}")
         if not 0 <= self.n_biased <= self.d:
@@ -72,19 +75,7 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
-        try:
-            return cls(
-                m_train=d["m_train"],
-                m_holdout=d["m_holdout"],
-                m_fresh=d["m_fresh"],
-                d=d["d"],
-                variance=d.get("variance", 1.0),
-                n_biased=d.get("n_biased", 0),
-                bias=d.get("bias", 0.0),
-                seed=d.get("seed", 0),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"dataset spec missing field {exc}") from None
+        return cls(**validate_fields("dataset spec", d, cls))
 
 
 @dataclass(frozen=True)
@@ -183,6 +174,7 @@ def generate(spec: DatasetSpec) -> SyntheticData:
         features *= scale
         if spec.n_biased > 0:
             features[:, : spec.n_biased] += spec.bias * labels[:, None]
+        # Column-major result, so the learner's per-feature gathers are contiguous.
         sets[name] = LabeledDataset(features=features[:, perm], labels=labels)
 
     return SyntheticData(**sets, column_permutation=perm)

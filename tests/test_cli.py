@@ -141,6 +141,15 @@ class TestRunExperimentCommand:
             (None, "output_dir", 5),
             # both would be written to trace_eps0.1.csv
             (None, "epsilon_list", [0.1, 0.1000001]),
+            # misspelled fields
+            ("guard", "methd", "bernstein_two_term"),
+            ("experiment", "n_bias", 3),
+            (None, "emit_dataset_dmp", True),
+            # counts numpy cannot size an array by
+            ("guard", "n_vectors", 10**30),
+            ("experiment", "d", 10**30),
+            ("experiment", "m_holdout", 10**30),
+            ("experiment", "m_train", 2**70),
         ]
         for section, field, value in cases:
             cfg = small_config_dict(tmp_path / "out")

@@ -16,7 +16,6 @@ from radabound.harness import (
     feature_order,
     run_adaptive_analysis,
     run_epsilon_sweep,
-    run_experiment,
 )
 from radabound.synthdata import DatasetSpec, LabeledDataset, generate
 
@@ -113,7 +112,7 @@ def small_trace():
     cfg = GuardConfig(
         epsilon=0.3, delta=0.1, n_vectors=16, method=BoundMethod.MCLT, seed=13
     )
-    return spec, run_experiment(spec, cfg)
+    return spec, run_adaptive_analysis(*generate(spec), cfg)
 
 
 class TestRunExperiment:
@@ -154,7 +153,7 @@ class TestRunExperiment:
     def test_deterministic(self, small_trace):
         spec, trace = small_trace
         cfg = trace.guard_config
-        again = run_experiment(spec, cfg)
+        again = run_adaptive_analysis(*generate(spec), cfg)
         assert again.rows == trace.rows
         assert np.array_equal(
             again.final_classifier.weights, trace.final_classifier.weights
@@ -165,7 +164,7 @@ class TestRunExperiment:
             m_train=200, m_holdout=2000, m_fresh=4000, d=10, seed=29
         )
         cfg = GuardConfig(epsilon=0.4, delta=0.1, n_vectors=8, seed=29)
-        trace = run_experiment(spec, cfg)
+        trace = run_adaptive_analysis(*generate(spec), cfg)
         data = generate(spec)
         final = evaluate_on(data.fresh, trace.final_classifier)
         assert abs(final - 0.5) <= 4.0 / np.sqrt(spec.m_fresh) + 0.05
@@ -180,7 +179,7 @@ class TestRunExperiment:
             epsilon=0.02, delta=0.1, n_vectors=16,
             method=BoundMethod.BERNSTEIN_SINGLE, seed=3,
         )
-        trace = run_experiment(spec, cfg)
+        trace = run_adaptive_analysis(*generate(spec), cfg)
         assert trace.halt_index is not None
         last = trace.rows[-1]
         assert last.halted
@@ -212,7 +211,6 @@ def assert_same_trace(got, want):
     assert np.array_equal(got.final_classifier.weights, want.final_classifier.weights)
     assert got.final_holdout_loss == want.final_holdout_loss
     assert got.guard_config == want.guard_config
-    assert got.dataset_spec == want.dataset_spec
 
 
 @pytest.fixture
@@ -252,7 +250,7 @@ class TestEpsilonSweep:
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, method=method, seed=2)
         all_eps = self.SWEEPS[method]
         full, head = (
-            self.sweep_equals_direct_runs(data, cfg, epsilons, spec, count_runs)
+            self.sweep_equals_direct_runs(data, cfg, epsilons, count_runs)
             for epsilons in (all_eps, all_eps[:3])
         )
         # The full sweep's largest epsilon never halts; the head's does.
@@ -267,15 +265,13 @@ class TestEpsilonSweep:
             assert full[2].final_classifier.weights[halt_row.feature] == -1
 
     @staticmethod
-    def sweep_equals_direct_runs(data, cfg, epsilons, spec, count_runs):
+    def sweep_equals_direct_runs(data, cfg, epsilons, count_runs):
         count_runs.clear()
-        traces = run_epsilon_sweep(*data, cfg, epsilons, dataset_spec=spec)
+        traces = run_epsilon_sweep(*data, cfg, epsilons)
         assert count_runs == [max(epsilons)]
         assert len(traces) == len(epsilons)
         for eps, trace in zip(epsilons, traces):
-            direct = run_adaptive_analysis(
-                *data, dataclasses.replace(cfg, epsilon=eps), dataset_spec=spec
-            )
+            direct = run_adaptive_analysis(*data, dataclasses.replace(cfg, epsilon=eps))
             assert_same_trace(trace, direct)
         return traces
 
@@ -320,13 +316,11 @@ class TestEpsilonSweep:
         data = generate(spec)
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, seed=2)
         epsilons = (0.01, 0.28, 0.5)
-        traces = run_epsilon_sweep(*data, cfg, epsilons, dataset_spec=spec)
+        traces = run_epsilon_sweep(*data, cfg, epsilons)
         assert count_runs == [0.5, 0.28]
         assert [t.halt_index for t in traces] == [1, None, 1]
         for eps, trace in zip(epsilons, traces):
-            direct = run_adaptive_analysis(
-                *data, dataclasses.replace(cfg, epsilon=eps), dataset_spec=spec
-            )
+            direct = run_adaptive_analysis(*data, dataclasses.replace(cfg, epsilon=eps))
             assert_same_trace(trace, direct)
 
 
@@ -358,16 +352,14 @@ def reference_analysis(train, holdout, fresh, guard_config):
             if accepted:
                 best_loss = outcome.empirical_mean
             holdout_loss = outcome.empirical_mean
-            holdout_acc = 1.0 - holdout_loss
         else:
             accepted = None
             halt_index = query_index
-            holdout_loss = holdout_acc = math.nan
+            holdout_loss = math.nan
         fresh_acc = float(np.mean(np.where(cand_scores_f >= 0, 1, -1) == fresh.labels))
         rows.append(
             TraceRow(
                 query_index=query_index,
-                holdout_acc=holdout_acc,
                 fresh_acc=fresh_acc,
                 r_tilde=outcome.r_tilde,
                 delta_prime=outcome.delta_prime,
@@ -407,7 +399,6 @@ def reference_analysis(train, holdout, fresh, guard_config):
         halt_index=halt_index,
         final_classifier=LinearClassifier(weights=weights.astype(int)),
         final_holdout_loss=best_loss,
-        dataset_spec=None,
         guard_config=guard_config,
     )
 
