@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
+from .seeding import MAX_COUNT
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -37,8 +38,10 @@ _GRID_POINTS = 1024
 _REFINE_REL_TOL = 1e-10
 
 
-class BoundMethod(Enum):
-    """Which certification bound the guard applies at each step."""
+class BoundMethod(str, Enum):
+    """Which certification bound the guard applies at each step.  A ``str``
+    so that ``json`` writes its value; never format it with ``format()`` or an
+    f-string, whose result differs across Python versions: use ``.value``."""
 
     BERNSTEIN_TWO_TERM = "bernstein_two_term"
     BERNSTEIN_SINGLE = "bernstein_single"
@@ -84,10 +87,9 @@ def normal_sf(x: float) -> float:
 
 
 def _check_counts(m: int, n_vectors: int | None = None) -> None:
-    if m < 1:
-        raise DomainError(f"sample size must be >= 1, got {m}")
-    if n_vectors is not None and n_vectors < 1:
-        raise DomainError(f"sign-vector count must be >= 1, got {n_vectors}")
+    for name, n in (("sample size", m), ("sign-vector count", n_vectors)):
+        if n is not None and not 1 <= n <= MAX_COUNT:
+            raise DomainError(f"{name} must be in [1, {MAX_COUNT}], got {n}")
 
 
 def _check_eps(eps: float) -> None:

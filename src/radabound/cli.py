@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -32,6 +31,7 @@ from .seeding import (
     GENERATOR_IDENTITY,
     SUBSTREAM_LABELS,
     validate_fields,
+    validate_fraction,
     validate_type,
 )
 from .synthdata import NORMAL_SAMPLER_IDENTITY, DatasetSpec, dump_csv, generate
@@ -61,9 +61,7 @@ class RunConfig:
         validate_type("emit_dataset_dump", self.emit_dataset_dump, bool)
         eps = self.epsilon_list
         for e in eps:
-            validate_type("epsilon_list entry", e, numbers.Real)
-        if any(not 0.0 < e < 1.0 for e in eps):
-            raise ConfigurationError("epsilon_list entries must be in (0, 1)")
+            validate_fraction("epsilon_list entry", e)
         if any(a >= b for a, b in zip(eps, eps[1:])):
             raise ConfigurationError("epsilon_list must be strictly increasing")
         names = [_trace_filename(e) for e in eps]
@@ -76,15 +74,6 @@ class RunConfig:
     @property
     def epsilons(self) -> tuple[float, ...]:
         return self.epsilon_list or (self.guard.epsilon,)
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment.to_dict(),
-            "guard": self.guard.to_dict(),
-            "epsilon_list": list(self.epsilon_list),
-            "output_dir": self.output_dir,
-            "emit_dataset_dump": self.emit_dataset_dump,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -103,11 +92,11 @@ class RunConfig:
 def load_run_config(path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     config = RunConfig.from_dict(data)
     env_seed = os.environ.get("RADABOUND_SEED")
@@ -191,7 +180,7 @@ def cmd_run_experiment(config: RunConfig) -> int:
 
     summary = {
         "version": __version__,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "seed": config.experiment.seed,
         "generator": {
             "rng": GENERATOR_IDENTITY,

@@ -13,7 +13,6 @@ GuardHaltedError.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .seeding import (
     seed_substream,
     validate_count,
     validate_fields,
+    validate_fraction,
     validate_seed,
     validate_type,
 )
@@ -54,27 +54,13 @@ class GuardConfig:
     seed: int = 0
 
     def __post_init__(self):
-        validate_type("epsilon", self.epsilon, numbers.Real)
-        validate_type("delta", self.delta, numbers.Real)
+        validate_fraction("epsilon", self.epsilon)
+        validate_fraction("delta", self.delta)
         validate_count("n_vectors", self.n_vectors)
         validate_type("negation_closure", self.negation_closure, bool)
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
         if not isinstance(self.method, BoundMethod):
             raise ConfigurationError(f"method must be a BoundMethod, got {self.method!r}")
         validate_seed(self.seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "n_vectors": self.n_vectors,
-            "method": self.method.value,
-            "negation_closure": self.negation_closure,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuardConfig":

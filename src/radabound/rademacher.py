@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError
+from .seeding import validate_count
 
 _ENUMERATION_LIMIT = 20
 
@@ -154,10 +155,8 @@ def init_state(
     Signs are iid uniform on {-1, +1} from ``rng``; the same generator state
     always yields the same matrix.
     """
-    if m < 1 or n_vectors < 1:
-        raise ConfigurationError(
-            f"need m >= 1 and n_vectors >= 1, got m={m}, n_vectors={n_vectors}"
-        )
+    validate_count("m", m)
+    validate_count("n_vectors", n_vectors)
     if rng is None:
         rng = np.random.default_rng()
     entries = 2.0 * rng.integers(0, 2, size=(n_vectors, m)).astype(float) - 1.0

@@ -7,6 +7,7 @@ by ``SeedSequence(master_seed, spawn_key=(label_index,))``.
 """
 
 import dataclasses
+import numbers
 
 import numpy as np
 
@@ -46,6 +47,14 @@ def validate_count(name: str, value) -> int:
     validate_type(name, value)
     if not 1 <= value <= MAX_COUNT:
         raise ConfigurationError(f"{name} must be in [1, {MAX_COUNT}], got {value}")
+    return value
+
+
+def validate_fraction(name: str, value) -> float:
+    """Raise ConfigurationError unless ``value`` is a real number in (0, 1)."""
+    validate_type(name, value, numbers.Real)
+    if not 0.0 < value < 1.0:
+        raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
     return value
 
 

@@ -61,18 +61,6 @@ class DatasetSpec:
             )
         validate_seed(self.seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "m_train": self.m_train,
-            "m_holdout": self.m_holdout,
-            "m_fresh": self.m_fresh,
-            "d": self.d,
-            "variance": self.variance,
-            "n_biased": self.n_biased,
-            "bias": self.bias,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
         return cls(**validate_fields("dataset spec", d, cls))

@@ -12,11 +12,10 @@ ever presented alone.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from .errors import ConfigurationError
-from .seeding import validate_type
+from .seeding import validate_count, validate_fraction
 
 # Parameters and value of the published worked example.
 _PUBLISHED_EXAMPLE_PARAMS = (10, 1, 0.5, 0.1)
@@ -36,27 +35,26 @@ class ThresholdoutParams:
     delta: float
 
     def __post_init__(self):
-        validate_type("k", self.k)
-        validate_type("budget", self.budget)
-        validate_type("epsilon", self.epsilon, numbers.Real)
-        validate_type("delta", self.delta, numbers.Real)
-        if self.k < 1:
-            raise ConfigurationError(f"query count must be >= 1, got {self.k}")
-        if self.budget < 1:
-            raise ConfigurationError(f"budget must be >= 1, got {self.budget}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
+        validate_count("k", self.k)
+        validate_count("budget", self.budget)
+        validate_fraction("epsilon", self.epsilon)
+        validate_fraction("delta", self.delta)
 
 
 def min_holdout_size(p: ThresholdoutParams) -> float:
     """96 eps^-2 ln(4k/delta) min(80 sqrt(B ln(1/(eps delta))), 16 B),
-    evaluated literally from the printed formula."""
-    log_term = math.log(4.0 * p.k / p.delta)
-    sqrt_branch = 80.0 * math.sqrt(p.budget * math.log(1.0 / (p.epsilon * p.delta)))
-    linear_branch = 16.0 * p.budget
-    return 96.0 * p.epsilon**-2 * log_term * min(sqrt_branch, linear_branch)
+    evaluated literally from the printed formula.  Raises ConfigurationError
+    where the formula leaves float range."""
+    try:
+        log_term = math.log(4.0 * p.k / p.delta)
+        sqrt_branch = 80.0 * math.sqrt(p.budget * math.log(1.0 / (p.epsilon * p.delta)))
+        linear_branch = 16.0 * p.budget
+        n = 96.0 * p.epsilon**-2 * log_term * min(sqrt_branch, linear_branch)
+    except (OverflowError, ZeroDivisionError):
+        n = math.inf
+    if not math.isfinite(n):
+        raise ConfigurationError(f"holdout size for {p} is beyond float range")
+    return n
 
 
 def comparison_report(p: ThresholdoutParams, radabound_m: int) -> dict:
@@ -65,19 +63,12 @@ def comparison_report(p: ThresholdoutParams, radabound_m: int) -> dict:
     Carries both the formula-faithful size and (when the parameters match the
     published worked example) the published figure with its discrepancy note.
     """
-    validate_type("radabound_m", radabound_m)
-    if radabound_m < 1:
-        raise ConfigurationError(f"holdout size must be >= 1, got {radabound_m}")
+    validate_count("radabound_m", radabound_m)
     formula_n = min_holdout_size(p)
-    matches = (p.k, p.budget, p.epsilon, p.delta) == _PUBLISHED_EXAMPLE_PARAMS
+    matches = astuple(p) == _PUBLISHED_EXAMPLE_PARAMS
     printed_n = PUBLISHED_EXAMPLE_N if matches else None
     report = {
-        "params": {
-            "k": p.k,
-            "budget": p.budget,
-            "epsilon": p.epsilon,
-            "delta": p.delta,
-        },
+        "params": asdict(p),
         "formula_n": formula_n,
         "paper_printed_n": printed_n,
         "printed_n_note": PUBLISHED_EXAMPLE_NOTE if matches else None,

@@ -160,6 +160,10 @@ class TestRunExperimentCommand:
             assert not (tmp_path / "out").exists(), (section, field, value)
         path = write_config(tmp_path, [small_config_dict(tmp_path / "out")])
         assert main(["run-experiment", "--config", str(path)]) == EXIT_BAD_CONFIG
+        # files json cannot read: not UTF-8, or nested past the recursion limit
+        for raw in (b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000):
+            path.write_bytes(raw)
+            assert main(["run-experiment", "--config", str(path)]) == EXIT_BAD_CONFIG, raw[:4]
 
     # sha256 of each trace CSV for one small config per bound method.  Any
     # change to a bound value, a guard decision or the CSV format moves them.
@@ -183,10 +187,20 @@ class TestRunExperimentCommand:
         },
     }
 
+    # sha256 of summary.json for the same configs.  It echoes the config, so
+    # the output directory is given relative to the working directory.
+    GOLDEN_SUMMARIES = {
+        "mclt": "7e860a48596421e79e05ae85d8b0b2276813ffed449f4215bf6c24dd5d3a399c",
+        "bernstein_single": "ece030790af114e3bdc9617f698076896e4257598c83fdc57f3a395eaf52fba8",
+        "bernstein_two_term": "e18ffda24c908c39e3961c4d976a167edf9545c14532c04d10f451c43705709a",
+        "mcdiarmid_combined": "273278307081bc62379088d0d69e8d6264fca695196f574997b3fddbf8121643",
+    }
+
     @pytest.mark.parametrize("method", sorted(GOLDEN_TRACES))
-    def test_golden_trace_bytes(self, tmp_path, method):
+    def test_golden_trace_bytes(self, tmp_path, monkeypatch, method):
+        monkeypatch.chdir(tmp_path)
         golden = self.GOLDEN_TRACES[method]
-        cfg = small_config_dict(tmp_path / "out", epsilon_list=sorted(golden))
+        cfg = small_config_dict("out", epsilon_list=sorted(golden))
         cfg["experiment"] = {
             "m_train": 300, "m_holdout": 300, "m_fresh": 300, "d": 40,
             "variance": 4.0, "n_biased": 3, "bias": 0.5, "seed": 3,
@@ -201,6 +215,8 @@ class TestRunExperimentCommand:
             halts += rows[-1].endswith(",true")
             assert hashlib.sha256(data).hexdigest() == digest, eps
         assert halts >= 1
+        summary = (tmp_path / "out" / "summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == self.GOLDEN_SUMMARIES[method]
 
     def test_halt_on_first_query_writes_null_loss(self, tmp_path):
         # eps 0.05 halts on the baseline query, before any loss is released.
@@ -246,8 +262,16 @@ class TestCompareBoundsCommand:
         assert out.read_text().startswith("l,mcdiarmid,bernstein,mclt\n")
 
     def test_bad_eps_exit_code(self, capsys):
-        assert main(["compare-bounds", "--eps", "0"]) == EXIT_BAD_CONFIG
-        assert "error" in capsys.readouterr().err
+        cases = [
+            ["--eps", "0"],
+            # counts beyond MAX_COUNT, which no float conversion survives
+            ["--m", str(10**400)],
+            ["--l", str(10**400)],
+            ["--l-max", str(2**1100)],
+        ]
+        for args in cases:
+            assert main(["compare-bounds", *args]) == EXIT_BAD_CONFIG, args
+            assert "error" in capsys.readouterr().err, args
 
 
 class TestThresholdoutSizeCommand:
@@ -259,10 +283,15 @@ class TestThresholdoutSizeCommand:
             ]
         )
         assert rc == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        report = json.loads(out)
         assert report["formula_n"] == pytest.approx(3.68e4, rel=1e-2)
         assert report["paper_printed_n"] == 3.7e6
         assert report["radabound_m"] == 4000
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "913a46620e00697512d03d8a6d24556aa312d83ba7824cdc631f6cdc3a061ca2"
+        )
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -270,10 +299,16 @@ class TestThresholdoutSizeCommand:
         assert exc.value.code == 2
 
     def test_bad_params_exit_code(self, capsys):
-        rc = main(
-            [
-                "thresholdout-size",
-                "--k", "0", "--b", "1", "--eps", "0.5", "--delta", "0.1",
-            ]
-        )
-        assert rc == EXIT_BAD_CONFIG
+        cases = [
+            {"--k": "0"},
+            {"--k": str(10**400)},
+            # the formula leaves float range: eps**-2 overflows, or
+            # eps * delta underflows to 0
+            {"--eps": "1e-200"},
+            {"--eps": "1e-150", "--delta": "1e-300"},
+        ]
+        for case in cases:
+            flags = {"--k": "10", "--b": "1", "--eps": "0.5", "--delta": "0.1", **case}
+            args = [token for flag in flags.items() for token in flag]
+            assert main(["thresholdout-size", *args]) == EXIT_BAD_CONFIG, case
+            assert "error" in capsys.readouterr().err, case

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -248,7 +251,7 @@ class TestGuardConfigSerialization:
             negation_closure=False,
             seed=987654321,
         )
-        assert GuardConfig.from_dict(cfg.to_dict()) == cfg
+        assert GuardConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     def test_method_string_stability(self):
         assert BoundMethod.MCLT.value == "mclt"

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ class TestDatasetSpec:
             m_train=10, m_holdout=20, m_fresh=30, d=5, variance=2.0,
             n_biased=2, bias=0.3, seed=7,
         )
-        assert DatasetSpec.from_dict(spec.to_dict()) == spec
+        assert DatasetSpec.from_dict(json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
