@@ -282,11 +282,3 @@ def compare_bounds_table(m: int, eps: float, l_values) -> list[tuple[int, float,
             )
         )
     return rows
-
-
-def compare_bounds_csv(rows) -> str:
-    """Render comparison rows as CSV with 10 significant digits."""
-    lines = [",".join(COMPARE_TABLE_HEADER)]
-    for l, mcd, bern, mclt in rows:
-        lines.append(f"{l},{mcd:.10g},{bern:.10g},{mclt:.10g}")
-    return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ seed and the guard seed from the config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -23,24 +24,26 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .bounds import compare_bounds_csv, compare_bounds_table
+from .bounds import COMPARE_TABLE_HEADER, compare_bounds_table
 from .errors import ConfigurationError, DomainError
 from .guard import GuardConfig
 from .harness import ExperimentTrace, run_epsilon_sweep
 from .seeding import (
     GENERATOR_IDENTITY,
     SUBSTREAM_LABELS,
+    validate_count,
     validate_fields,
     validate_fraction,
     validate_type,
 )
-from .synthdata import NORMAL_SAMPLER_IDENTITY, DatasetSpec, dump_csv, generate
+from .synthdata import NORMAL_SAMPLER_IDENTITY, DatasetSpec, LabeledDataset, generate
 from .thresholdout import ThresholdoutParams, comparison_report
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_IO_FAILURE = 3
 
+FLOAT = "%.10g"  # the one float format of every CSV
 TRACE_HEADER = "query_index,holdout_acc,fresh_acc,r_tilde,delta_prime,accepted,halted"
 
 
@@ -59,6 +62,8 @@ class RunConfig:
     def __post_init__(self):
         validate_type("output_dir", self.output_dir, str)
         validate_type("emit_dataset_dump", self.emit_dataset_dump, bool)
+        size = 8 * self.guard.n_vectors * self.experiment.m_holdout
+        validate_count("float64 bytes of the n_vectors x m_holdout signs", size)
         eps = self.epsilon_list
         for e in eps:
             validate_fraction("epsilon_list entry", e)
@@ -115,30 +120,44 @@ def load_run_config(path) -> RunConfig:
     return config
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.10g}"
+def _open_output(path):
+    """``path`` opened for writing as UTF-8 with LF line ends; stdout when None."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def trace_csv_lines(trace: ExperimentTrace):
-    yield TRACE_HEADER
-    for row in trace.rows:
-        yield ",".join(
-            (
-                str(row.query_index),
-                _fmt(row.holdout_acc),
-                _fmt(row.fresh_acc),
-                _fmt(row.r_tilde),
-                _fmt(row.delta_prime),
-                "true" if row.accepted else "false",
-                "true" if row.halted else "false",
-            )
-        )
+def write_csv(path, header, cells, rows) -> None:
+    """Write ``rows`` as CSV to ``path`` (stdout when None).  Every CSV the
+    package emits comes through here: a header row of ``header``, then one
+    line per row tuple, each value formatted by its column's %-spec in
+    ``cells`` (floats by ``FLOAT``, flags passed as "true"/"false").
+    Per-column specs, not a type test per value, keep a long trace cheap."""
+    template = ",".join(cells) + "\n"
+    with _open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(template % row for row in rows)
 
 
 def write_trace_csv(trace: ExperimentTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in trace_csv_lines(trace):
-            fh.write(line + "\n")
+    rows = (
+        (
+            r.query_index, r.holdout_acc, r.fresh_acc, r.r_tilde, r.delta_prime,
+            "true" if r.accepted else "false", "true" if r.halted else "false",
+        )
+        for r in trace.rows
+    )
+    write_csv(path, TRACE_HEADER.split(","), ("%d",) + (FLOAT,) * 4 + ("%s", "%s"), rows)
+
+
+def write_dataset_csv(dataset: LabeledDataset, path) -> None:
+    """Debug dump: one row per point, d feature columns then ``label``."""
+    d = dataset.features.shape[1]
+    header = [f"f{i}" for i in range(d)] + ["label"]
+    rows = (
+        (*x, y) for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())
+    )
+    write_csv(path, header, (FLOAT,) * d + ("%d",), rows)
 
 
 def cmd_run_experiment(config: RunConfig) -> int:
@@ -171,12 +190,8 @@ def cmd_run_experiment(config: RunConfig) -> int:
         )
 
     if config.emit_dataset_dump:
-        for name, dataset in (
-            ("train", data.train),
-            ("holdout", data.holdout),
-            ("fresh", data.fresh),
-        ):
-            dump_csv(dataset, out_dir / f"dataset_{name}.csv")
+        for name, dataset in zip(("train", "holdout", "fresh"), data):
+            write_dataset_csv(dataset, out_dir / f"dataset_{name}.csv")
 
     summary = {
         "version": __version__,
@@ -190,7 +205,7 @@ def cmd_run_experiment(config: RunConfig) -> int:
         "column_permutation": data.column_permutation.tolist(),
         "runs": runs,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(out_dir / "summary.json") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     halts = ", ".join(
@@ -202,12 +217,7 @@ def cmd_run_experiment(config: RunConfig) -> int:
 
 def cmd_compare_bounds(m: int, eps: float, l_values, output=None) -> int:
     rows = compare_bounds_table(m, eps, l_values)
-    text = compare_bounds_csv(rows)
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_csv(output, COMPARE_TABLE_HEADER, ("%d",) + (FLOAT,) * 3, rows)
     return EXIT_OK
 
 

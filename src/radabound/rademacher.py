@@ -42,6 +42,13 @@ def as_floats(values) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _check_unit_interval(values: np.ndarray) -> np.ndarray:
+    # Written so that NaN fails it.
+    if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
+        raise DomainError("query values must lie in [0, 1]")
+    return values
+
+
 @dataclass(frozen=True)
 class SignMatrix:
     """A fixed matrix of n_vectors x m entries in {-1, +1}."""
@@ -99,10 +106,7 @@ class RademacherState:
                 f"expected {'rows of ' if ndim == 2 else ''}{self.m} query values, "
                 f"got shape {values.shape}"
             )
-        # Written so that NaN fails it.
-        if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
-            raise DomainError("query values must lie in [0, 1]")
-        return values
+        return _check_unit_interval(values)
 
     def _fold(self, corr: np.ndarray) -> np.ndarray:
         return np.abs(corr) if self.negation_closure else corr
@@ -170,7 +174,7 @@ def exact_empirical_rademacher(value_matrix, negation_closure: bool = True) -> f
     evaluated on the sample.  With ``negation_closure`` the supremum also
     ranges over the negated functions.  Refuses m > 20.
     """
-    values = np.asarray(value_matrix, dtype=float)
+    values = as_floats(value_matrix)
     if values.ndim != 2:
         raise DimensionError("value matrix must be two-dimensional (k x m)")
     k, m = values.shape
@@ -180,8 +184,7 @@ def exact_empirical_rademacher(value_matrix, negation_closure: bool = True) -> f
         raise DomainError(
             f"enumeration limited to m <= {_ENUMERATION_LIMIT}, got m={m}"
         )
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise DomainError("function values must lie in [0, 1]")
+    _check_unit_interval(values)
 
     total = 0.0
     for code in range(2**m):

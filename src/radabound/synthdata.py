@@ -47,6 +47,10 @@ class DatasetSpec:
     def __post_init__(self):
         for name in ("m_train", "m_holdout", "m_fresh", "d"):
             validate_count(name, getattr(self, name))
+        # numpy sizes no array past MAX_COUNT bytes.
+        for name in ("m_train", "m_holdout", "m_fresh"):
+            size = 8 * getattr(self, name) * self.d
+            validate_count(f"float64 bytes of the {name} x d features", size)
         validate_type("n_biased", self.n_biased)
         for name in ("variance", "bias"):
             value = validate_type(name, getattr(self, name), numbers.Real)
@@ -166,13 +170,3 @@ def generate(spec: DatasetSpec) -> SyntheticData:
         sets[name] = LabeledDataset(features=features[:, perm], labels=labels)
 
     return SyntheticData(**sets, column_permutation=perm)
-
-
-def dump_csv(dataset: LabeledDataset, path) -> None:
-    """Debug dump: one row per point, d feature columns then `label`."""
-    d = dataset.features.shape[1]
-    header = ",".join(f"f{i}" for i in range(d)) + ",label"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row, label in dataset:
-            fh.write(",".join(f"{v:.10g}" for v in row) + f",{int(label)}\n")

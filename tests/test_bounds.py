@@ -7,7 +7,6 @@ import pytest
 from radabound.bounds import (
     COMPARE_TABLE_HEADER,
     BoundMethod,
-    compare_bounds_csv,
     compare_bounds_table,
     est_error_bernstein,
     est_error_mcdiarmid,
@@ -20,6 +19,7 @@ from radabound.bounds import (
     overfit_bound_mclt,
     overfit_bound_two_term,
 )
+from radabound.cli import cmd_compare_bounds
 from radabound.errors import DomainError
 
 mp.mp.dps = 40
@@ -325,9 +325,9 @@ class TestCompareTable:
             assert cur[2] < prev[2]
             assert cur[3] < prev[3]
 
-    def test_csv_format(self):
-        text = compare_bounds_csv(compare_bounds_table(1000, 0.01, [2, 4]))
-        lines = text.strip().split("\n")
+    def test_csv_format(self, capsys):
+        cmd_compare_bounds(1000, 0.01, [2, 4])
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == ",".join(COMPARE_TABLE_HEADER)
         assert len(lines) == 3
         assert lines[1].startswith("2,")

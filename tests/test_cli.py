@@ -108,13 +108,21 @@ class TestRunExperimentCommand:
         sa["config"]["output_dir"] = sb["config"]["output_dir"] = ""
         assert sa == sb
 
+    # sha256 of each dataset dump of small_config_dict's experiment.
+    GOLDEN_DUMPS = {
+        "train": "1042c49e82ba371d484ada2b6e7e89f3581a95e9a5d92852fd0196907a2bcc4b",
+        "holdout": "afa5abe42cc756edc4141d9e5840caa3225c8457961aa999dbba0fa5cda78533",
+        "fresh": "9f434ab53db00534e0faddf6e1bd2d44a313c2ded825b366cabf2d76c7765d6c",
+    }
+
     def test_dataset_dump_emitted_on_request(self, tmp_path):
         out = tmp_path / "out"
         cfg = small_config_dict(out, epsilon_list=[], emit_dataset_dump=True)
         path = write_config(tmp_path, cfg)
         assert main(["run-experiment", "--config", str(path)]) == EXIT_OK
-        for name in ("train", "holdout", "fresh"):
-            assert (out / f"dataset_{name}.csv").exists()
+        for name, digest in self.GOLDEN_DUMPS.items():
+            data = (out / f"dataset_{name}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_bad_config_exit_code(self, tmp_path):
         cases = [
@@ -150,6 +158,10 @@ class TestRunExperimentCommand:
             ("experiment", "d", 10**30),
             ("experiment", "m_holdout", 10**30),
             ("experiment", "m_train", 2**70),
+            # valid counts whose float64 arrays numpy cannot size: the sign
+            # matrix (n_vectors x m_holdout) and a sample set (m_train x d)
+            ("guard", "n_vectors", 2**62),
+            ("experiment", "m_train", 2**60),
         ]
         for section, field, value in cases:
             cfg = small_config_dict(tmp_path / "out")
@@ -243,7 +255,12 @@ class TestRunExperimentCommand:
 class TestCompareBoundsCommand:
     def test_default_table(self, capsys):
         assert main(["compare-bounds"]) == EXIT_OK
-        lines = capsys.readouterr().out.strip().split("\n")
+        out = capsys.readouterr().out
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "24ecd083958c2652b8a8278dfab458081b04f7cd9dcb4b861307c496afa46109"
+        )
+        lines = out.strip().split("\n")
         assert lines[0] == "l,mcdiarmid,bernstein,mclt"
         assert len(lines) == 7  # l in {2, 4, 8, 16, 32, 64}
         for line in lines[1:]:
@@ -260,6 +277,12 @@ class TestCompareBoundsCommand:
         out = tmp_path / "table.csv"
         assert main(["compare-bounds", "--output", str(out)]) == EXIT_OK
         assert out.read_text().startswith("l,mcdiarmid,bernstein,mclt\n")
+        args = ["--m", "2500", "--eps", "0.02", "--l-min", "3", "--l-max", "100"]
+        assert main(["compare-bounds", *args, "--output", str(out)]) == EXIT_OK
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "8b1ad1bdee0a1983150aa66eed1a55fde4185b425138ee969154bdfe7cc44fe3"
+        )
 
     def test_bad_eps_exit_code(self, capsys):
         cases = [

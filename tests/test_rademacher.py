@@ -156,8 +156,11 @@ class TestExactOracle:
             exact_empirical_rademacher(np.zeros((1, 21)))
 
     def test_rejects_bad_values(self):
-        with pytest.raises(DomainError):
-            exact_empirical_rademacher([[1.5, 0.0]])
+        # The oracle checks values as the estimator does: NaN is out of
+        # range, and strings and complex numbers are not numbers.
+        for values in ([[1.5, 0.0]], [[np.nan, 0.5]], [["0.5", "1"]], [[0.5j, 1.0]]):
+            with pytest.raises(DomainError):
+                exact_empirical_rademacher(values)
 
     def test_unbiasedness_exhaustive_small(self):
         rng = np.random.default_rng(23)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from radabound.bounds import normal_cdf
+from radabound.cli import write_dataset_csv
 from radabound.errors import ConfigurationError
 from radabound.seeding import seed_substream
 from radabound.synthdata import (
     DatasetSpec,
     LabeledDataset,
-    dump_csv,
     generate,
     standard_normals,
 )
@@ -165,5 +165,5 @@ def test_dump_csv(tmp_path):
         labels=np.array([1, -1]),
     )
     path = tmp_path / "out.csv"
-    dump_csv(ds, path)
+    write_dataset_csv(ds, path)
     assert path.read_bytes() == b"f0,f1,label\n0.5,-1.25,1\n2,3,-1\n"
