@@ -93,13 +93,13 @@ def _check_counts(m: int, n_vectors: int | None = None) -> None:
 
 
 def _check_eps(eps: float) -> None:
-    if not eps > 0.0:
-        raise DomainError(f"estimate-error tolerance must be > 0, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"estimate-error tolerance must be finite and > 0, got {eps}")
 
 
 def _check_slack(slack: float) -> None:
-    if not slack >= 0.0:
-        raise DomainError(f"slack must be >= 0, got {slack}")
+    if not 0.0 <= slack < math.inf:
+        raise DomainError(f"slack must be finite and >= 0, got {slack}")
 
 
 def _clamp(p: float) -> float:
@@ -205,8 +205,6 @@ def overfit_bound_bernstein_single(m: int, n_vectors: int, slack: float) -> floa
     """
     _check_counts(m, n_vectors)
     _check_slack(slack)
-    if slack == 0.0:
-        return 1.0
     denom = (n_vectors + 4.0 * math.sqrt(n_vectors) + 20.0) / (
         2.0 * m * n_vectors
     ) + 4.0 * slack / (3.0 * m)

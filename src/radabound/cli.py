@@ -31,7 +31,6 @@ from .harness import ExperimentTrace, run_epsilon_sweep
 from .seeding import (
     GENERATOR_IDENTITY,
     SUBSTREAM_LABELS,
-    validate_count,
     validate_fields,
     validate_fraction,
     validate_type,
@@ -62,8 +61,6 @@ class RunConfig:
     def __post_init__(self):
         validate_type("output_dir", self.output_dir, str)
         validate_type("emit_dataset_dump", self.emit_dataset_dump, bool)
-        size = 8 * self.guard.n_vectors * self.experiment.m_holdout
-        validate_count("float64 bytes of the n_vectors x m_holdout signs", size)
         eps = self.epsilon_list
         for e in eps:
             validate_fraction("epsilon_list entry", e)
@@ -161,14 +158,14 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
 
 
 def cmd_run_experiment(config: RunConfig) -> int:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     # Every epsilon sees the same data and sign vectors, so one guard run at
     # the largest epsilon serves the whole sweep: the smaller epsilons'
     # traces are prefixes of it that differ only in delta_prime and halt row.
     data = generate(config.experiment)
     traces = run_epsilon_sweep(*data, config.guard, config.epsilons)
+    # Only now: a config that fails in the guard leaves no directory behind.
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
     for epsilon, trace in zip(config.epsilons, traces):
         write_trace_csv(trace, out_dir / _trace_filename(epsilon))

@@ -140,7 +140,7 @@ class Guard:
 
     def _evaluate(self, query) -> np.ndarray:
         # Values that are not numbers are rejected here; shape and range are
-        # checked once, by RademacherState.preview.
+        # checked once, by RademacherState.correlations.
         if getattr(query, "vectorized", False):
             return rademacher.as_floats(query(self.sample.points))
         return rademacher.as_floats([query(x) for x in self.sample.points])
@@ -152,34 +152,15 @@ class Guard:
                 "cannot be guaranteed"
             )
 
-    def _answer(self, values, candidate, estimate) -> QueryOutcome:
-        """Certify one previewed query: commit its suprema and release its
-        mean, or halt.  Records and returns the outcome."""
-        delta_prime, answered = self._certify(estimate)
-        if answered:
-            self.rad.commit(candidate)
-        else:
-            # Halt: the triggering query is rejected, its mean withheld, and
-            # the tentative complexity update is not committed.
-            self.halted = True
-        outcome = QueryOutcome(
-            empirical_mean=float(values.mean()) if answered else None,
-            r_tilde=estimate,
-            delta_prime=delta_prime,
-            answered=answered,
-        )
-        self.history.append(outcome)
-        return outcome
-
     def submit_query(self, query) -> QueryOutcome:
         """Answer one query, or halt permanently if validity cannot be
         certified.  A malformed query (a value count other than m, a NaN, a
         value outside [0, 1], or a value that is not a bool, int or float)
-        raises DomainError without touching guard state."""
+        raises DomainError without touching guard state.  The query is
+        answered as a one-row batch."""
         self._check_open()
         values = self._evaluate(query)
-        candidate, estimate = self.rad.preview(values)
-        return self._answer(values, candidate, estimate)
+        return next(self._answer_rows(*self.rad.correlations(values[None])))
 
     def submit_batch(self, query) -> Iterator[QueryOutcome]:
         """Answer a block of k queries, one per row of ``query(points)``, a
@@ -194,19 +175,35 @@ class Guard:
         halting row, and ``next()`` raises GuardHaltedError if the guard was
         halted in between.
 
-        Rows of {0, 1} values give outcomes bit-equal to sequential
-        ``submit_query`` calls.  For other values in [0, 1] r_tilde and
-        delta_prime may differ from them by a few ulps, because a matrix
-        product may sum in a different order than a matrix-vector product.
+        ``submit_query`` is the one-row case of this path.  Rows of {0, 1}
+        values give outcomes bit-equal to sequential ``submit_query`` calls.
+        For other values in [0, 1] r_tilde and delta_prime may differ from
+        them by a few ulps, because a k-row matrix product may sum in a
+        different order than k one-row products.
         """
         self._check_open()
-        values, corr = self.rad.correlations(query(self.sample.points))
-        return self._answer_rows(values, corr)
+        return self._answer_rows(*self.rad.correlations(query(self.sample.points)))
 
     def _answer_rows(self, values, corr) -> Iterator[QueryOutcome]:
+        """Certify each row in turn: commit its suprema and release its mean,
+        or halt and end the rows.  Records and yields each outcome."""
         for row_values, row_corr in zip(values, corr):
             self._check_open()
-            outcome = self._answer(row_values, *self.rad.preview_corr(row_corr))
+            candidate, estimate = self.rad.preview_corr(row_corr)
+            delta_prime, answered = self._certify(estimate)
+            if answered:
+                self.rad.commit(candidate)
+            else:
+                # Halt: the triggering query is rejected, its mean withheld,
+                # and the tentative complexity update is not committed.
+                self.halted = True
+            outcome = QueryOutcome(
+                empirical_mean=float(row_values.mean()) if answered else None,
+                r_tilde=estimate,
+                delta_prime=delta_prime,
+                answered=answered,
+            )
+            self.history.append(outcome)
             yield outcome
-            if not outcome.answered:
+            if not answered:
                 return

@@ -97,38 +97,35 @@ class RademacherState:
         """Current complexity estimate: mean of the per-vector suprema."""
         return float(self.running_sup.mean())
 
-    def _validate(self, values, ndim: int = 1) -> np.ndarray:
-        """``values`` as floats: m of them (``ndim=1``) or k rows of m
-        (``ndim=2``), each in [0, 1]."""
+    def _validate(self, values) -> np.ndarray:
+        """``values`` as floats: k rows of m, each in [0, 1]."""
         values = as_floats(values)
-        if values.ndim != ndim or values.shape[-1] != self.m:
+        if values.ndim != 2 or values.shape[1] != self.m:
             raise DimensionError(
-                f"expected {'rows of ' if ndim == 2 else ''}{self.m} query values, "
-                f"got shape {values.shape}"
+                f"expected rows of {self.m} query values, got shape {values.shape}"
             )
         return _check_unit_interval(values)
 
-    def _fold(self, corr: np.ndarray) -> np.ndarray:
-        return np.abs(corr) if self.negation_closure else corr
-
     def preview(self, values) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate as they would be after absorbing
-        ``values``, without mutating the state."""
-        values = self._validate(values)
-        return self.preview_corr(self._fold(self.signs.entries @ values / self.m))
+        one query's m ``values``, without mutating the state."""
+        return self.preview_corr(self.correlations([values])[1][0])
 
     def correlations(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Validate a k x m value matrix and correlate every row with every
         sign vector in one matrix product.  Returns the values as floats and
-        the k x n_vectors correlations; the state is not touched.
+        the k x n_vectors correlations; the state is not touched.  A single
+        query is the one-row case: preview() and Guard.submit_query come
+        through here too.
 
-        Rows of {0, 1} values give the same bits as preview() on each row:
-        every partial sum is an integer below 2^53, so summation order cannot
-        round.  For general values in [0, 1] the product may round a few ulps
-        differently from the matrix-vector product in preview().
+        Rows of {0, 1} values give the same bits whatever k is: every partial
+        sum is an integer below 2^53, so summation order cannot round.  For
+        general values in [0, 1] a k-row product may round a few ulps
+        differently from k one-row products.
         """
-        values = self._validate(values, ndim=2)
-        return values, self._fold(values @ self.signs.entries.T / self.m)
+        values = self._validate(values)
+        corr = values @ self.signs.entries.T / self.m
+        return values, np.abs(corr) if self.negation_closure else corr
 
     def preview_corr(self, corr: np.ndarray) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate after absorbing one query's
@@ -161,6 +158,7 @@ def init_state(
     """
     validate_count("m", m)
     validate_count("n_vectors", n_vectors)
+    validate_count("float64 bytes of the n_vectors x m signs", 8 * n_vectors * m)
     if rng is None:
         rng = np.random.default_rng()
     entries = 2.0 * rng.integers(0, 2, size=(n_vectors, m)).astype(float) - 1.0

@@ -185,6 +185,25 @@ class TestOverfitBounds:
             overfit_bound_mclt(100, 8, -0.01)
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [
+        est_error_bernstein,
+        est_error_mcdiarmid,
+        est_error_mclt,
+        overfit_bound_two_term,
+        overfit_bound_bernstein_single,
+        overfit_bound_mclt,
+        overfit_bound_mcdiarmid_combined,
+    ],
+)
+def test_infinite_tolerance_rejected(bound):
+    # Every bound refuses an infinite eps or slack alike, instead of
+    # returning 0 through a NaN or failing inside normal_sf.
+    with pytest.raises(DomainError, match="must be finite"):
+        bound(1000, 8, math.inf)
+
+
 # float.hex of the two split-minimised bounds, recorded from the scalar
 # (one math.exp call per grid point) minimiser before it was vectorised.
 # Columns: m, l, slack, bernstein_two_term, mcdiarmid_combined.  The first

@@ -287,6 +287,7 @@ class TestCompareBoundsCommand:
     def test_bad_eps_exit_code(self, capsys):
         cases = [
             ["--eps", "0"],
+            ["--eps", "inf"],
             # counts beyond MAX_COUNT, which no float conversion survives
             ["--m", str(10**400)],
             ["--l", str(10**400)],

@@ -43,6 +43,11 @@ class TestStoppingThreshold:
 
 
 class TestGuardConstruction:
+    def test_sign_matrix_too_big_for_numpy(self):
+        # Each count is valid alone; the l x m float64 matrix is not.
+        with pytest.raises(ConfigurationError, match="float64 bytes"):
+            Guard(HoldoutSample(None, 4000), GuardConfig(0.1, 0.1, 2**62))
+
     def test_fresh_guard_state(self):
         g = Guard(
             make_sample(16),
@@ -312,6 +317,26 @@ class TestSubmitBatch:
         outcomes = list(batched.submit_batch(batch(rows)))
         assert outcomes == submit_rows(sequential, rows)
         assert_same_state(guard_state(batched), guard_state(sequential))
+
+    @pytest.mark.parametrize("method", list(BoundMethod))
+    def test_submit_query_is_a_one_row_batch(self, method):
+        # Fractional values, per-point and vectorized queries: each
+        # submit_query answers exactly as a one-row submit_batch would, up
+        # to and including a halt (two of the methods halt here).
+        rng = np.random.default_rng(7)
+        single, batched = self.make_guard(method=method), self.make_guard(method=method)
+        for k in range(12):
+            if single.halted:
+                break
+            row = rng.uniform(size=self.M)
+            if k % 2:
+                query = vectorized(lambda points, row=row: row)
+            else:
+                query = mean_query(lambda x, row=row: row[x])
+            want = next(batched.submit_batch(lambda points, row=row: row[None]))
+            assert single.submit_query(query) == want
+            assert_same_state(guard_state(single), guard_state(batched))
+        assert len(single.history) > 1
 
     def test_general_values_agree_to_rounding(self):
         rows = np.random.default_rng(5).uniform(size=(12, self.M))
