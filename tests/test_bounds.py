@@ -198,8 +198,8 @@ class TestOverfitBounds:
     ],
 )
 def test_infinite_tolerance_rejected(bound):
-    # Every bound refuses an infinite eps or slack alike, instead of
-    # returning 0 through a NaN or failing inside normal_sf.
+    # An infinite eps or slack is outside every bound's domain, and every
+    # bound says so the same way.
     with pytest.raises(DomainError, match="must be finite"):
         bound(1000, 8, math.inf)
 
