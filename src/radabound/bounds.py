@@ -50,35 +50,16 @@ class BoundMethod(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# Standard normal CDF (stdlib math.erfc)
+# Standard normal tail (stdlib math.erfc)
 # ---------------------------------------------------------------------------
 
 
-def erfc(x: float) -> float:
-    """Stdlib ``math.erfc``, reflected as 2 - erfc(-x) for x < 0 so that
-    normal_cdf(x) + normal_cdf(-x) == 1 holds exactly, as it does not for
-    plain ``math.erfc``."""
-    if x >= 0.0:
-        return math.erfc(x)
-    return 2.0 - math.erfc(-x)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF.
-
-    Raises DomainError on non-finite input.  Satisfies
-    normal_cdf(x) + normal_cdf(-x) == 1 exactly in floating point.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"normal_cdf requires a finite argument, got {x!r}")
-    return 0.5 * erfc(-x / _SQRT2)
-
-
 def normal_sf(x: float) -> float:
-    """Upper tail 1 - normal_cdf(x), computed without cancellation."""
+    """Standard normal upper tail 1 - Phi(x), from the stdlib ``math.erfc``
+    without cancellation.  Raises DomainError on non-finite input."""
     if not math.isfinite(x):
         raise DomainError(f"normal_sf requires a finite argument, got {x!r}")
-    return 0.5 * erfc(x / _SQRT2)
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ Subcommands:
   compare-bounds                   estimate-error bound comparison CSV
   thresholdout-size                differential-privacy holdout size report
 
-Outputs are fully determined by the config: reruns are byte-identical.  The
-environment variable RADABOUND_SEED, when set, overrides both the dataset
-seed and the guard seed from the config.
+Outputs are fully determined by the config: reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -100,21 +97,7 @@ def load_run_config(path) -> RunConfig:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    config = RunConfig.from_dict(data)
-    env_seed = os.environ.get("RADABOUND_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigurationError(
-                f"RADABOUND_SEED must be an integer, got {env_seed!r}"
-            ) from None
-        config = replace(
-            config,
-            experiment=replace(config.experiment, seed=seed),
-            guard=replace(config.guard, seed=seed),
-        )
-    return config
+    return RunConfig.from_dict(data)
 
 
 def _open_output(path):

@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import rademacher
 from .bounds import BoundMethod, overfit_bound
 from .errors import ConfigurationError, DomainError, GuardHaltedError
@@ -126,6 +124,8 @@ class Guard:
     def __init__(self, sample: HoldoutSample, config: GuardConfig):
         if not isinstance(sample, HoldoutSample):
             raise ConfigurationError("sample must be a HoldoutSample")
+        if not isinstance(config, GuardConfig):
+            raise ConfigurationError("config must be a GuardConfig")
         self.sample = sample
         self.config = config
         self.rad = rademacher.init_state(
@@ -137,13 +137,6 @@ class Guard:
         self.halted = False
         self.history: list[QueryOutcome] = []
         self._certify = Certifier(config, sample.m)
-
-    def _evaluate(self, query) -> np.ndarray:
-        # Values that are not numbers are rejected here; shape and range are
-        # checked once, by RademacherState.correlations.
-        if getattr(query, "vectorized", False):
-            return rademacher.as_floats(query(self.sample.points))
-        return rademacher.as_floats([query(x) for x in self.sample.points])
 
     def _check_open(self) -> None:
         if self.halted:
@@ -159,8 +152,11 @@ class Guard:
         raises DomainError without touching guard state.  The query is
         answered as a one-row batch."""
         self._check_open()
-        values = self._evaluate(query)
-        return next(self._answer_rows(*self.rad.correlations(values[None])))
+        if getattr(query, "vectorized", False):
+            values = [query(self.sample.points)]
+        else:
+            values = [[query(x) for x in self.sample.points]]
+        return next(self._answer_rows(*self.rad.correlations(values)))
 
     def submit_batch(self, query) -> Iterator[QueryOutcome]:
         """Answer a block of k queries, one per row of ``query(points)``, a

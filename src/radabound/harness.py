@@ -49,6 +49,8 @@ class LinearClassifier:
         w = np.asarray(self.weights)
         if w.ndim != 1 or not np.all(np.isin(w, (-1, 0, 1))):
             raise ConfigurationError("weights must be a 1-d vector over {-1, 0, +1}")
+        # Keep the array that was checked, also for list or tuple weights.
+        object.__setattr__(self, "weights", w)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         if features.shape[-1] != self.weights.shape[0]:
@@ -126,6 +128,8 @@ def run_adaptive_analysis(
     d = train.features.shape[1]
     if holdout.features.shape[1] != d or fresh.features.shape[1] != d:
         raise DimensionError("train/holdout/fresh feature counts disagree")
+    if len(fresh) < 1:
+        raise ConfigurationError("fresh set must be non-empty")
 
     guard = Guard(HoldoutSample(points=holdout, m=len(holdout)), guard_config)
     order = feature_order(train)

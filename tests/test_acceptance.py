@@ -8,7 +8,7 @@ so the suite doubles as a checklist:
   3 ordering of the estimate-error bounds
   4 Monte-Carlo guard validity on no-signal data
   5 signal detection and method comparison
-  6 property suites (monotonicity, halting, normal CDF)
+  6 property suites (monotonicity, halting, normal tail)
   7 differential-privacy holdout size report
   8 CLI determinism
 """
@@ -29,7 +29,7 @@ from radabound.bounds import (
     est_error_bernstein,
     est_error_mcdiarmid,
     est_error_mclt,
-    normal_cdf,
+    normal_sf,
     overfit_bound_bernstein_single,
     overfit_bound_mcdiarmid_combined,
     overfit_bound_mclt,
@@ -181,6 +181,25 @@ def test_4_guard_validity_monte_carlo():
         # one-sided binomial tolerance at 95% confidence for rate 0.1 on 50 runs
         for eps in epsilons:
             assert violating_runs[eps] <= 9, (eps, violating_runs)
+
+
+def test_4_gate_fails_a_guard_that_never_halts():
+    # test_4's eps 0.05 cell must be able to fail.  At epsilon 0.99 the guard
+    # certifies every query, so it is no guard at all, and the greedy learner
+    # overfits the holdout by more than 0.05 on more than 9 of test_4's seeds.
+    violating_runs = 0
+    for seed in range(50):
+        data = generate(no_signal_spec(seed))
+        cfg = GuardConfig(
+            epsilon=0.99, delta=0.1, n_vectors=32, method=rb.BoundMethod.MCLT, seed=seed
+        )
+        trace = rb.run_adaptive_analysis(data.train, data.holdout, data.fresh, cfg)
+        assert trace.halt_index is None, seed
+        if any(abs(row.holdout_acc - 0.5) > 0.05 for row in trace.rows):
+            violating_runs += 1
+            if violating_runs > 9:
+                break
+    assert violating_runs > 9, violating_runs
 
 
 def aggregation_attack(data, config):
@@ -343,16 +362,16 @@ def test_6_property_suites():
         x=st.floats(min_value=-10.0, max_value=10.0),
         dx=st.floats(min_value=0.0, max_value=10.0),
     )
-    def normal_cdf_symmetric_and_monotone(x, dx):
-        assert abs(normal_cdf(x) + normal_cdf(-x) - 1.0) <= 1e-12
-        assert normal_cdf(x + dx) >= normal_cdf(x)
+    def normal_sf_symmetric_and_monotone(x, dx):
+        assert abs(normal_sf(x) + normal_sf(-x) - 1.0) <= 1e-12
+        assert normal_sf(x + dx) <= normal_sf(x)
 
     with criterion(6, "property suites"):
         rademacher_estimate_is_monotone()
         certified_failure_probability_is_monotone()
         halt_is_permanent()
         bounds_shrink_as_resources_grow()
-        normal_cdf_symmetric_and_monotone()
+        normal_sf_symmetric_and_monotone()
 
 
 def test_7_dp_holdout_size_report():

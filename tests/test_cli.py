@@ -58,18 +58,20 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict(small_config_dict(tmp_path, epsilon_list=[0.5, 1.5]))
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, small_config_dict(tmp_path))
-        monkeypatch.setenv("RADABOUND_SEED", "42")
-        cfg = load_run_config(path)
-        assert cfg.experiment.seed == 42
-        assert cfg.guard.seed == 42
-
-    def test_seed_env_override_must_be_int(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, small_config_dict(tmp_path))
-        monkeypatch.setenv("RADABOUND_SEED", "not-a-number")
-        with pytest.raises(ConfigurationError):
-            load_run_config(path)
+    def test_seed_env_var_is_ignored(self, tmp_path, monkeypatch):
+        # A run is fixed by its config file alone: setting RADABOUND_SEED
+        # changes neither seed nor a byte of output.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, small_config_dict(out))
+        assert main(["run-experiment", "--config", str(path)]) == EXIT_OK
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(first) == 3
+        for value in ("42", "not-a-number"):
+            monkeypatch.setenv("RADABOUND_SEED", value)
+            cfg = load_run_config(path)
+            assert cfg.experiment.seed == cfg.guard.seed == 7
+            assert main(["run-experiment", "--config", str(path)]) == EXIT_OK
+            assert {f.name: f.read_bytes() for f in out.iterdir()} == first
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -67,6 +67,10 @@ class TestGuardConstruction:
         o2 = g2.submit_query(lambda x: x)
         assert o1 == o2
 
+    def test_config_must_be_a_guard_config(self):
+        with pytest.raises(ConfigurationError, match="GuardConfig"):
+            Guard(HoldoutSample(np.zeros(4), 4), {"epsilon": 0.1})
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ConfigurationError):
             HoldoutSample(points=[], m=0)

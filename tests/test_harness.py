@@ -46,6 +46,14 @@ class TestLinearClassifier:
         with pytest.raises(DimensionError):
             w.predict(np.zeros((3, 4)))
 
+    def test_list_and_tuple_weights_score_like_the_array(self):
+        ds = make_dataset([[1.0, 2.0], [-1.0, 0.5], [0.0, -3.0]], [1, -1, -1])
+        want = evaluate_on(ds, LinearClassifier(weights=np.array([1, 0])))
+        for weights in ([1, 0], (1, 0)):
+            w = LinearClassifier(weights=weights)
+            assert isinstance(w.weights, np.ndarray)
+            assert evaluate_on(ds, w) == want
+
 
 class TestFeatureOrder:
     def test_biased_feature_comes_first(self):
@@ -194,6 +202,13 @@ class TestRunExperiment:
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=4, seed=1)
         with pytest.raises(DimensionError):
             run_adaptive_analysis(data.train, other.holdout, data.fresh, cfg)
+
+    def test_empty_fresh_set_rejected(self):
+        data = generate(DatasetSpec(m_train=5, m_holdout=5, m_fresh=5, d=3, seed=1))
+        empty = make_dataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=4, seed=1)
+        with pytest.raises(ConfigurationError, match="fresh set"):
+            run_adaptive_analysis(data.train, data.holdout, empty, cfg)
 
 
 def row_key(row):
