@@ -7,9 +7,6 @@ with every sign vector, and the estimate is the mean of the per-vector
 suprema.  With ``negation_closure`` (the default) correlations enter through
 their absolute value, which corresponds to treating the family as containing
 the negation of every query.
-
-``exact_empirical_rademacher`` is a brute-force oracle over all 2^m sign
-vectors, used for testing the estimator; it refuses m > 20.
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError
 from .seeding import validate_count
-
-_ENUMERATION_LIMIT = 20
 
 
 def as_floats(values) -> np.ndarray:
@@ -164,34 +159,3 @@ def init_state(
     entries = 2.0 * rng.integers(0, 2, size=(n_vectors, m)).astype(float) - 1.0
     return RademacherState(signs=SignMatrix(entries), negation_closure=negation_closure)
 
-
-def exact_empirical_rademacher(value_matrix, negation_closure: bool = True) -> float:
-    """Exact empirical Rademacher complexity by enumerating all 2^m signs.
-
-    ``value_matrix`` is k x m with entries in [0, 1], one row per function
-    evaluated on the sample.  With ``negation_closure`` the supremum also
-    ranges over the negated functions.  Refuses m > 20.
-    """
-    values = as_floats(value_matrix)
-    if values.ndim != 2:
-        raise DimensionError("value matrix must be two-dimensional (k x m)")
-    k, m = values.shape
-    if k < 1 or m < 1:
-        raise DimensionError("value matrix must be non-empty")
-    if m > _ENUMERATION_LIMIT:
-        raise DomainError(
-            f"enumeration limited to m <= {_ENUMERATION_LIMIT}, got m={m}"
-        )
-    _check_unit_interval(values)
-
-    total = 0.0
-    for code in range(2**m):
-        bits = (code >> np.arange(m)) & 1
-        sigma = 2.0 * bits - 1.0
-        corr = values @ sigma / m
-        if negation_closure:
-            sup = float(np.abs(corr).max())
-        else:
-            sup = float(corr.max())
-        total += sup
-    return total / 2**m

@@ -32,6 +32,11 @@ from .seeding import (
 
 NORMAL_SAMPLER_IDENTITY = "marsaglia-polar"
 
+# Candidate pairs per sampler block, and rows per block of the permuted copy
+# in generate: small enough that each block's temporaries stay in cache.
+_SAMPLER_BLOCK = 1 << 14
+_COPY_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -108,33 +113,59 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
     Implemented on top of the generator's uniform stream so the sampling
     algorithm itself is pinned independently of the numpy version's ziggurat.
-    Accepted pairs fill ``out`` in order as (u * factor, v * factor), with
-    factor = sqrt(-2 log(s) / s); the in-place steps below round exactly as
-    that expression does.
+    Each batch of candidate pairs takes ``batch`` uniforms on [-1, 1) for u,
+    then the next ``batch`` for v.  Accepted pairs fill ``out`` in order as
+    (u * factor, v * factor), with factor = sqrt(-2 log(s) / s); the in-place
+    steps below round exactly as that expression does.
+
+    A batch is walked in blocks of ``_SAMPLER_BLOCK`` pairs, so the
+    temporaries stay in cache: u comes from ``rng`` and v from a copy of its
+    bit generator moved ``batch`` draws ahead.  Blocks stop once ``out`` is
+    full, and ``rng`` is then moved past the whole batch, so it ends where
+    two full-length draws would leave it.  This needs a bit generator whose
+    ``advance(k)`` skips k 64-bit draws, as every ``seed_substream`` PCG64
+    does.
     """
     out = np.empty(n)
     filled = 0
+    bits = rng.bit_generator
     while filled < n:
-        need = n - filled
-        batch = int(need * 0.7) + 32  # ~pi/4 pair acceptance, 2 values/pair
-        u = rng.uniform(-1.0, 1.0, size=batch)
-        v = rng.uniform(-1.0, 1.0, size=batch)
-        s = u * u
-        s += v * v
-        keep = s < 1.0
-        keep &= s > 0.0
-        idx = np.flatnonzero(keep)[: (need + 1) // 2]
-        s = s.take(idx)
-        factor = np.log(s)
-        factor *= -2.0
-        factor /= s
-        np.sqrt(factor, out=factor)
-        take = min(2 * idx.size, need)
-        chunk = out[filled : filled + take]
-        np.multiply(u.take(idx), factor, out=chunk[0::2])
-        n_v = take // 2
-        np.multiply(v.take(idx[:n_v]), factor[:n_v], out=chunk[1::2])
-        filled += take
+        batch = int((n - filled) * 0.7) + 32  # ~pi/4 pair acceptance, 2 values/pair
+        v_bits = type(bits)()
+        v_bits.state = bits.state
+        v_bits.advance(batch)
+        v_rng = np.random.Generator(v_bits)
+        drawn = 0
+        while drawn < batch and filled < n:
+            need = n - filled
+            size = min(_SAMPLER_BLOCK, batch - drawn)
+            drawn += size
+            u = rng.uniform(-1.0, 1.0, size=size)
+            v = v_rng.uniform(-1.0, 1.0, size=size)
+            s = u * u
+            s += v * v
+            keep = s < 1.0
+            keep &= s > 0.0
+            idx = np.flatnonzero(keep)[: (need + 1) // 2]
+            s = s.take(idx)
+            factor = np.log(s)
+            factor *= -2.0
+            factor /= s
+            np.sqrt(factor, out=factor)
+            take = min(2 * idx.size, need)
+            chunk = out[filled : filled + take]
+            np.multiply(u.take(idx), factor, out=chunk[0::2])
+            n_v = take // 2
+            np.multiply(v.take(idx[:n_v]), factor[:n_v], out=chunk[1::2])
+            filled += take
+        # Skip the batch's unread u draws and all its v draws.  advance() also
+        # clears the buffered half of a 32-bit draw, which uniforms never
+        # touch, so put it back.
+        kept = bits.state
+        bits.advance(2 * batch - drawn)
+        bits.state = {
+            **bits.state, "has_uint32": kept["has_uint32"], "uinteger": kept["uinteger"]
+        }
     return out
 
 
@@ -166,7 +197,13 @@ def generate(spec: DatasetSpec) -> SyntheticData:
         features *= scale
         if spec.n_biased > 0:
             features[:, : spec.n_biased] += spec.bias * labels[:, None]
-        # Column-major result, so the learner's per-feature gathers are contiguous.
-        sets[name] = LabeledDataset(features=features[:, perm], labels=labels)
+        # features[:, perm], copied in row blocks that stay in cache.  The
+        # result is column-major, so the learner's per-feature gathers are
+        # contiguous.
+        permuted = np.empty_like(features, order="F")
+        for start in range(0, n, _COPY_BLOCK_ROWS):
+            rows = slice(start, start + _COPY_BLOCK_ROWS)
+            permuted[rows] = features[rows, perm]
+        sets[name] = LabeledDataset(features=permuted, labels=labels)
 
     return SyntheticData(**sets, column_permutation=perm)

@@ -1,0 +1,44 @@
+"""Brute-force oracle for the Rademacher estimator's tests.
+
+``exact_empirical_rademacher`` enumerates all 2^m sign vectors, so it refuses
+m > 20.  It checks its values as the estimator does.
+"""
+
+import numpy as np
+
+from radabound.errors import DimensionError, DomainError
+from radabound.rademacher import _check_unit_interval, as_floats
+
+_ENUMERATION_LIMIT = 20
+
+
+def exact_empirical_rademacher(value_matrix, negation_closure: bool = True) -> float:
+    """Exact empirical Rademacher complexity by enumerating all 2^m signs.
+
+    ``value_matrix`` is k x m with entries in [0, 1], one row per function
+    evaluated on the sample.  With ``negation_closure`` the supremum also
+    ranges over the negated functions.  Refuses m > 20.
+    """
+    values = as_floats(value_matrix)
+    if values.ndim != 2:
+        raise DimensionError("value matrix must be two-dimensional (k x m)")
+    k, m = values.shape
+    if k < 1 or m < 1:
+        raise DimensionError("value matrix must be non-empty")
+    if m > _ENUMERATION_LIMIT:
+        raise DomainError(
+            f"enumeration limited to m <= {_ENUMERATION_LIMIT}, got m={m}"
+        )
+    _check_unit_interval(values)
+
+    total = 0.0
+    for code in range(2**m):
+        bits = (code >> np.arange(m)) & 1
+        sigma = 2.0 * bits - 1.0
+        corr = values @ sigma / m
+        if negation_closure:
+            sup = float(np.abs(corr).max())
+        else:
+            sup = float(corr.max())
+        total += sup
+    return total / 2**m

@@ -38,14 +38,11 @@ from radabound.bounds import (
 from radabound.cli import main as cli_main
 from radabound.errors import GuardHaltedError
 from radabound.guard import Guard, GuardConfig, HoldoutSample
-from radabound.rademacher import (
-    RademacherState,
-    SignMatrix,
-    exact_empirical_rademacher,
-    init_state,
-)
+from radabound.rademacher import RademacherState, SignMatrix, init_state
 from radabound.synthdata import DatasetSpec, generate
 from radabound.thresholdout import ThresholdoutParams, comparison_report, min_holdout_size
+
+from rademacher_oracle import exact_empirical_rademacher
 
 mp.mp.dps = 40
 

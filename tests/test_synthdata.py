@@ -72,6 +72,28 @@ class TestNormalSampler:
         assert x.shape == (n,)
         assert hashlib.sha256(x.tobytes()).hexdigest() == self.GOLDEN[n]
 
+    # The generator's next 63-bit integer after each GOLDEN call: the sampler
+    # must leave the stream past every uniform it drew, u and v alike.
+    STATE_AFTER = {
+        1: 4452689775492681433,
+        7: 6922429699773347402,
+        100001: 3796232267771620140,
+    }
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN))
+    def test_generator_state_after_call(self, n):
+        rng = np.random.default_rng(12345)
+        standard_normals(rng, n)
+        assert int(rng.integers(2**63)) == self.STATE_AFTER[n]
+
+    def test_buffered_half_draw_survives_call(self):
+        # A 32-bit draw buffers the other half of its 64-bit output.  The
+        # uniforms never read it, so the next 32-bit draw still takes it.
+        rng = np.random.default_rng(12345)
+        rng.integers(2**31 - 1, dtype=np.int32)
+        standard_normals(rng, 7)
+        assert int(rng.integers(2**31 - 1, dtype=np.int32)) == 488200390
+
 
 class TestGenerate:
     def test_bit_identical_reruns(self):
@@ -133,6 +155,36 @@ class TestGenerate:
         for j in range(6):
             target = bias if j in biased_cols else 0.0
             assert abs(corr[j] - target) <= 4.0 / np.sqrt(n)
+
+    # sha256 of each set's feature bytes and labels.  Each set's 1501 x 41
+    # normals span several sampler blocks and end in a partial one.
+    MULTI_BLOCK_GOLDEN = {
+        "train": (
+            "89f9de5ba1aece7ca12002c50689483952569d9df83031db89b9a261d0133bf3",
+            "1b4dfd2328fe711304ecc0abbd63f30412582bfd82590c1235173a83a303108e",
+        ),
+        "holdout": (
+            "ed6dd8d025efa1c835d44924c28146dc2077b89f48d44261c23af64ddd5027b1",
+            "60639db18538b655e127d8f096b70dd3eed45187a6e9c452b63ae559fa990f82",
+        ),
+        "fresh": (
+            "cdf090b49cae317e1c56634d1b8e519d6970430e03b299f442c2284e605dbfa0",
+            "e30eb8c26263374b65a6ba8ec9e6fe44f59da4d7f8a87e4e660bb03a5287c1c5",
+        ),
+    }
+
+    def test_golden_bytes_multi_block(self):
+        spec = DatasetSpec(
+            m_train=1501, m_holdout=1501, m_fresh=1501, d=41, variance=4.0,
+            n_biased=4, bias=0.5, seed=3,
+        )
+        data = generate(spec)
+        for name, ds in zip(("train", "holdout", "fresh"), data):
+            # Column-major, so the learner's per-feature gathers are contiguous.
+            assert ds.features.flags.f_contiguous
+            features = hashlib.sha256(ds.features.tobytes(order="A")).hexdigest()
+            labels = hashlib.sha256(ds.labels.astype("<i8").tobytes()).hexdigest()
+            assert (features, labels) == self.MULTI_BLOCK_GOLDEN[name]
 
     def test_permutation_from_own_substream(self):
         spec = DatasetSpec(m_train=1, m_holdout=1, m_fresh=1, d=50, seed=21)
