@@ -167,8 +167,6 @@ def overfit_bound_two_term(m: int, n_vectors: int, slack: float) -> float:
     """
     _check_counts(m, n_vectors)
     _check_slack(slack)
-    if slack == 0.0:
-        return 1.0
 
     def objective(a, exp):
         t1 = exp(-2.0 * m * (slack - a) ** 2)
@@ -212,8 +210,6 @@ def overfit_bound_mcdiarmid_combined(m: int, n_vectors: int, slack: float) -> fl
     Returns 1 for slack = 0."""
     _check_counts(m, n_vectors)
     _check_slack(slack)
-    if slack == 0.0:
-        return 1.0
 
     def objective(e1, exp):
         e2 = (slack - e1) / 2.0

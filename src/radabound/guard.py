@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import rademacher
 from .bounds import BoundMethod, overfit_bound
-from .errors import ConfigurationError, DomainError, GuardHaltedError
+from .errors import ConfigurationError, GuardHaltedError
 from .seeding import (
     seed_substream,
     validate_count,
@@ -82,13 +82,6 @@ class QueryOutcome:
     answered: bool
 
 
-def stopping_threshold(delta: float) -> float:
-    """Per-step certification threshold delta * (1 - delta)."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
-    return delta * (1.0 - delta)
-
-
 class Certifier:
     """The per-query certification test for one config and sample size:
     ``r_tilde -> (delta_prime, answered)``.
@@ -103,7 +96,7 @@ class Certifier:
     def __init__(self, config: GuardConfig, m: int):
         self.config = config
         self.m = m
-        self.threshold = stopping_threshold(config.delta)
+        self.threshold = config.delta * (1.0 - config.delta)
         self._slack = None
         self._delta_prime = None
 

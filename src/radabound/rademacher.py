@@ -84,10 +84,6 @@ class RademacherState:
     def m(self) -> int:
         return self.signs.m
 
-    @property
-    def n_vectors(self) -> int:
-        return self.signs.n_vectors
-
     def estimate(self) -> float:
         """Current complexity estimate: mean of the per-vector suprema."""
         return float(self.running_sup.mean())
@@ -101,6 +97,8 @@ class RademacherState:
             )
         return _check_unit_interval(values)
 
+    # Only the trace shim calls preview(); it goes once the shim traces
+    # correlations() instead (ROADMAP items 7-8).
     def preview(self, values) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate as they would be after absorbing
         one query's m ``values``, without mutating the state."""
@@ -110,8 +108,7 @@ class RademacherState:
         """Validate a k x m value matrix and correlate every row with every
         sign vector in one matrix product.  Returns the values as floats and
         the k x n_vectors correlations; the state is not touched.  A single
-        query is the one-row case: preview() and Guard.submit_query come
-        through here too.
+        query is the one-row case: Guard.submit_query comes through here too.
 
         Rows of {0, 1} values give the same bits whatever k is: every partial
         sum is an integer below 2^53, so summation order cannot round.  For
@@ -133,18 +130,13 @@ class RademacherState:
         self.running_sup = candidate
         self.query_count += 1
 
-    def update(self, values) -> float:
-        """Absorb one query's values and return the new estimate."""
-        candidate, estimate = self.preview(values)
-        self.commit(candidate)
-        return estimate
-
 
 def init_state(
     m: int,
     n_vectors: int,
     negation_closure: bool = True,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> RademacherState:
     """Draw the fixed sign matrix and start with all suprema at zero.
 
@@ -154,8 +146,6 @@ def init_state(
     validate_count("m", m)
     validate_count("n_vectors", n_vectors)
     validate_count("float64 bytes of the n_vectors x m signs", 8 * n_vectors * m)
-    if rng is None:
-        rng = np.random.default_rng()
     entries = 2.0 * rng.integers(0, 2, size=(n_vectors, m)).astype(float) - 1.0
     return RademacherState(signs=SignMatrix(entries), negation_closure=negation_closure)
 

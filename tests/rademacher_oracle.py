@@ -1,7 +1,8 @@
-"""Brute-force oracle for the Rademacher estimator's tests.
+"""Reference paths for the Rademacher estimator's tests.
 
 ``exact_empirical_rademacher`` enumerates all 2^m sign vectors, so it refuses
-m > 20.  It checks its values as the estimator does.
+m > 20.  It checks its values as the estimator does.  ``update`` absorbs one
+query through the estimator's own steps, the ones ``Guard`` runs.
 """
 
 import numpy as np
@@ -42,3 +43,13 @@ def exact_empirical_rademacher(value_matrix, negation_closure: bool = True) -> f
             sup = float(corr.max())
         total += sup
     return total / 2**m
+
+
+def update(state, values) -> float:
+    """Absorb one query's m ``values`` into ``state`` and return the new
+    estimate: a one-row ``correlations``, then ``preview_corr`` and
+    ``commit``, as ``Guard.submit_query`` does for an answered query."""
+    _, corr = state.correlations([values])
+    candidate, estimate = state.preview_corr(corr[0])
+    state.commit(candidate)
+    return estimate

@@ -5,6 +5,7 @@ import pytest
 
 from radabound.cli import (
     EXIT_BAD_CONFIG,
+    EXIT_IO_FAILURE,
     EXIT_OK,
     TRACE_HEADER,
     RunConfig,
@@ -37,6 +38,10 @@ def small_config_dict(output_dir, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# A test-table value that deletes its field from the config.
+MISSING = object()
 
 
 def write_config(tmp_path, cfg):
@@ -137,6 +142,7 @@ class TestRunExperimentCommand:
             ("guard", "epsilon", 0.0),
             ("guard", "epsilon", "0.1"),
             ("guard", "delta", None),
+            ("guard", "delta", MISSING),
             ("guard", "n_vectors", 8.7),
             ("guard", "n_vectors", True),
             ("experiment", "m_train", 10.5),
@@ -173,7 +179,11 @@ class TestRunExperimentCommand:
         ]
         for section, field, value in cases:
             cfg = small_config_dict(tmp_path / "out")
-            (cfg[section] if section else cfg)[field] = value
+            target = cfg[section] if section else cfg
+            if value is MISSING:
+                del target[field]
+            else:
+                target[field] = value
             path = write_config(tmp_path, cfg)
             rc = main(["run-experiment", "--config", str(path)])
             assert rc == EXIT_BAD_CONFIG, (section, field, value)
@@ -259,6 +269,15 @@ class TestRunExperimentCommand:
             == EXIT_BAD_CONFIG
         )
 
+    def test_output_dir_is_a_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        path = write_config(tmp_path, small_config_dict(out))
+        assert main(["run-experiment", "--config", str(path)]) == EXIT_IO_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and "File exists" in err
+        assert out.read_text() == "not a directory"
+
 
 class TestCompareBoundsCommand:
     def test_default_table(self, capsys):
@@ -300,10 +319,18 @@ class TestCompareBoundsCommand:
             ["--m", str(10**400)],
             ["--l", str(10**400)],
             ["--l-max", str(2**1100)],
+            # a range that holds no power of two
+            ["--l-min", "5", "--l-max", "7"],
         ]
         for args in cases:
             assert main(["compare-bounds", *args]) == EXIT_BAD_CONFIG, args
             assert "error" in capsys.readouterr().err, args
+
+    def test_output_in_missing_directory_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "table.csv"
+        assert main(["compare-bounds", "--output", str(out)]) == EXIT_IO_FAILURE
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert not out.parent.exists()
 
 
 class TestThresholdoutSizeCommand:

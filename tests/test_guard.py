@@ -6,12 +6,7 @@ import pytest
 
 from radabound.bounds import BoundMethod
 from radabound.errors import ConfigurationError, DomainError, GuardHaltedError
-from radabound.guard import (
-    Guard,
-    GuardConfig,
-    HoldoutSample,
-    stopping_threshold,
-)
+from radabound.guard import Certifier, Guard, GuardConfig, HoldoutSample
 
 
 def make_sample(m, seed=0):
@@ -34,12 +29,14 @@ class TestStoppingThreshold:
         "delta,expected", [(0.1, 0.09), (0.5, 0.25), (0.15, 0.1275)]
     )
     def test_values(self, delta, expected):
-        assert stopping_threshold(delta) == pytest.approx(expected, rel=1e-14)
+        certify = Certifier(GuardConfig(epsilon=0.1, delta=delta, n_vectors=8), m=100)
+        assert certify.threshold == pytest.approx(expected, rel=1e-14)
 
     def test_domain(self):
+        # A Certifier reads delta from a GuardConfig, which rejects these.
         for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(DomainError):
-                stopping_threshold(bad)
+            with pytest.raises(ConfigurationError):
+                GuardConfig(epsilon=0.1, delta=bad, n_vectors=8)
 
 
 class TestGuardConstruction:
@@ -70,6 +67,8 @@ class TestGuardConstruction:
     def test_config_must_be_a_guard_config(self):
         with pytest.raises(ConfigurationError, match="GuardConfig"):
             Guard(HoldoutSample(np.zeros(4), 4), {"epsilon": 0.1})
+        with pytest.raises(ConfigurationError, match="HoldoutSample"):
+            Guard(object(), GuardConfig(epsilon=0.1, delta=0.1, n_vectors=4))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -89,6 +88,9 @@ class TestGuardConstruction:
             GuardConfig(epsilon=0.1, delta=0.1, n_vectors=0)
         with pytest.raises(ConfigurationError):
             GuardConfig(epsilon=0.1, delta=0.1, n_vectors=8, negation_closure="no")
+        # the method's name is not a BoundMethod; only from_dict converts it
+        with pytest.raises(ConfigurationError, match="BoundMethod"):
+            GuardConfig(0.1, 0.1, 4, method="mclt")
 
 
 class TestSubmitQuery:
@@ -100,7 +102,7 @@ class TestSubmitQuery:
         assert outcome.empirical_mean == pytest.approx(
             np.mean(sample.points), abs=1e-12
         )
-        assert outcome.delta_prime <= stopping_threshold(0.1)
+        assert outcome.delta_prime <= Certifier(g.config, sample.m).threshold
 
     def test_halt_on_exhausted_budget(self):
         # tiny epsilon and tiny sample: the first query's correlation already

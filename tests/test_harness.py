@@ -209,6 +209,8 @@ class TestRunExperiment:
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=4, seed=1)
         with pytest.raises(ConfigurationError, match="fresh set"):
             run_adaptive_analysis(data.train, data.holdout, empty, cfg)
+        with pytest.raises(ConfigurationError, match="training set"):
+            feature_order(empty)
 
 
 def row_key(row):

@@ -209,6 +209,8 @@ class TestLabeledDataset:
             LabeledDataset(features=np.zeros((2, 2)), labels=np.array([1, 0]))
         with pytest.raises(ConfigurationError):
             LabeledDataset(features=np.zeros((2, 2)), labels=np.array([1, -1, 1]))
+        with pytest.raises(ConfigurationError, match=r"\(n, d\)"):
+            LabeledDataset(features=np.zeros(2), labels=np.array([1, -1]))
 
 
 def test_dump_csv(tmp_path):
