@@ -22,6 +22,7 @@ every value it can return, so results are Python floats.
 from __future__ import annotations
 
 import math
+import numbers
 from enum import Enum
 
 import numpy as np
@@ -69,8 +70,10 @@ def normal_sf(x: float) -> float:
 
 def _check_counts(m: int, n_vectors: int | None = None) -> None:
     for name, n in (("sample size", m), ("sign-vector count", n_vectors)):
-        if n is not None and not 1 <= n <= MAX_COUNT:
-            raise DomainError(f"{name} must be in [1, {MAX_COUNT}], got {n}")
+        # numpy integers are counts; bools, floats and strings are not.
+        is_int = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+        if n is not None and not (is_int and 1 <= n <= MAX_COUNT):
+            raise DomainError(f"{name} must be an int in [1, {MAX_COUNT}], got {n!r}")
 
 
 def _check_eps(eps: float) -> None:
@@ -247,7 +250,7 @@ def compare_bounds_table(m: int, eps: float, l_values) -> list[tuple[int, float,
     _check_eps(eps)
     rows = []
     for l in l_values:
-        # est_error_mcdiarmid rejects l < 1 before anything is appended.
+        # est_error_mcdiarmid rejects a bad l before anything is appended.
         rows.append(
             (
                 int(l),

@@ -212,16 +212,6 @@ def cmd_thresholdout_size(k: int, budget: int, eps: float, delta: float,
     return EXIT_OK
 
 
-def _powers_of_two(lo: int, hi: int) -> list[int]:
-    values = []
-    v = 1
-    while v <= hi:
-        if v >= lo:
-            values.append(v)
-        v *= 2
-    return values
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radabound",
@@ -235,10 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare-bounds", help="estimate-error bound table")
     p_cmp.add_argument("--m", type=int, default=1000)
     p_cmp.add_argument("--eps", type=float, default=0.01)
-    p_cmp.add_argument("--l", type=int, default=None,
-                       help="single sign-vector count (overrides the range)")
-    p_cmp.add_argument("--l-min", type=int, default=2)
-    p_cmp.add_argument("--l-max", type=int, default=64)
+    p_cmp.add_argument("--l", type=int, nargs="+", default=[2, 4, 8, 16, 32, 64],
+                       help="sign-vector counts, one table row each "
+                            "(default: %(default)s)")
     p_cmp.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     p_thr = sub.add_parser("thresholdout-size",
@@ -259,15 +248,7 @@ def main(argv=None) -> int:
         if args.command == "run-experiment":
             return cmd_run_experiment(load_run_config(args.config))
         if args.command == "compare-bounds":
-            if args.l is not None:
-                l_values = [args.l]
-            else:
-                l_values = _powers_of_two(args.l_min, args.l_max)
-                if not l_values:
-                    raise ConfigurationError(
-                        f"no powers of two in [{args.l_min}, {args.l_max}]"
-                    )
-            return cmd_compare_bounds(args.m, args.eps, l_values, args.output)
+            return cmd_compare_bounds(args.m, args.eps, args.l, args.output)
         # thresholdout-size: argparse admits only the three subcommands.
         return cmd_thresholdout_size(
             args.k, args.b, args.eps, args.delta, args.radabound_m

@@ -81,6 +81,12 @@ class LabeledDataset:
     labels: np.ndarray  # (n,) in {-1, +1}
 
     def __post_init__(self):
+        for name in ("features", "labels"):
+            # Keep the array that was checked; numpy input is not copied.
+            value = np.asarray(getattr(self, name))
+            if value.dtype.kind not in "biuf":
+                raise ConfigurationError(f"{name} must be numeric, got dtype {value.dtype}")
+            object.__setattr__(self, name, value)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ConfigurationError("features must be (n, d), labels (n,)")
         if self.features.shape[0] != self.labels.shape[0]:

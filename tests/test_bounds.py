@@ -197,9 +197,11 @@ class TestOverfitBounds:
 )
 def test_infinite_tolerance_rejected(bound):
     # An infinite eps or slack is outside every bound's domain, and every
-    # bound says so the same way.
+    # bound says so the same way.  So is a sample size that is not an integer.
     with pytest.raises(DomainError, match="must be finite"):
         bound(1000, 8, math.inf)
+    with pytest.raises(DomainError, match="sample size must be an int"):
+        bound(1000.5, 8, 0.1)
 
 
 # float.hex of the two split-minimised bounds, recorded from the scalar
@@ -328,6 +330,9 @@ class TestCompareTable:
         assert len(rows) == 6
         for _, mcd, bern, mclt in rows:
             assert mclt <= bern <= mcd
+        # numpy integers are counts too
+        counts = np.array([2, 4, 8, 16, 32, 64])
+        assert compare_bounds_table(np.int64(1000), 0.01, counts) == rows
 
     def test_single_row_range(self):
         ((l, mcd, bern, mclt),) = compare_bounds_table(1000, 0.01, [1])
@@ -350,5 +355,7 @@ class TestCompareTable:
         assert lines[1].startswith("2,")
 
     def test_invalid_l_rejected(self):
-        with pytest.raises(DomainError):
-            compare_bounds_table(1000, 0.01, [0])
+        # zero, and counts that are not integers: a float, a bool, a string
+        for bad in (0, 1.5, True, "8"):
+            with pytest.raises(DomainError):
+                compare_bounds_table(1000, 0.01, [bad])

@@ -299,12 +299,21 @@ class TestCompareBoundsCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("1,")
+        # Each count gives one row, powers of two or not, in the order given.
+        assert main(["compare-bounds", "--l", "3", "5"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 3
+        assert lines[1].startswith("3,") and lines[2].startswith("5,")
+        # --l with no value is an argparse usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-bounds", "--l"])
+        assert exc.value.code == 2
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "table.csv"
         assert main(["compare-bounds", "--output", str(out)]) == EXIT_OK
         assert out.read_text().startswith("l,mcdiarmid,bernstein,mclt\n")
-        args = ["--m", "2500", "--eps", "0.02", "--l-min", "3", "--l-max", "100"]
+        args = ["--m", "2500", "--eps", "0.02", "--l", "4", "8", "16", "32", "64"]
         assert main(["compare-bounds", *args, "--output", str(out)]) == EXIT_OK
         assert (
             hashlib.sha256(out.read_bytes()).hexdigest()
@@ -318,9 +327,8 @@ class TestCompareBoundsCommand:
             # counts beyond MAX_COUNT, which no float conversion survives
             ["--m", str(10**400)],
             ["--l", str(10**400)],
-            ["--l-max", str(2**1100)],
-            # a range that holds no power of two
-            ["--l-min", "5", "--l-max", "7"],
+            # a bad count after a good one
+            ["--l", "4", str(2**1100)],
         ]
         for args in cases:
             assert main(["compare-bounds", *args]) == EXIT_BAD_CONFIG, args

@@ -211,6 +211,17 @@ class TestLabeledDataset:
             LabeledDataset(features=np.zeros((2, 2)), labels=np.array([1, -1, 1]))
         with pytest.raises(ConfigurationError, match=r"\(n, d\)"):
             LabeledDataset(features=np.zeros(2), labels=np.array([1, -1]))
+        for features, labels in [
+            (np.array([["a", "b"], ["c", "d"]]), np.array([1, -1])),
+            (np.zeros((2, 2)), np.array(["1", "-1"])),
+            (np.zeros((2, 2)), np.array([1, -1], dtype=object)),
+        ]:
+            with pytest.raises(ConfigurationError, match="must be numeric"):
+                LabeledDataset(features=features, labels=labels)
+        # Lists are taken as arrays, and the arrays are what is stored.
+        ds = LabeledDataset(features=[[0.5, 1.0], [2.0, 3.0]], labels=[1, -1])
+        assert isinstance(ds.features, np.ndarray) and ds.features.shape == (2, 2)
+        assert isinstance(ds.labels, np.ndarray) and ds.labels.tolist() == [1, -1]
 
 
 def test_dump_csv(tmp_path):
