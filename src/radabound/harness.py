@@ -46,7 +46,10 @@ class LinearClassifier:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights)
+        try:
+            w = np.asarray(self.weights)
+        except ValueError:
+            raise ConfigurationError("weights must not be ragged") from None
         if w.ndim != 1 or not np.all(np.isin(w, (-1, 0, 1))):
             raise ConfigurationError("weights must be a 1-d vector over {-1, 0, +1}")
         # Keep the array that was checked, also for list or tuple weights.
@@ -100,6 +103,8 @@ def feature_order(train: LabeledDataset) -> np.ndarray:
 
 def evaluate_on(dataset: LabeledDataset, w: LinearClassifier) -> float:
     """Accuracy (1 - mean 0-1 loss) of ``w`` over ``dataset``."""
+    if len(dataset) < 1:
+        raise ConfigurationError("dataset must be non-empty")
     return float(np.mean(w.predict(dataset.features) == dataset.labels))
 
 

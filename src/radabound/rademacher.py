@@ -11,8 +11,6 @@ the negation of every query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError
@@ -44,45 +42,20 @@ def _check_unit_interval(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class SignMatrix:
-    """A fixed matrix of n_vectors x m entries in {-1, +1}."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = self.entries
-        if e.ndim != 2:
-            raise ConfigurationError("sign matrix must be two-dimensional")
-        if not np.all(np.abs(e) == 1.0):
-            raise ConfigurationError("sign matrix entries must be -1 or +1")
-        e.setflags(write=False)
-
-    @property
-    def n_vectors(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass
 class RademacherState:
-    """Sign matrix plus per-vector running suprema and the query count."""
+    """A fixed n_vectors x m matrix of signs in {-1, +1}, one running
+    supremum per sign vector, and the count of committed queries."""
 
-    signs: SignMatrix
-    negation_closure: bool = True
-    running_sup: np.ndarray = field(default=None)  # type: ignore[assignment]
-    query_count: int = 0
-
-    def __post_init__(self):
-        if self.running_sup is None:
-            self.running_sup = np.zeros(self.signs.n_vectors)
-
-    @property
-    def m(self) -> int:
-        return self.signs.m
+    def __init__(self, signs: np.ndarray, negation_closure: bool = True):
+        if signs.ndim != 2:
+            raise ConfigurationError("sign matrix must be two-dimensional")
+        if not np.all(np.abs(signs) == 1.0):
+            raise ConfigurationError("sign matrix entries must be -1 or +1")
+        signs.setflags(write=False)
+        self.signs = signs
+        self.negation_closure = negation_closure
+        self.running_sup = np.zeros(signs.shape[0])
+        self.query_count = 0
 
     def estimate(self) -> float:
         """Current complexity estimate: mean of the per-vector suprema."""
@@ -91,9 +64,10 @@ class RademacherState:
     def _validate(self, values) -> np.ndarray:
         """``values`` as floats: k rows of m, each in [0, 1]."""
         values = as_floats(values)
-        if values.ndim != 2 or values.shape[1] != self.m:
+        m = self.signs.shape[1]
+        if values.ndim != 2 or values.shape[1] != m:
             raise DimensionError(
-                f"expected rows of {self.m} query values, got shape {values.shape}"
+                f"expected rows of {m} query values, got shape {values.shape}"
             )
         return _check_unit_interval(values)
 
@@ -116,7 +90,7 @@ class RademacherState:
         differently from k one-row products.
         """
         values = self._validate(values)
-        corr = values @ self.signs.entries.T / self.m
+        corr = values @ self.signs.T / self.signs.shape[1]
         return values, np.abs(corr) if self.negation_closure else corr
 
     def preview_corr(self, corr: np.ndarray) -> tuple[np.ndarray, float]:
@@ -146,6 +120,6 @@ def init_state(
     validate_count("m", m)
     validate_count("n_vectors", n_vectors)
     validate_count("float64 bytes of the n_vectors x m signs", 8 * n_vectors * m)
-    entries = 2.0 * rng.integers(0, 2, size=(n_vectors, m)).astype(float) - 1.0
-    return RademacherState(signs=SignMatrix(entries), negation_closure=negation_closure)
+    signs = 2.0 * rng.integers(0, 2, size=(n_vectors, m)).astype(float) - 1.0
+    return RademacherState(signs=signs, negation_closure=negation_closure)
 

@@ -83,7 +83,10 @@ class LabeledDataset:
     def __post_init__(self):
         for name in ("features", "labels"):
             # Keep the array that was checked; numpy input is not copied.
-            value = np.asarray(getattr(self, name))
+            try:
+                value = np.asarray(getattr(self, name))
+            except ValueError:
+                raise ConfigurationError(f"{name} must not be ragged") from None
             if value.dtype.kind not in "biuf":
                 raise ConfigurationError(f"{name} must be numeric, got dtype {value.dtype}")
             object.__setattr__(self, name, value)

@@ -38,7 +38,7 @@ from radabound.bounds import (
 from radabound.cli import main as cli_main
 from radabound.errors import GuardHaltedError
 from radabound.guard import Guard, GuardConfig, HoldoutSample
-from radabound.rademacher import RademacherState, SignMatrix, init_state
+from radabound.rademacher import RademacherState, init_state
 from radabound.synthdata import DatasetSpec, generate
 from radabound.thresholdout import ThresholdoutParams, comparison_report, min_holdout_size
 
@@ -74,7 +74,7 @@ def test_1_oracle_equivalence():
 
             # exhaustive average of incremental update-path estimates over
             # every sign vector, fed one function at a time
-            state = RademacherState(signs=SignMatrix(all_sign_matrix(m)))
+            state = RademacherState(signs=all_sign_matrix(m))
             for row in values:
                 exhaustive = update(state, row)
             assert exhaustive == pytest.approx(oracle, abs=1e-12)

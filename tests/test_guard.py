@@ -53,13 +53,13 @@ class TestGuardConstruction:
         assert not g.halted
         assert g.history == []
         assert g.rad.estimate() == 0.0
-        assert g.rad.signs.entries.shape == (32, 16)
+        assert g.rad.signs.shape == (32, 16)
 
     def test_deterministic_signs_and_outcomes(self):
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=8, seed=123)
         g1 = Guard(make_sample(10, seed=2), cfg)
         g2 = Guard(make_sample(10, seed=2), cfg)
-        assert np.array_equal(g1.rad.signs.entries, g2.rad.signs.entries)
+        assert np.array_equal(g1.rad.signs, g2.rad.signs)
         o1 = g1.submit_query(lambda x: x)
         o2 = g2.submit_query(lambda x: x)
         assert o1 == o2

@@ -178,7 +178,7 @@ class GuardMachine(RuleBasedStateMachine):
         if not self.committed_rows:
             assert not rad.running_sup.any()
             return
-        corr = np.array([rad.signs.entries @ row / M for row in self.committed_rows])
+        corr = np.array([rad.signs @ row / M for row in self.committed_rows])
         if rad.negation_closure:
             corr = np.abs(corr)
         assert np.array_equal(rad.running_sup, np.maximum(corr.max(axis=0), 0.0))

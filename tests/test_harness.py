@@ -40,6 +40,8 @@ class TestLinearClassifier:
     def test_rejects_fractional_weights(self):
         with pytest.raises(ConfigurationError):
             LinearClassifier(weights=np.array([0.5, 1.0]))
+        with pytest.raises(ConfigurationError, match="ragged"):
+            LinearClassifier(weights=[[1], [0, 1]])
 
     def test_dimension_mismatch(self):
         w = LinearClassifier(weights=np.array([1, -1]))
@@ -109,6 +111,9 @@ def test_evaluate_on_duplicated_rows():
     w = LinearClassifier(weights=np.array([1, 0]))
     base = evaluate_on(make_dataset(features, labels), w)
     assert evaluate_on(ds, w) == base == 1.0
+    # Zero copies of the rows have no accuracy.
+    with pytest.raises(ConfigurationError, match="non-empty"):
+        evaluate_on(make_dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)), w)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radabound.errors import ConfigurationError, DimensionError, DomainError
-from radabound.rademacher import RademacherState, SignMatrix, init_state
+from radabound.rademacher import RademacherState, init_state
 
 from rademacher_oracle import exact_empirical_rademacher, update
 
@@ -17,7 +17,7 @@ def all_sign_vectors(m):
 def update_path_estimate(value_matrix, sigma, negation_closure):
     """Feed the functions one at a time through a single-vector state."""
     state = RademacherState(
-        signs=SignMatrix(sigma.reshape(1, -1).copy()),
+        signs=sigma.reshape(1, -1).copy(),
         negation_closure=negation_closure,
     )
     est = 0.0
@@ -29,23 +29,23 @@ def update_path_estimate(value_matrix, sigma, negation_closure):
 class TestInitState:
     def test_initial_shape_and_zeros(self):
         state = init_state(4, 2, rng=np.random.default_rng(11))
-        assert state.signs.entries.shape == (2, 4)
+        assert state.signs.shape == (2, 4)
         assert state.query_count == 0
         assert np.all(state.running_sup == 0.0)
         assert state.estimate() == 0.0
 
     def test_experiment_scale_dimensions(self):
         state = init_state(4000, 32, rng=np.random.default_rng(11))
-        assert state.signs.entries.shape == (32, 4000)
+        assert state.signs.shape == (32, 4000)
 
     def test_signs_are_plus_minus_one(self):
         state = init_state(50, 3, rng=np.random.default_rng(5))
-        assert set(np.unique(state.signs.entries)) == {-1.0, 1.0}
+        assert set(np.unique(state.signs)) == {-1.0, 1.0}
 
     def test_deterministic_from_seed(self):
         a = init_state(64, 4, rng=np.random.default_rng(99))
         b = init_state(64, 4, rng=np.random.default_rng(99))
-        assert np.array_equal(a.signs.entries, b.signs.entries)
+        assert np.array_equal(a.signs, b.signs)
 
     def test_rejects_empty_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -59,7 +59,7 @@ class TestUpdate:
         state = init_state(8, 4, rng=np.random.default_rng(3))
         c = 0.7
         got = update(state, np.full(8, c))
-        column_sums = state.signs.entries.sum(axis=1)
+        column_sums = state.signs.sum(axis=1)
         expected = np.abs(c * column_sums / 8).mean()
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -73,15 +73,15 @@ class TestUpdate:
     def test_hand_computed_dot_product(self):
         # sigma = (+1, -1, +1), values = (1, 1, 0): c = (1 - 1 + 0)/3 = 0
         state = RademacherState(
-            signs=SignMatrix(np.array([[1.0, -1.0, 1.0]])), negation_closure=False
+            signs=np.array([[1.0, -1.0, 1.0]]), negation_closure=False
         )
         assert update(state, [1.0, 1.0, 0.0]) == 0.0
 
     def test_raw_vs_absolute_update(self):
         sigma = np.array([[1.0, -1.0, -1.0, -1.0]])
         values = np.array([1.0, 1.0, 1.0, 1.0])  # c = -2/4 = -0.5
-        raw = RademacherState(signs=SignMatrix(sigma.copy()), negation_closure=False)
-        closed = RademacherState(signs=SignMatrix(sigma.copy()), negation_closure=True)
+        raw = RademacherState(signs=sigma.copy(), negation_closure=False)
+        closed = RademacherState(signs=sigma.copy(), negation_closure=True)
         assert update(raw, values) == 0.0  # max(0, -0.5)
         assert update(closed, values) == 0.5
 
@@ -113,8 +113,8 @@ class TestUpdate:
         signs = 2.0 * rng.integers(0, 2, size=(3, 10)).astype(float) - 1.0
         values = rng.uniform(size=(5, 10))
         perm = rng.permutation(10)
-        a = RademacherState(signs=SignMatrix(signs.copy()))
-        b = RademacherState(signs=SignMatrix(signs[:, perm].copy()))
+        a = RademacherState(signs=signs.copy())
+        b = RademacherState(signs=signs[:, perm].copy())
         for row in values:
             ea = update(a, row)
             eb = update(b, row[perm])
@@ -178,18 +178,18 @@ class TestExactOracle:
         state = init_state(8, 4000, rng=rng)
         for row in values:
             est = update(state, row)
-        se = state.running_sup.std(ddof=1) / np.sqrt(state.signs.n_vectors)
+        se = state.running_sup.std(ddof=1) / np.sqrt(state.signs.shape[0])
         assert abs(est - oracle) <= 4 * se
 
 
-class TestSignMatrix:
+class TestSignChecks:
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ConfigurationError):
-            SignMatrix(np.array([[1.0, 0.5]]))
+            RademacherState(signs=np.array([[1.0, 0.5]]))
         with pytest.raises(ConfigurationError, match="two-dimensional"):
-            SignMatrix(np.ones(3))
+            RademacherState(signs=np.ones(3))
 
     def test_immutable_after_creation(self):
-        sm = SignMatrix(np.ones((2, 3)))
+        state = RademacherState(signs=np.ones((2, 3)))
         with pytest.raises(ValueError):
-            sm.entries[0, 0] = -1.0
+            state.signs[0, 0] = -1.0

@@ -218,6 +218,8 @@ class TestLabeledDataset:
         ]:
             with pytest.raises(ConfigurationError, match="must be numeric"):
                 LabeledDataset(features=features, labels=labels)
+        with pytest.raises(ConfigurationError, match="features must not be ragged"):
+            LabeledDataset(features=[[1.0, 2.0], [3.0]], labels=[1, -1])
         # Lists are taken as arrays, and the arrays are what is stored.
         ds = LabeledDataset(features=[[0.5, 1.0], [2.0, 3.0]], labels=[1, -1])
         assert isinstance(ds.features, np.ndarray) and ds.features.shape == (2, 2)
