@@ -25,7 +25,6 @@ from .seeding import (
     validate_fields,
     validate_fraction,
     validate_seed,
-    validate_type,
 )
 
 
@@ -48,14 +47,12 @@ class GuardConfig:
     delta: float
     n_vectors: int
     method: BoundMethod = BoundMethod.MCLT
-    negation_closure: bool = True
     seed: int = 0
 
     def __post_init__(self):
         validate_fraction("epsilon", self.epsilon)
         validate_fraction("delta", self.delta)
         validate_count("n_vectors", self.n_vectors)
-        validate_type("negation_closure", self.negation_closure, bool)
         if not isinstance(self.method, BoundMethod):
             raise ConfigurationError(f"method must be a BoundMethod, got {self.method!r}")
         validate_seed(self.seed)
@@ -124,7 +121,6 @@ class Guard:
         self.rad = rademacher.init_state(
             sample.m,
             config.n_vectors,
-            negation_closure=config.negation_closure,
             rng=seed_substream(config.seed, "signs"),
         )
         self.halted = False

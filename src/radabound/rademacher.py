@@ -4,9 +4,8 @@ growing family of [0,1]-valued query functions.
 The estimator fixes a matrix of random sign vectors once, then maintains one
 running supremum per sign vector: each new query contributes its correlation
 with every sign vector, and the estimate is the mean of the per-vector
-suprema.  With ``negation_closure`` (the default) correlations enter through
-their absolute value, which corresponds to treating the family as containing
-the negation of every query.
+suprema.  Correlations enter through their absolute value: the family is
+closed under negation, matching the guard's two-sided answers.
 """
 
 from __future__ import annotations
@@ -46,14 +45,13 @@ class RademacherState:
     """A fixed n_vectors x m matrix of signs in {-1, +1}, one running
     supremum per sign vector, and the count of committed queries."""
 
-    def __init__(self, signs: np.ndarray, negation_closure: bool = True):
+    def __init__(self, signs: np.ndarray):
         if signs.ndim != 2:
             raise ConfigurationError("sign matrix must be two-dimensional")
         if not np.all(np.abs(signs) == 1.0):
             raise ConfigurationError("sign matrix entries must be -1 or +1")
         signs.setflags(write=False)
         self.signs = signs
-        self.negation_closure = negation_closure
         self.running_sup = np.zeros(signs.shape[0])
         self.query_count = 0
 
@@ -72,7 +70,7 @@ class RademacherState:
         return _check_unit_interval(values)
 
     # Only the trace shim calls preview(); it goes once the shim traces
-    # correlations() instead (ROADMAP items 7-8).
+    # correlations() instead (ROADMAP item 7).
     def preview(self, values) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate as they would be after absorbing
         one query's m ``values``, without mutating the state."""
@@ -81,8 +79,9 @@ class RademacherState:
     def correlations(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Validate a k x m value matrix and correlate every row with every
         sign vector in one matrix product.  Returns the values as floats and
-        the k x n_vectors correlations; the state is not touched.  A single
-        query is the one-row case: Guard.submit_query comes through here too.
+        the k x n_vectors absolute correlations; the state is not touched.
+        A single query is the one-row case: Guard.submit_query comes through
+        here too.
 
         Rows of {0, 1} values give the same bits whatever k is: every partial
         sum is an integer below 2^53, so summation order cannot round.  For
@@ -90,8 +89,7 @@ class RademacherState:
         differently from k one-row products.
         """
         values = self._validate(values)
-        corr = values @ self.signs.T / self.signs.shape[1]
-        return values, np.abs(corr) if self.negation_closure else corr
+        return values, np.abs(values @ self.signs.T / self.signs.shape[1])
 
     def preview_corr(self, corr: np.ndarray) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate after absorbing one query's
@@ -105,13 +103,7 @@ class RademacherState:
         self.query_count += 1
 
 
-def init_state(
-    m: int,
-    n_vectors: int,
-    negation_closure: bool = True,
-    *,
-    rng: np.random.Generator,
-) -> RademacherState:
+def init_state(m: int, n_vectors: int, *, rng: np.random.Generator) -> RademacherState:
     """Draw the fixed sign matrix and start with all suprema at zero.
 
     Signs are iid uniform on {-1, +1} from ``rng``; the same generator state
@@ -121,5 +113,5 @@ def init_state(
     validate_count("n_vectors", n_vectors)
     validate_count("float64 bytes of the n_vectors x m signs", 8 * n_vectors * m)
     signs = 2.0 * rng.integers(0, 2, size=(n_vectors, m)).astype(float) - 1.0
-    return RademacherState(signs=signs, negation_closure=negation_closure)
+    return RademacherState(signs=signs)
 

@@ -13,12 +13,12 @@ from radabound.rademacher import _check_unit_interval, as_floats
 _ENUMERATION_LIMIT = 20
 
 
-def exact_empirical_rademacher(value_matrix, negation_closure: bool = True) -> float:
+def exact_empirical_rademacher(value_matrix) -> float:
     """Exact empirical Rademacher complexity by enumerating all 2^m signs.
 
     ``value_matrix`` is k x m with entries in [0, 1], one row per function
-    evaluated on the sample.  With ``negation_closure`` the supremum also
-    ranges over the negated functions.  Refuses m > 20.
+    evaluated on the sample.  As in the estimator, the supremum also ranges
+    over the negated functions (``|correlation|``).  Refuses m > 20.
     """
     values = as_floats(value_matrix)
     if values.ndim != 2:
@@ -36,12 +36,7 @@ def exact_empirical_rademacher(value_matrix, negation_closure: bool = True) -> f
     for code in range(2**m):
         bits = (code >> np.arange(m)) & 1
         sigma = 2.0 * bits - 1.0
-        corr = values @ sigma / m
-        if negation_closure:
-            sup = float(np.abs(corr).max())
-        else:
-            sup = float(corr.max())
-        total += sup
+        total += float(np.abs(values @ sigma / m).max())
     return total / 2**m
 
 

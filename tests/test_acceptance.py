@@ -70,7 +70,7 @@ def test_1_oracle_equivalence():
             m = int(rng.integers(2, 11))
             k = int(rng.integers(1, 6))
             values = rng.uniform(size=(k, m))
-            oracle = exact_empirical_rademacher(values, negation_closure=True)
+            oracle = exact_empirical_rademacher(values)
 
             # exhaustive average of incremental update-path estimates over
             # every sign vector, fed one function at a time

@@ -158,7 +158,8 @@ class TestRunExperimentCommand:
             (None, "epsilon_list", 0.2),
             (None, "guard", 5),
             (None, "experiment", [1]),
-            ("guard", "negation_closure", "no"),
+            # a field of earlier versions, with a value that was valid then
+            ("guard", "negation_closure", True),
             (None, "emit_dataset_dump", "no"),
             (None, "output_dir", 5),
             # both would be written to trace_eps0.1.csv
@@ -220,10 +221,10 @@ class TestRunExperimentCommand:
     # sha256 of summary.json for the same configs.  It echoes the config, so
     # the output directory is given relative to the working directory.
     GOLDEN_SUMMARIES = {
-        "mclt": "7e860a48596421e79e05ae85d8b0b2276813ffed449f4215bf6c24dd5d3a399c",
-        "bernstein_single": "ece030790af114e3bdc9617f698076896e4257598c83fdc57f3a395eaf52fba8",
-        "bernstein_two_term": "e18ffda24c908c39e3961c4d976a167edf9545c14532c04d10f451c43705709a",
-        "mcdiarmid_combined": "273278307081bc62379088d0d69e8d6264fca695196f574997b3fddbf8121643",
+        "mclt": "20a5eab98400579f77bcb8c774311dc82d999d19a3d8c04f1a8a1ab61ba794c3",
+        "bernstein_single": "fa14059aa8e8ae00a2b784b608e943b6133baada08472fa9a091c654a9e90142",
+        "bernstein_two_term": "2c39dad86af29098d517d7bf4acc0635e7b3bd1f8e20823c4746661e6c9e5eb9",
+        "mcdiarmid_combined": "27cdcbee433baf1ddbfd795b80a99423f304d443b5e674450e7c1b64214f2f86",
     }
 
     @pytest.mark.parametrize("method", sorted(GOLDEN_TRACES))

@@ -86,8 +86,11 @@ class TestGuardConstruction:
             GuardConfig(epsilon=0.1, delta=1.0, n_vectors=8)
         with pytest.raises(ConfigurationError):
             GuardConfig(epsilon=0.1, delta=0.1, n_vectors=0)
-        with pytest.raises(ConfigurationError):
-            GuardConfig(epsilon=0.1, delta=0.1, n_vectors=8, negation_closure="no")
+        # a field of earlier versions is an unknown key, not a traceback
+        with pytest.raises(ConfigurationError, match="negation_closure"):
+            GuardConfig.from_dict(
+                {"epsilon": 0.1, "delta": 0.1, "n_vectors": 8, "negation_closure": True}
+            )
         # the method's name is not a BoundMethod; only from_dict converts it
         with pytest.raises(ConfigurationError, match="BoundMethod"):
             GuardConfig(0.1, 0.1, 4, method="mclt")
@@ -259,7 +262,6 @@ class TestGuardConfigSerialization:
             delta=0.0625,
             n_vectors=32,
             method=BoundMethod.BERNSTEIN_TWO_TERM,
-            negation_closure=False,
             seed=987654321,
         )
         assert GuardConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg

@@ -178,10 +178,8 @@ class GuardMachine(RuleBasedStateMachine):
         if not self.committed_rows:
             assert not rad.running_sup.any()
             return
-        corr = np.array([rad.signs @ row / M for row in self.committed_rows])
-        if rad.negation_closure:
-            corr = np.abs(corr)
-        assert np.array_equal(rad.running_sup, np.maximum(corr.max(axis=0), 0.0))
+        corr = np.abs([rad.signs @ row / M for row in self.committed_rows])
+        assert np.array_equal(rad.running_sup, corr.max(axis=0))
         assert rad.estimate() == self.last_r_tilde
 
 

@@ -14,12 +14,9 @@ def all_sign_vectors(m):
         yield np.array(bits)
 
 
-def update_path_estimate(value_matrix, sigma, negation_closure):
+def update_path_estimate(value_matrix, sigma):
     """Feed the functions one at a time through a single-vector state."""
-    state = RademacherState(
-        signs=sigma.reshape(1, -1).copy(),
-        negation_closure=negation_closure,
-    )
+    state = RademacherState(signs=sigma.reshape(1, -1).copy())
     est = 0.0
     for row in value_matrix:
         est = update(state, row)
@@ -72,18 +69,14 @@ class TestUpdate:
 
     def test_hand_computed_dot_product(self):
         # sigma = (+1, -1, +1), values = (1, 1, 0): c = (1 - 1 + 0)/3 = 0
-        state = RademacherState(
-            signs=np.array([[1.0, -1.0, 1.0]]), negation_closure=False
-        )
+        state = RademacherState(signs=np.array([[1.0, -1.0, 1.0]]))
         assert update(state, [1.0, 1.0, 0.0]) == 0.0
 
     def test_raw_vs_absolute_update(self):
         sigma = np.array([[1.0, -1.0, -1.0, -1.0]])
         values = np.array([1.0, 1.0, 1.0, 1.0])  # c = -2/4 = -0.5
-        raw = RademacherState(signs=sigma.copy(), negation_closure=False)
-        closed = RademacherState(signs=sigma.copy(), negation_closure=True)
-        assert update(raw, values) == 0.0  # max(0, -0.5)
-        assert update(closed, values) == 0.5
+        closed = RademacherState(signs=sigma.copy())
+        assert update(closed, values) == 0.5  # |-0.5|
 
     def test_length_mismatch(self):
         state = init_state(5, 2, rng=np.random.default_rng(0))
@@ -127,26 +120,18 @@ class TestExactOracle:
 
     def test_single_point_single_function(self):
         # m = 1, f(x) = 1: sup over {f, -f} of sigma*1 is 1 for both signs
-        assert exact_empirical_rademacher([[1.0]], negation_closure=True) == 1.0
+        assert exact_empirical_rademacher([[1.0]]) == 1.0
 
     def test_matches_update_path_enumeration(self):
         # independent second enumeration: run the incremental update over
         # every sign vector and average
         rng = np.random.default_rng(17)
         values = rng.uniform(size=(2, 3))
-        for closure in (True, False):
-            oracle = exact_empirical_rademacher(values, negation_closure=closure)
-            if not closure:
-                # the incremental path starts its supremum at 0, so compare
-                # against a family that also contains the zero function
-                values_cmp = np.vstack([np.zeros(3), values])
-                oracle = exact_empirical_rademacher(values_cmp, negation_closure=False)
-            else:
-                values_cmp = values
-            total = 0.0
-            for sigma in all_sign_vectors(3):
-                total += update_path_estimate(values_cmp, sigma, closure)
-            assert oracle == pytest.approx(total / 8, abs=1e-12)
+        oracle = exact_empirical_rademacher(values)
+        total = 0.0
+        for sigma in all_sign_vectors(3):
+            total += update_path_estimate(values, sigma)
+        assert oracle == pytest.approx(total / 8, abs=1e-12)
 
     def test_refuses_large_m(self):
         with pytest.raises(DomainError):
@@ -165,16 +150,16 @@ class TestExactOracle:
             m = int(rng.integers(2, 7))
             k = int(rng.integers(1, 4))
             values = rng.uniform(size=(k, m))
-            oracle = exact_empirical_rademacher(values, negation_closure=True)
+            oracle = exact_empirical_rademacher(values)
             total = 0.0
             for sigma in all_sign_vectors(m):
-                total += update_path_estimate(values, sigma, True)
+                total += update_path_estimate(values, sigma)
             assert total / 2**m == pytest.approx(oracle, abs=1e-12)
 
     def test_monte_carlo_concentrates(self):
         rng = np.random.default_rng(31)
         values = rng.uniform(size=(3, 8))
-        oracle = exact_empirical_rademacher(values, negation_closure=True)
+        oracle = exact_empirical_rademacher(values)
         state = init_state(8, 4000, rng=rng)
         for row in values:
             est = update(state, row)
