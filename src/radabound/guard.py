@@ -160,10 +160,13 @@ class Guard:
         halting row, and ``next()`` raises GuardHaltedError if the guard was
         halted in between.
 
-        ``submit_query`` is the one-row case of this path.  Rows of {0, 1}
-        values give outcomes bit-equal to sequential ``submit_query`` calls.
-        For other values in [0, 1] r_tilde and delta_prime may differ from
-        them by a few ulps, because a k-row matrix product may sum in a
+        ``submit_query`` is the one-row case of this path.  A bool matrix
+        stays bool and any other dtype is read as float64.  When every value
+        is 0 or 1 and m < 2**24 the product runs exactly in float32 (see
+        ``RademacherState.correlations``), and the outcomes are bit-equal to
+        sequential ``submit_query`` calls.  Other values use the float64
+        product; for them r_tilde and delta_prime may differ from sequential
+        calls by a few ulps, because a k-row matrix product may sum in a
         different order than k one-row products.
         """
         self._check_open()
@@ -172,7 +175,10 @@ class Guard:
     def _answer_rows(self, values, corr) -> Iterator[QueryOutcome]:
         """Certify each row in turn: commit its suprema and release its mean,
         or halt and end the rows.  Records and yields each outcome."""
-        for row_values, row_corr in zip(values, corr):
+        # One mean per row, taken for the block at once: bit-equal to each
+        # row's own mean.
+        means = values.mean(axis=1)
+        for mean, row_corr in zip(means, corr):
             self._check_open()
             candidate, estimate = self.rad.preview_corr(row_corr)
             delta_prime, answered = self._certify(estimate)
@@ -183,7 +189,7 @@ class Guard:
                 # and the tentative complexity update is not committed.
                 self.halted = True
             outcome = QueryOutcome(
-                empirical_mean=float(row_values.mean()) if answered else None,
+                empirical_mean=float(mean) if answered else None,
                 r_tilde=estimate,
                 delta_prime=delta_prime,
                 answered=answered,

@@ -14,8 +14,11 @@ cut at the first row its own certification test rejects.
 
 The candidates are fixed until one is accepted, since only an acceptance
 moves the scores.  So the learner submits them in blocks: the losses of the
-next features' candidates form one k x m 0/1 matrix, in the order the learner
+next features' candidates form one k x m bool matrix, in the order the learner
 tries them, and ``Guard.submit_batch`` answers it with one matrix product.
+Predictions come from comparing each feature with the current scores, so the
+candidates' float scores are never formed and the losses stay bool all the
+way to that product, which runs exactly in float32.
 The learner reads the outcomes in order and abandons the rest of the block
 after the first feature with an accepted candidate, or at a halt.  A block
 starts at one feature after an acceptance and doubles, up to 64 features,
@@ -113,13 +116,21 @@ def evaluate_on(dataset: LabeledDataset, w: LinearClassifier) -> float:
 _MAX_BLOCK = 64
 
 
-def _candidate_scores(features: np.ndarray, scores: np.ndarray, block) -> np.ndarray:
-    """The scores of the block's candidates, one row each, in the order the
-    learner tries them: feature-major, then weight -1 and +1."""
+def _candidate_predictions(
+    features: np.ndarray, scores: np.ndarray, block
+) -> np.ndarray:
+    """Whether each of the block's candidates predicts +1 at each point, one
+    row per candidate, in the order the learner tries them: feature-major,
+    then weight -1 and +1.
+
+    For finite features, ``scores - x >= 0`` is ``x <= scores`` and
+    ``scores + x >= 0`` is ``x >= -scores``, also where the scores overflow
+    to +-inf, so the candidates' scores are never formed.
+    """
     cols = features[:, block].T
-    out = np.empty((len(block), 2, len(scores)))
-    np.subtract(scores, cols, out=out[:, 0])
-    np.add(scores, cols, out=out[:, 1])
+    out = np.empty((len(block), 2, len(scores)), dtype=bool)
+    np.less_equal(cols, scores, out=out[:, 0])
+    np.greater_equal(cols, -scores, out=out[:, 1])
     return out.reshape(-1, len(scores))
 
 
@@ -146,13 +157,12 @@ def run_adaptive_analysis(
     rows: list[TraceRow] = []
     best_loss = math.inf
 
-    def submit_block(cand_scores_h, cand_scores_f):
-        """Submit the candidates' losses as one batch; yields the outcome and
-        fresh accuracy of each row the caller pulls."""
-        losses = (cand_scores_h >= 0) != positive_h
-        fresh_accs = np.count_nonzero(
-            (cand_scores_f >= 0) == positive_f, axis=1
-        ) / len(fresh)
+    def submit_block(pred_h, pred_f):
+        """Submit the losses of the candidates that predict ``pred_h`` as one
+        bool batch; yields the outcome and fresh accuracy of each row the
+        caller pulls."""
+        losses = pred_h != positive_h
+        fresh_accs = np.count_nonzero(pred_f == positive_f, axis=1) / len(fresh)
         return zip(guard.submit_batch(lambda _points: losses), fresh_accs)
 
     def record(outcome, fresh_acc, feature=None, candidate=0):
@@ -177,13 +187,13 @@ def run_adaptive_analysis(
         return accepted
 
     # Baseline query: the all-zero classifier (predicts +1 everywhere).
-    record(*next(submit_block(scores_h[None], scores_f[None])))
+    record(*next(submit_block((scores_h >= 0)[None], (scores_f >= 0)[None])))
     start, size = 0, 1
     while start < d and not rows[-1].halted:
         block = order[start : start + size]
         answers = submit_block(
-            _candidate_scores(holdout.features, scores_h, block),
-            _candidate_scores(fresh.features, scores_f, block),
+            _candidate_predictions(holdout.features, scores_h, block),
+            _candidate_predictions(fresh.features, scores_f, block),
         )
         for i in block:
             chosen = 0

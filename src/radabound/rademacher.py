@@ -16,8 +16,9 @@ from .errors import ConfigurationError, DimensionError, DomainError
 from .seeding import validate_count
 
 
-def as_floats(values) -> np.ndarray:
-    """``values`` as a float array, provided each is a bool, int or float.
+def as_query_values(values) -> np.ndarray:
+    """``values`` as a C-ordered array: bool stays bool, and any other
+    numeric dtype becomes float64.  Each value must be a bool, int or float.
 
     Anything else (a string, a complex number, None, another object, ragged
     rows) raises DomainError: a string would otherwise be parsed as a number
@@ -31,7 +32,9 @@ def as_floats(values) -> np.ndarray:
         raise DomainError(
             f"query values must be bool, int or float, got dtype {values.dtype}"
         )
-    return values.astype(float, copy=False)
+    # C order makes a block's row means bit-equal to one-row means.
+    dtype = bool if values.dtype == bool else float
+    return values.astype(dtype, order="C", copy=False)
 
 
 def _check_unit_interval(values: np.ndarray) -> np.ndarray:
@@ -39,6 +42,17 @@ def _check_unit_interval(values: np.ndarray) -> np.ndarray:
     if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
         raise DomainError("query values must lie in [0, 1]")
     return values
+
+
+def _zero_one(values: np.ndarray) -> bool:
+    """Whether every entry of ``values`` is 0 or 1."""
+    return values.dtype == bool or bool(((values == 0) | (values == 1)).all())
+
+
+# Below this many columns a row of 0/1 values correlates exactly in float32:
+# every partial sum of 0/1 values times signs is an integer of magnitude at
+# most m, and float32 holds every integer up to 2**24.
+_EXACT_FLOAT32_COLUMNS = 2**24
 
 
 class RademacherState:
@@ -52,6 +66,10 @@ class RademacherState:
             raise ConfigurationError("sign matrix entries must be -1 or +1")
         signs.setflags(write=False)
         self.signs = signs
+        # A private float32 copy for exact 0/1 correlations; see correlations().
+        self._signs32 = None
+        if signs.shape[1] < _EXACT_FLOAT32_COLUMNS:
+            self._signs32 = signs.astype(np.float32)
         self.running_sup = np.zeros(signs.shape[0])
         self.query_count = 0
 
@@ -60,8 +78,8 @@ class RademacherState:
         return float(self.running_sup.mean())
 
     def _validate(self, values) -> np.ndarray:
-        """``values`` as floats: k rows of m, each in [0, 1]."""
-        values = as_floats(values)
+        """``values`` as bool or float64: k rows of m, each in [0, 1]."""
+        values = as_query_values(values)
         m = self.signs.shape[1]
         if values.ndim != 2 or values.shape[1] != m:
             raise DimensionError(
@@ -78,24 +96,31 @@ class RademacherState:
 
     def correlations(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Validate a k x m value matrix and correlate every row with every
-        sign vector in one matrix product.  Returns the values as floats and
-        the k x n_vectors absolute correlations; the state is not touched.
-        A single query is the one-row case: Guard.submit_query comes through
-        here too.
+        sign vector in one matrix product.  Returns the validated values
+        (bool stays bool, any other dtype becomes float64) and the k x
+        n_vectors absolute correlations; the state is not touched.  A single
+        query is the one-row case: Guard.submit_query comes through here too.
 
-        Rows of {0, 1} values give the same bits whatever k is: every partial
-        sum is an integer below 2^53, so summation order cannot round.  For
-        general values in [0, 1] a k-row product may round a few ulps
-        differently from k one-row products.
+        When every value is 0 or 1 and m < 2**24, the product runs in
+        float32 on a private copy of the signs.  Every partial sum is then an
+        integer below 2**24, which float32 holds exactly, so the result has
+        the bits of the float64 product whatever k is or the summation order.
+        Other values use the float64 product; for them a k-row product may
+        round a few ulps differently from k one-row products.
         """
         values = self._validate(values)
-        return values, np.abs(values @ self.signs.T / self.signs.shape[1])
+        if self._signs32 is not None and _zero_one(values):
+            sums = (values.astype(np.float32) @ self._signs32.T).astype(float)
+        else:
+            sums = values @ self.signs.T
+        return values, np.abs(sums / self.signs.shape[1])
 
     def preview_corr(self, corr: np.ndarray) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate after absorbing one query's
         correlations, without mutating the state."""
         candidate = np.maximum(self.running_sup, corr)
-        return candidate, float(candidate.mean())
+        # Bit-equal to candidate.mean(), without its overhead per call.
+        return candidate, float(np.add.reduce(candidate)) / len(candidate)
 
     def commit(self, candidate: np.ndarray) -> None:
         """Adopt suprema previously produced by preview() or preview_corr()."""

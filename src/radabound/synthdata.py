@@ -94,6 +94,10 @@ class LabeledDataset:
             raise ConfigurationError("features must be (n, d), labels (n,)")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ConfigurationError("feature and label row counts disagree")
+        # The learner compares features with scores, which is exact only
+        # for finite features; a NaN score would also predict -1 silently.
+        if self.features.dtype.kind == "f" and not np.isfinite(self.features).all():
+            raise ConfigurationError("features must be finite")
         if not np.all(np.abs(self.labels) == 1):
             raise ConfigurationError("labels must be -1 or +1")
 

@@ -8,7 +8,7 @@ query through the estimator's own steps, the ones ``Guard`` runs.
 import numpy as np
 
 from radabound.errors import DimensionError, DomainError
-from radabound.rademacher import _check_unit_interval, as_floats
+from radabound.rademacher import _check_unit_interval, as_query_values
 
 _ENUMERATION_LIMIT = 20
 
@@ -20,7 +20,7 @@ def exact_empirical_rademacher(value_matrix) -> float:
     evaluated on the sample.  As in the estimator, the supremum also ranges
     over the negated functions (``|correlation|``).  Refuses m > 20.
     """
-    values = as_floats(value_matrix)
+    values = as_query_values(value_matrix)
     if values.ndim != 2:
         raise DimensionError("value matrix must be two-dimensional (k x m)")
     k, m = values.shape

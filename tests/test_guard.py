@@ -202,6 +202,13 @@ class TestSubmitQuery:
         queries["int list"] = vectorized(lambda points: [int(x > 0.5) for x in points])
         for name, query in queries.items():
             assert Guard(sample, cfg).submit_query(query) == want, name
+        # k x m blocks: bool stays bool and the rest become float64, so every
+        # dtype answers as sequential float queries do.
+        rows = np.asarray(sample.points) > np.array([[0.2], [0.5], [0.8]])
+        want_rows = submit_rows(Guard(sample, cfg), rows.astype(float))
+        for dtype in (bool, int, np.float32, np.float64):
+            got = list(Guard(sample, cfg).submit_batch(batch(rows.astype(dtype))))
+            assert got == want_rows, dtype
 
     def test_delta_prime_non_decreasing(self):
         rng = np.random.default_rng(6)

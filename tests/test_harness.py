@@ -26,6 +26,34 @@ def make_dataset(features, labels):
     )
 
 
+def test_candidate_predictions_match_the_sign_of_candidate_scores():
+    # Exact ties (x == scores, x == -scores), signed zeros, and finite
+    # features of size 1e308 next to scores that overflowed to +-inf.
+    big = 1e308
+    scores = np.array([0.5, -0.5, 0.0, -0.0, big + big, -big - big, big, -3.0])
+    finite = np.isfinite(scores)
+    features = np.column_stack([
+        np.where(finite, scores, 1.0),
+        np.where(finite, -scores, -1.0),
+        np.full(8, 0.0),
+        np.full(8, -0.0),
+        np.full(8, big),
+        np.full(8, -big),
+        np.random.default_rng(0).normal(size=8),
+    ])
+    assert np.isfinite(features).all() and not finite.all()
+    block = np.array([6, 0, 3, 1, 5, 2, 4])
+    with np.errstate(over="ignore"):  # the candidates' scores overflow too
+        want = np.stack([
+            row
+            for i in block
+            for row in (scores - features[:, i] >= 0, scores + features[:, i] >= 0)
+        ])
+    got = harness._candidate_predictions(features, scores, block)
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
+
+
 class TestLinearClassifier:
     def test_sign_zero_is_positive(self):
         w = LinearClassifier(weights=np.zeros(3, dtype=int))

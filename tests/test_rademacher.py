@@ -167,6 +167,29 @@ class TestExactOracle:
         assert abs(est - oracle) <= 4 * se
 
 
+class TestCorrelationPaths:
+    def test_zero_one_values_match_the_float64_product(self):
+        # 0/1 rows take the float32 product, which must keep every bit.
+        for k, m, n_vectors in itertools.product((1, 3, 64), (1, 7, 4000), (1, 32, 64)):
+            state = init_state(m, n_vectors, rng=np.random.default_rng(m + n_vectors))
+            bits = np.random.default_rng(k * m).integers(0, 2, size=(k, m))
+            want = np.abs(bits.astype(float) @ state.signs.T / m)
+            for values in (bits.astype(bool), bits, bits.astype(float)):
+                checked, corr = state.correlations(values)
+                assert checked.dtype == (bool if values.dtype == bool else float)
+                assert np.array_equal(corr, want), (k, m, n_vectors, values.dtype)
+
+    def test_one_fractional_entry_takes_the_float64_product(self):
+        # 1/3 has no exact float32 form, so a float32 product would differ.
+        m = 4000
+        state = init_state(m, 32, rng=np.random.default_rng(2))
+        for fraction in (0.5, 1 / 3):
+            values = np.random.default_rng(3).integers(0, 2, size=(3, m)).astype(float)
+            values[1, 17] = fraction
+            _, corr = state.correlations(values)
+            assert np.array_equal(corr, np.abs(values @ state.signs.T / m))
+
+
 class TestSignChecks:
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ConfigurationError):

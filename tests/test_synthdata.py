@@ -220,6 +220,9 @@ class TestLabeledDataset:
                 LabeledDataset(features=features, labels=labels)
         with pytest.raises(ConfigurationError, match="features must not be ragged"):
             LabeledDataset(features=[[1.0, 2.0], [3.0]], labels=[1, -1])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="features must be finite"):
+                LabeledDataset(features=[[0.5, bad], [2.0, 3.0]], labels=[1, -1])
         # Lists are taken as arrays, and the arrays are what is stored.
         ds = LabeledDataset(features=[[0.5, 1.0], [2.0, 3.0]], labels=[1, -1])
         assert isinstance(ds.features, np.ndarray) and ds.features.shape == (2, 2)
