@@ -256,6 +256,10 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except MemoryError as exc:
+        # Sizes that pass validation can still be more than the machine holds.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE

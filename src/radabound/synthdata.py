@@ -7,8 +7,12 @@ In the signal scenario a fixed subset of features is shifted by
 of every fixed classifier is exactly 0.5.
 
 Training, holdout and fresh sets draw from disjoint substreams of the master
-seed, so they are independent and individually reproducible.  Feature columns
-are shuffled by a seeded permutation so learners cannot exploit the canonical
+seed, so they are independent and individually reproducible.  ``generate``
+therefore draws the three sets at once, two of them on their own threads,
+and the bytes do not depend on how many cores those threads get.  Each set's
+normals stream through a small row buffer into the set's column-major
+result, so no n x d temporary is held beside it.  Feature columns are
+shuffled by a seeded permutation so learners cannot exploit the canonical
 placement of the biased columns; the permutation is recorded on the result.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +37,8 @@ from .seeding import (
 
 NORMAL_SAMPLER_IDENTITY = "marsaglia-polar"
 
-# Candidate pairs per sampler block, and rows per block of the permuted copy
-# in generate: small enough that each block's temporaries stay in cache.
+# Candidate pairs per sampler block, and rows of each set's row buffer in
+# generate: small enough that each block's temporaries stay in cache.
 _SAMPLER_BLOCK = 1 << 14
 _COPY_BLOCK_ROWS = 128
 
@@ -126,20 +131,33 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
     Implemented on top of the generator's uniform stream so the sampling
     algorithm itself is pinned independently of the numpy version's ziggurat.
+    The values are those of ``_polar_chunks(rng, n)``, joined in order.
+    """
+    out = np.empty(n)
+    filled = 0
+    for chunk in _polar_chunks(rng, n):
+        out[filled : filled + chunk.size] = chunk
+        filled += chunk.size
+    return out
+
+
+def _polar_chunks(rng: np.random.Generator, n: int):
+    """Yield the n polar-transform normals of ``standard_normals`` in order,
+    one array per sampler block.
+
     Each batch of candidate pairs takes ``batch`` uniforms on [-1, 1) for u,
-    then the next ``batch`` for v.  Accepted pairs fill ``out`` in order as
-    (u * factor, v * factor), with factor = sqrt(-2 log(s) / s); the in-place
-    steps below round exactly as that expression does.
+    then the next ``batch`` for v.  Accepted pairs give the values in order
+    as (u * factor, v * factor), with factor = sqrt(-2 log(s) / s); the
+    in-place steps below round exactly as that expression does.
 
     A batch is walked in blocks of ``_SAMPLER_BLOCK`` pairs, so the
     temporaries stay in cache: u comes from ``rng`` and v from a copy of its
-    bit generator moved ``batch`` draws ahead.  Blocks stop once ``out`` is
-    full, and ``rng`` is then moved past the whole batch, so it ends where
-    two full-length draws would leave it.  This needs a bit generator whose
-    ``advance(k)`` skips k 64-bit draws, as every ``seed_substream`` PCG64
-    does.
+    bit generator moved ``batch`` draws ahead.  Blocks stop once n values are
+    out, and ``rng`` is then moved past the whole batch, so a caller that
+    runs the generator to its end leaves ``rng`` where two full-length draws
+    would.  This needs a bit generator whose ``advance(k)`` skips k 64-bit
+    draws, as every ``seed_substream`` PCG64 does.
     """
-    out = np.empty(n)
     filled = 0
     bits = rng.bit_generator
     while filled < n:
@@ -166,11 +184,12 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
             factor /= s
             np.sqrt(factor, out=factor)
             take = min(2 * idx.size, need)
-            chunk = out[filled : filled + take]
+            chunk = np.empty(take)
             np.multiply(u.take(idx), factor, out=chunk[0::2])
             n_v = take // 2
             np.multiply(v.take(idx[:n_v]), factor[:n_v], out=chunk[1::2])
             filled += take
+            yield chunk
         # Skip the batch's unread u draws and all its v draws.  advance() also
         # clears the buffered half of a 32-bit draw, which uniforms never
         # touch, so put it back.
@@ -179,11 +198,53 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
         bits.state = {
             **bits.state, "has_uint32": kept["has_uint32"], "uinteger": kept["uinteger"]
         }
-    return out
 
 
 def _draw_labels(rng: np.random.Generator, n: int) -> np.ndarray:
     return 2 * rng.integers(0, 2, size=n) - 1
+
+
+def _draw_set(
+    spec: DatasetSpec, name: str, labels: np.ndarray, features: np.ndarray,
+    perm: np.ndarray,
+) -> LabeledDataset:
+    """Fill ``features`` with set ``name``'s points and return the set.
+
+    The polar normals of the set's substream stream through a C-ordered
+    buffer of ``_COPY_BLOCK_ROWS`` rows.  Each full buffer, then the partial
+    last one, is scaled, shifted by ``bias * label`` on its first
+    ``n_biased`` columns and copied with its columns permuted into its rows
+    of ``features``: element by element the float operations of scaling,
+    shifting and permuting the whole n x d sample, so the bits are the same.
+    """
+    n, d = features.shape
+    scale = math.sqrt(spec.variance)
+    buf = np.empty((_COPY_BLOCK_ROWS, d))
+    flat = buf.reshape(-1)
+    filled = 0  # values in buf
+    start = 0  # features row of buf's first row
+
+    def flush(rows: np.ndarray, start: int) -> None:
+        rows *= scale
+        stop = start + rows.shape[0]
+        if spec.n_biased > 0:
+            rows[:, : spec.n_biased] += spec.bias * labels[start:stop, None]
+        features[start:stop] = rows[:, perm]
+
+    for chunk in _polar_chunks(seed_substream(spec.seed, name), n * d):
+        pos = 0
+        while pos < chunk.size:
+            take = min(chunk.size - pos, flat.size - filled)
+            flat[filled : filled + take] = chunk[pos : pos + take]
+            filled += take
+            pos += take
+            if filled == flat.size:
+                flush(buf, start)
+                start += _COPY_BLOCK_ROWS
+                filled = 0
+    if filled:
+        flush(buf[: filled // d], start)
+    return LabeledDataset(features=features, labels=labels)
 
 
 def generate(spec: DatasetSpec) -> SyntheticData:
@@ -193,30 +254,44 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     fixed order train, holdout, fresh; features from per-set substreams; the
     column permutation from its own substream.  Identical specs yield
     bit-identical data.
+
+    The three feature matrices are allocated first, so a size numpy refuses
+    fails before any draw.  Then the train and holdout sets are drawn on
+    their own threads while the calling thread draws the fresh set; numpy
+    releases the interpreter lock in the sampler's array steps, so the sets
+    overlap on a multi-core machine.  Each set streams through a small row
+    buffer into its column-major result, so the peak memory is the three
+    results plus the buffer and one sampler block's temporaries per set,
+    about 2 MB at d = 500.  The first exception of a set, in set order, is
+    raised once every thread has been joined.
     """
-    label_rng = seed_substream(spec.seed, "labels")
-    scale = math.sqrt(spec.variance)
+    names = ("train", "holdout", "fresh")
+    sizes = (spec.m_train, spec.m_holdout, spec.m_fresh)
+    # Column-major, so the learner's per-feature gathers are contiguous.
+    features = [np.empty((n, spec.d), order="F") for n in sizes]
     perm = seed_substream(spec.seed, "permutation").permutation(spec.d)
+    label_rng = seed_substream(spec.seed, "labels")
+    labels = [_draw_labels(label_rng, n) for n in sizes]
 
-    sets = {}
-    for name, n in (
-        ("train", spec.m_train),
-        ("holdout", spec.m_holdout),
-        ("fresh", spec.m_fresh),
-    ):
-        labels = _draw_labels(label_rng, n)
-        features = standard_normals(seed_substream(spec.seed, name), n * spec.d)
-        features = features.reshape(n, spec.d)
-        features *= scale
-        if spec.n_biased > 0:
-            features[:, : spec.n_biased] += spec.bias * labels[:, None]
-        # features[:, perm], copied in row blocks that stay in cache.  The
-        # result is column-major, so the learner's per-feature gathers are
-        # contiguous.
-        permuted = np.empty_like(features, order="F")
-        for start in range(0, n, _COPY_BLOCK_ROWS):
-            rows = slice(start, start + _COPY_BLOCK_ROWS)
-            permuted[rows] = features[rows, perm]
-        sets[name] = LabeledDataset(features=permuted, labels=labels)
+    outcomes = [None] * 3
 
-    return SyntheticData(**sets, column_permutation=perm)
+    def draw(i: int) -> None:
+        try:
+            outcomes[i] = _draw_set(spec, names[i], labels[i], features[i], perm)
+        except Exception as exc:  # raised on the calling thread below
+            outcomes[i] = exc
+
+    threads = []
+    try:
+        for i in (0, 1):
+            thread = threading.Thread(target=draw, args=(i,), name=f"generate-{names[i]}")
+            thread.start()
+            threads.append(thread)
+        draw(2)
+    finally:
+        for thread in threads:
+            thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return SyntheticData(*outcomes, column_permutation=perm)

@@ -279,6 +279,17 @@ class TestRunExperimentCommand:
         assert err.startswith("io error: ") and "File exists" in err
         assert out.read_text() == "not a directory"
 
+    def test_unallocatable_dataset_exit_code(self, tmp_path, capsys):
+        # A valid spec whose 10**8 x 10**5 training matrix (72.8 TiB) numpy
+        # refuses outright, before anything is drawn or touched.
+        cfg = small_config_dict(tmp_path / "out")
+        cfg["experiment"].update(m_train=10**8, m_holdout=2, m_fresh=2, d=10**5)
+        path = write_config(tmp_path, cfg)
+        assert main(["run-experiment", "--config", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompareBoundsCommand:
     def test_default_table(self, capsys):

@@ -2,14 +2,18 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from radabound import synthdata
 from radabound.cli import write_dataset_csv
 from radabound.errors import ConfigurationError
 from radabound.seeding import seed_substream
 from radabound.synthdata import (
+    _COPY_BLOCK_ROWS,
     DatasetSpec,
     LabeledDataset,
     generate,
@@ -191,6 +195,104 @@ class TestGenerate:
         data = generate(spec)
         expected = seed_substream(21, "permutation").permutation(50)
         assert np.array_equal(data.column_permutation, expected)
+
+
+def serial_reference(spec):
+    """generate's sets drawn the plain way: each set's whole n x d sample
+    from ``standard_normals``, scaled, shifted and permuted at once."""
+    label_rng = seed_substream(spec.seed, "labels")
+    perm = seed_substream(spec.seed, "permutation").permutation(spec.d)
+    sets = []
+    for name, n in (
+        ("train", spec.m_train), ("holdout", spec.m_holdout), ("fresh", spec.m_fresh)
+    ):
+        labels = 2 * label_rng.integers(0, 2, size=n) - 1
+        features = standard_normals(seed_substream(spec.seed, name), n * spec.d)
+        features = features.reshape(n, spec.d)
+        features *= math.sqrt(spec.variance)
+        if spec.n_biased > 0:
+            features[:, : spec.n_biased] += spec.bias * labels[:, None]
+        sets.append((features[:, perm], labels))
+    return sets, perm
+
+
+def assert_same_bytes(data, reference):
+    sets, perm = reference
+    assert np.array_equal(data.column_permutation, perm)
+    for ds, (features, labels) in zip(data, sets):
+        # Column-major, so the learner's per-feature gathers are contiguous.
+        assert ds.features.flags.f_contiguous
+        assert ds.features.shape == features.shape
+        assert ds.features.tobytes(order="F") == features.tobytes(order="F")
+        assert ds.labels.tobytes() == labels.tobytes()
+
+
+# Shapes that cross generate's boundaries: set sizes that are and are not
+# multiples of the copy buffer's rows, a set of 1 row, d = 1, n_biased of 0
+# and of d, variance other than 1, and samples from below one sampler block
+# (5 x 3 normals) to several (1501 x 41 normals: a batch of 43110 candidate
+# pairs, walked in 3 blocks).  A sample never needs a second batch: a batch yields
+# about 1.1 n + 50 values, more than 7 sd above the n needed for every n.
+REFERENCE_SPECS = [
+    dict(m_train=5, m_holdout=3, m_fresh=1, d=3),
+    dict(m_train=300, m_holdout=_COPY_BLOCK_ROWS, m_fresh=129, d=1,
+         variance=2.5, n_biased=1, bias=0.7),
+    dict(m_train=1501, m_holdout=257, m_fresh=1, d=41, variance=4.0,
+         n_biased=4, bias=0.5),
+    dict(m_train=1, m_holdout=700, m_fresh=333, d=100, variance=0.3,
+         n_biased=100, bias=-1.25),
+]
+
+
+@pytest.mark.parametrize("fields", REFERENCE_SPECS)
+def test_generate_equals_serial_reference(fields):
+    spec = DatasetSpec(**fields, seed=13)
+    assert_same_bytes(generate(spec), serial_reference(spec))
+
+
+class TestGenerateThreads:
+    SPEC = DatasetSpec(m_train=300, m_holdout=200, m_fresh=100, d=7, n_biased=2,
+                       bias=0.5, variance=2.0, seed=17)
+
+    def test_worker_failure_reaches_caller(self, monkeypatch):
+        draw_set = synthdata._draw_set
+
+        def failing(spec, name, *args):
+            if name == "holdout":
+                raise RuntimeError("holdout failed")
+            return draw_set(spec, name, *args)
+
+        monkeypatch.setattr(synthdata, "_draw_set", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="holdout failed"):
+            generate(self.SPEC)
+        assert threading.active_count() == before
+
+    def test_threads_joined_after_success(self):
+        before = threading.active_count()
+        generate(self.SPEC)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_match_serial_bytes(self):
+        reference = serial_reference(self.SPEC)
+        results = [None] * 4
+        interval = sys.getswitchinterval()
+
+        def call(i):
+            results[i] = generate(self.SPEC)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for data in results:
+            assert_same_bytes(data, reference)
 
 
 class TestLabeledDataset:
