@@ -57,6 +57,8 @@ class RunConfig:
 
     def __post_init__(self):
         validate_type("output_dir", self.output_dir, str)
+        if "\0" in self.output_dir:
+            raise ConfigurationError("output_dir must not contain a NUL character")
         validate_type("emit_dataset_dump", self.emit_dataset_dump, bool)
         eps = self.epsilon_list
         for e in eps:

@@ -124,7 +124,6 @@ class Guard:
             rng=seed_substream(config.seed, "signs"),
         )
         self.halted = False
-        self.history: list[QueryOutcome] = []
         self._certify = Certifier(config, sample.m)
 
     def _check_open(self) -> None:
@@ -155,10 +154,9 @@ class Guard:
         (one matrix product) before this returns; a malformed matrix raises
         DomainError without touching guard state.  The returned iterator
         answers one row per ``next()``, exactly as ``submit_query`` would at
-        that moment: it commits, certifies and records that row only, so rows
-        never pulled are never committed or recorded.  Iteration ends after a
-        halting row, and ``next()`` raises GuardHaltedError if the guard was
-        halted in between.
+        that moment: it certifies and commits that row only, so rows never
+        pulled are never committed.  Iteration ends after a halting row, and
+        ``next()`` raises GuardHaltedError if the guard was halted in between.
 
         ``submit_query`` is the one-row case of this path.  A bool matrix
         stays bool and any other dtype is read as float64.  When every value
@@ -174,7 +172,7 @@ class Guard:
 
     def _answer_rows(self, values, corr) -> Iterator[QueryOutcome]:
         """Certify each row in turn: commit its suprema and release its mean,
-        or halt and end the rows.  Records and yields each outcome."""
+        or halt and end the rows.  Yields each outcome; the guard keeps none."""
         # One mean per row, taken for the block at once: bit-equal to each
         # row's own mean.
         means = values.mean(axis=1)
@@ -188,13 +186,11 @@ class Guard:
                 # Halt: the triggering query is rejected, its mean withheld,
                 # and the tentative complexity update is not committed.
                 self.halted = True
-            outcome = QueryOutcome(
+            yield QueryOutcome(
                 empirical_mean=float(mean) if answered else None,
                 r_tilde=estimate,
                 delta_prime=delta_prime,
                 answered=answered,
             )
-            self.history.append(outcome)
-            yield outcome
             if not answered:
                 return

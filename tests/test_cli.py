@@ -162,6 +162,7 @@ class TestRunExperimentCommand:
             ("guard", "negation_closure", True),
             (None, "emit_dataset_dump", "no"),
             (None, "output_dir", 5),
+            (None, "output_dir", "out\0dir"),
             # both would be written to trace_eps0.1.csv
             (None, "epsilon_list", [0.1, 0.1000001]),
             # misspelled fields

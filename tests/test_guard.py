@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +53,7 @@ class TestGuardConstruction:
             GuardConfig(epsilon=0.1, delta=0.1, n_vectors=32, seed=5),
         )
         assert not g.halted
-        assert g.history == []
+        assert g.rad.query_count == 0
         assert g.rad.estimate() == 0.0
         assert g.rad.signs.shape == (32, 16)
 
@@ -130,33 +132,35 @@ class TestSubmitQuery:
             GuardConfig(epsilon=0.01, delta=0.1, n_vectors=4, seed=77),
         )
         g.submit_query(lambda x: 1.0)
-        count = g.rad.query_count
-        history_len = len(g.history)
+        before = guard_state(g)
         for _ in range(3):
             with pytest.raises(GuardHaltedError):
                 g.submit_query(lambda x: 0.5)
-        assert g.rad.query_count == count
-        assert len(g.history) == history_len
+        assert_same_state(guard_state(g), before)
 
     def test_halt_does_not_commit_state(self):
         g = Guard(
             make_sample(4, seed=9),
             GuardConfig(epsilon=0.01, delta=0.1, n_vectors=4, seed=77),
         )
-        g.submit_query(lambda x: 1.0)
+        outcome = g.submit_query(lambda x: 1.0)
+        assert not outcome.answered and g.halted
         assert g.rad.query_count == 0
-        assert len(g.history) == g.rad.query_count + 1
+        assert not g.rad.running_sup.any()
 
-    def test_history_accounting_while_answering(self):
+    def test_each_answer_commits_one_query(self):
         g = Guard(
             make_sample(20, seed=4),
             GuardConfig(epsilon=0.9, delta=0.1, n_vectors=32, seed=5),
         )
-        for i in range(5):
-            g.submit_query(lambda x, i=i: min(1.0, x * (i + 1) / 5))
+        outcomes = [
+            g.submit_query(lambda x, i=i: min(1.0, x * (i + 1) / 5)) for i in range(5)
+        ]
         assert g.rad.query_count == 5
-        assert len(g.history) == 5
-        assert all(o.answered for o in g.history)
+        assert all(o.answered for o in outcomes)
+        r_tildes = [o.r_tilde for o in outcomes]
+        assert r_tildes == sorted(r_tildes)
+        assert r_tildes[-1] == g.rad.estimate()
 
     DOMAIN_ERRORS = {
         "out of range": (10, lambda x: 2.0),
@@ -179,16 +183,20 @@ class TestSubmitQuery:
     def test_domain_error_rejects_without_state_change(self, case):
         n_points, query = self.DOMAIN_ERRORS[case]
         sample = HoldoutSample(points=make_sample(n_points, seed=4).points, m=10)
-        g = Guard(sample, GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5))
-        g.submit_query(vectorized(lambda points: np.linspace(0.0, 1.0, 10)))
-        sup_before = g.rad.running_sup.copy()
-        history_before = list(g.history)
+        cfg = GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5)
+        # The reference guard answers the same valid queries and never sees
+        # the malformed one.
+        g, reference = Guard(sample, cfg), Guard(sample, cfg)
+        first = vectorized(lambda points: np.linspace(0.0, 1.0, 10))
+        assert g.submit_query(first) == reference.submit_query(first)
+        before = guard_state(g)
         with pytest.raises(DomainError):
             g.submit_query(query)
         assert g.rad.query_count == 1
-        assert np.array_equal(g.rad.running_sup, sup_before)
-        assert g.history == history_before
-        assert not g.halted
+        assert_same_state(guard_state(g), before)
+        second = vectorized(lambda points: np.linspace(1.0, 0.0, 10) ** 2)
+        assert g.submit_query(second) == reference.submit_query(second)
+        assert_same_state(guard_state(g), guard_state(reference))
 
     def test_numeric_value_types_answer_alike(self):
         sample = make_sample(10, seed=4)
@@ -305,7 +313,7 @@ def submit_rows(g, rows):
 
 
 def guard_state(g):
-    return g.rad.running_sup.copy(), g.rad.query_count, list(g.history), g.halted
+    return g.rad.running_sup.copy(), g.rad.query_count, g.halted
 
 
 def assert_same_state(a, b):
@@ -316,9 +324,9 @@ def assert_same_state(a, b):
 class TestSubmitBatch:
     M = 40
 
-    def make_guard(self, epsilon=0.9, method=BoundMethod.MCLT, seed=4):
+    def make_guard(self, epsilon=0.9, method=BoundMethod.MCLT, seed=4, m=M):
         return Guard(
-            HoldoutSample(points=list(range(self.M)), m=self.M),
+            HoldoutSample(points=list(range(m)), m=m),
             GuardConfig(
                 epsilon=epsilon, delta=0.1, n_vectors=8, method=method, seed=seed
             ),
@@ -340,6 +348,7 @@ class TestSubmitBatch:
         # to and including a halt (two of the methods halt here).
         rng = np.random.default_rng(7)
         single, batched = self.make_guard(method=method), self.make_guard(method=method)
+        answers = []
         for k in range(12):
             if single.halted:
                 break
@@ -349,9 +358,10 @@ class TestSubmitBatch:
             else:
                 query = mean_query(lambda x, row=row: row[x])
             want = next(batched.submit_batch(lambda points, row=row: row[None]))
-            assert single.submit_query(query) == want
+            answers.append(single.submit_query(query))
+            assert answers[-1] == want
             assert_same_state(guard_state(single), guard_state(batched))
-        assert len(single.history) > 1
+        assert len(answers) > 1
 
     def test_general_values_agree_to_rounding(self):
         rows = np.random.default_rng(5).uniform(size=(12, self.M))
@@ -393,7 +403,7 @@ class TestSubmitBatch:
         rows = binary_rows(5, self.M, seed=2)
         g = self.make_guard()
         outcomes = g.submit_batch(batch(rows))
-        assert g.rad.query_count == 0 and g.history == []
+        assert g.rad.query_count == 0 and not g.rad.running_sup.any()
         pulled = [next(outcomes), next(outcomes)]
         del outcomes
         reference = self.make_guard()
@@ -455,3 +465,22 @@ class TestSubmitBatch:
         before = guard_state(g)
         assert list(g.submit_batch(batch(np.empty((0, self.M))))) == []
         assert_same_state(guard_state(g), before)
+
+    def test_memory_does_not_grow_with_answered_queries(self):
+        # The guard keeps the suprema, the halt flag and the config, and no
+        # per-query record: answering 2000 queries retains next to nothing.
+        m, k = 400, 2000
+        g = self.make_guard(m=m)
+        rows = np.random.default_rng(11).integers(0, 2, size=(k, m)).astype(bool)
+        assert next(g.submit_batch(batch(rows[:1]))).answered
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            assert all(o.answered for o in g.submit_batch(batch(rows)))
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g.rad.query_count == k + 1
+        assert growth / k < 16, f"{growth / k:.1f} bytes retained per query"

@@ -66,18 +66,18 @@ class GuardMachine(RuleBasedStateMachine):
         self.guard = Guard(HoldoutSample(points=list(range(M)), m=M), self.config)
         self.threshold = delta * (1.0 - delta)
         self.committed_rows = []
+        self.outcomes = []
         self.was_halted = False
         self.last_r_tilde = 0.0
 
     def _snapshot(self):
         rad = self.guard.rad
-        return rad.running_sup.copy(), rad.query_count, list(self.guard.history)
+        return rad.running_sup.copy(), rad.query_count
 
     def _assert_unchanged(self, before):
-        sup, count, history = before
+        sup, count = before
         assert np.array_equal(self.guard.rad.running_sup, sup)
         assert self.guard.rad.query_count == count
-        assert self.guard.history == history
 
     def _submit_rejected(self, query, expected, submit=None):
         before = self._snapshot()
@@ -91,7 +91,7 @@ class GuardMachine(RuleBasedStateMachine):
         fresh = overfit_bound(self.config.method, M, self.config.n_vectors, slack)
         assert outcome.delta_prime == fresh
         assert outcome.answered == (outcome.delta_prime <= self.threshold)
-        assert self.guard.history[-1] is outcome
+        self.outcomes.append(outcome)
         if outcome.answered:
             assert outcome.empirical_mean == float(values.mean())
             self.committed_rows.append(values)
@@ -164,12 +164,11 @@ class GuardMachine(RuleBasedStateMachine):
         assert self.guard.halted == self.was_halted
 
     @invariant()
-    def history_matches_committed_queries(self):
-        history = self.guard.history
+    def outcomes_match_committed_queries(self):
         assert self.guard.rad.query_count == len(self.committed_rows)
-        assert len(history) == len(self.committed_rows) + self.was_halted
-        assert all(o.answered for o in history[: len(self.committed_rows)])
-        r_tildes = [o.r_tilde for o in history]
+        assert len(self.outcomes) == len(self.committed_rows) + self.was_halted
+        assert all(o.answered for o in self.outcomes[: len(self.committed_rows)])
+        r_tildes = [o.r_tilde for o in self.outcomes]
         assert r_tildes == sorted(r_tildes)
 
     @invariant()
