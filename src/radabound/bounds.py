@@ -38,6 +38,13 @@ _SQRT2 = math.sqrt(2.0)
 _GRID_POINTS = 1024
 _REFINE_REL_TOL = 1e-10
 
+# The checks below cap every eps and slack here, since past about 1e154 the
+# squared tolerance overflows.  The cap changes no value: each bound is
+# non-increasing in its tolerance, m and l, and at m = l = 1 is already
+# exactly 0.0 at the cap, with exponents below -1800 (the split bounds at
+# the middle of the split) and normal tails 4000 sd out.
+_TOLERANCE_CAP = 1e4
+
 
 class BoundMethod(str, Enum):
     """Which certification bound the guard applies at each step.  A ``str``
@@ -76,14 +83,16 @@ def _check_counts(m: int, n_vectors: int | None = None) -> None:
             raise DomainError(f"{name} must be an int in [1, {MAX_COUNT}], got {n!r}")
 
 
-def _check_eps(eps: float) -> None:
+def _check_eps(eps: float) -> float:
     if not 0.0 < eps < math.inf:
         raise DomainError(f"estimate-error tolerance must be finite and > 0, got {eps}")
+    return min(eps, _TOLERANCE_CAP)
 
 
-def _check_slack(slack: float) -> None:
+def _check_slack(slack: float) -> float:
     if not 0.0 <= slack < math.inf:
         raise DomainError(f"slack must be finite and >= 0, got {slack}")
+    return min(slack, _TOLERANCE_CAP)
 
 
 def _clamp(p: float) -> float:
@@ -96,7 +105,7 @@ def est_error_bernstein(m: int, n_vectors: int, eps: float) -> float:
     exp(-6 m l eps^2 / (15 + 8 l eps)) with l = n_vectors, clamped to [0, 1].
     """
     _check_counts(m, n_vectors)
-    _check_eps(eps)
+    eps = _check_eps(eps)
     return _clamp(
         math.exp(-6.0 * m * n_vectors * eps * eps / (15.0 + 8.0 * n_vectors * eps))
     )
@@ -105,7 +114,7 @@ def est_error_bernstein(m: int, n_vectors: int, eps: float) -> float:
 def est_error_mcdiarmid(m: int, n_vectors: int, eps: float) -> float:
     """McDiarmid bound on the complexity-estimate error: exp(-2 m l eps^2 / (l + 4))."""
     _check_counts(m, n_vectors)
-    _check_eps(eps)
+    eps = _check_eps(eps)
     return _clamp(math.exp(-2.0 * m * n_vectors * eps * eps / (n_vectors + 4.0)))
 
 
@@ -116,7 +125,7 @@ def est_error_mclt(m: int, n_vectors: int, slack: float) -> float:
     error is treated as N(0, 5/(4 l m)).  Analysis/comparison use only.
     """
     _check_counts(m, n_vectors)
-    _check_slack(slack)
+    slack = _check_slack(slack)
     return normal_sf(2.0 * slack * math.sqrt(n_vectors * m / 5.0))
 
 
@@ -169,7 +178,7 @@ def overfit_bound_two_term(m: int, n_vectors: int, slack: float) -> float:
     Returns 1 for slack = 0.
     """
     _check_counts(m, n_vectors)
-    _check_slack(slack)
+    slack = _check_slack(slack)
 
     def objective(a, exp):
         t1 = exp(-2.0 * m * (slack - a) ** 2)
@@ -186,7 +195,7 @@ def overfit_bound_bernstein_single(m: int, n_vectors: int, slack: float) -> floa
     Returns 1 for slack = 0.
     """
     _check_counts(m, n_vectors)
-    _check_slack(slack)
+    slack = _check_slack(slack)
     denom = (n_vectors + 4.0 * math.sqrt(n_vectors) + 20.0) / (
         2.0 * m * n_vectors
     ) + 4.0 * slack / (3.0 * m)
@@ -200,7 +209,7 @@ def overfit_bound_mclt(m: int, n_vectors: int, slack: float) -> float:
     slack = 0 (the exact limit value).
     """
     _check_counts(m, n_vectors)
-    _check_slack(slack)
+    slack = _check_slack(slack)
     scale = math.sqrt(
         4.0 * n_vectors * m / (n_vectors + 4.0 * math.sqrt(n_vectors) + 20.0)
     )
@@ -212,7 +221,7 @@ def overfit_bound_mcdiarmid_combined(m: int, n_vectors: int, slack: float) -> fl
     slack = e1 + 2 e2 of exp(-2 m e1^2) + exp(-2 m l e2^2 / (l + 4)).
     Returns 1 for slack = 0."""
     _check_counts(m, n_vectors)
-    _check_slack(slack)
+    slack = _check_slack(slack)
 
     def objective(e1, exp):
         e2 = (slack - e1) / 2.0

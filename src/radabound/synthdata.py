@@ -8,7 +8,7 @@ of every fixed classifier is exactly 0.5.
 
 Training, holdout and fresh sets draw from disjoint substreams of the master
 seed, so they are independent and individually reproducible.  ``generate``
-therefore draws the three sets at once, two of them on their own threads,
+therefore draws the three sets at once, two of them on a two-thread pool,
 and the bytes do not depend on how many cores those threads get.  Each set's
 normals stream through a small row buffer into the set's column-major
 result, so no n x d temporary is held beside it.  Feature columns are
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,14 +255,14 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     bit-identical data.
 
     The three feature matrices are allocated first, so a size numpy refuses
-    fails before any draw.  Then the train and holdout sets are drawn on
-    their own threads while the calling thread draws the fresh set; numpy
-    releases the interpreter lock in the sampler's array steps, so the sets
-    overlap on a multi-core machine.  Each set streams through a small row
-    buffer into its column-major result, so the peak memory is the three
+    fails before any draw.  Then a two-thread ``ThreadPoolExecutor`` draws
+    the train and holdout sets while the calling thread draws the fresh set;
+    numpy releases the interpreter lock in the sampler's array steps, so the
+    sets overlap on a multi-core machine.  Each set streams through a small
+    row buffer into its column-major result, so the peak memory is the three
     results plus the buffer and one sampler block's temporaries per set,
     about 2 MB at d = 500.  The first exception of a set, in set order, is
-    raised once every thread has been joined.
+    raised once every set has finished and the pool has shut down.
     """
     names = ("train", "holdout", "fresh")
     sizes = (spec.m_train, spec.m_holdout, spec.m_fresh)
@@ -273,25 +272,19 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     label_rng = seed_substream(spec.seed, "labels")
     labels = [_draw_labels(label_rng, n) for n in sizes]
 
-    outcomes = [None] * 3
+    # Imported here: concurrent.futures pulls in logging, which would slow
+    # every ``import radabound``, including runs that never call generate.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def draw(i: int) -> None:
+    def draw(i: int) -> LabeledDataset:
+        return _draw_set(spec, names[i], labels[i], features[i], perm)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        drawn = [pool.submit(draw, i) for i in (0, 1)]
         try:
-            outcomes[i] = _draw_set(spec, names[i], labels[i], features[i], perm)
-        except Exception as exc:  # raised on the calling thread below
-            outcomes[i] = exc
-
-    threads = []
-    try:
-        for i in (0, 1):
-            thread = threading.Thread(target=draw, args=(i,), name=f"generate-{names[i]}")
-            thread.start()
-            threads.append(thread)
-        draw(2)
-    finally:
-        for thread in threads:
-            thread.join()
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return SyntheticData(*outcomes, column_permutation=perm)
+            fresh = draw(2)
+        finally:
+            # Raises the first error in set order, ahead of any error of
+            # fresh; leaving the with block waits for both pool sets.
+            train, holdout = [future.result() for future in drawn]
+    return SyntheticData(train, holdout, fresh, column_permutation=perm)

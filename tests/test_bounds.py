@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from radabound.bounds import (
+    _TOLERANCE_CAP,
     COMPARE_TABLE_HEADER,
     BoundMethod,
     compare_bounds_table,
@@ -20,6 +21,7 @@ from radabound.bounds import (
 )
 from radabound.cli import cmd_compare_bounds
 from radabound.errors import DomainError
+from radabound.seeding import MAX_COUNT
 
 mp.mp.dps = 40
 
@@ -183,18 +185,18 @@ class TestOverfitBounds:
             overfit_bound_mclt(100, 8, -0.01)
 
 
-@pytest.mark.parametrize(
-    "bound",
-    [
-        est_error_bernstein,
-        est_error_mcdiarmid,
-        est_error_mclt,
-        overfit_bound_two_term,
-        overfit_bound_bernstein_single,
-        overfit_bound_mclt,
-        overfit_bound_mcdiarmid_combined,
-    ],
-)
+ALL_BOUNDS = [
+    est_error_bernstein,
+    est_error_mcdiarmid,
+    est_error_mclt,
+    overfit_bound_two_term,
+    overfit_bound_bernstein_single,
+    overfit_bound_mclt,
+    overfit_bound_mcdiarmid_combined,
+]
+
+
+@pytest.mark.parametrize("bound", ALL_BOUNDS)
 def test_infinite_tolerance_rejected(bound):
     # An infinite eps or slack is outside every bound's domain, and every
     # bound says so the same way.  So is a sample size that is not an integer.
@@ -202,6 +204,21 @@ def test_infinite_tolerance_rejected(bound):
         bound(1000, 8, math.inf)
     with pytest.raises(DomainError, match="sample size must be an int"):
         bound(1000.5, 8, 0.1)
+
+
+@pytest.mark.parametrize("tolerance", [1e154, 1e200, 1e308])
+@pytest.mark.parametrize("bound", ALL_BOUNDS)
+def test_huge_finite_tolerance_is_a_probability(bound, tolerance):
+    # The squared tolerance overflows here; numpy warnings are errors.
+    for m, l in ((10, 2), (1, 1), (MAX_COUNT, MAX_COUNT)):
+        assert 0.0 <= bound(m, l, tolerance) <= 1.0
+
+
+@pytest.mark.parametrize("bound", ALL_BOUNDS)
+def test_tolerance_cap_changes_no_value(bound):
+    # Every bound is non-increasing in its tolerance, m and l, so a 0.0 at
+    # the loosest counts just below the cap is 0.0 everywhere above it.
+    assert bound(1, 1, math.nextafter(_TOLERANCE_CAP, 0.0)) == 0.0
 
 
 # float.hex of the two split-minimised bounds, recorded from the scalar

@@ -333,6 +333,12 @@ class TestCompareBoundsCommand:
             == "8b1ad1bdee0a1983150aa66eed1a55fde4185b425138ee969154bdfe7cc44fe3"
         )
 
+    def test_huge_finite_eps(self, capsys):
+        # eps squared overflows, but every bound is 0 long before.
+        args = ["--eps", "1e308", "--m", "10", "--l", "2"]
+        assert main(["compare-bounds", *args]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "2,0,0,0"
+
     def test_bad_eps_exit_code(self, capsys):
         cases = [
             ["--eps", "0"],

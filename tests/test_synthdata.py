@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +269,33 @@ class TestGenerateThreads:
         with pytest.raises(RuntimeError, match="holdout failed"):
             generate(self.SPEC)
         assert threading.active_count() == before
+
+    def test_first_failure_in_set_order_is_raised(self, monkeypatch):
+        # Fresh is drawn on the calling thread and fails first, but train's
+        # error is the one raised, after both worker sets have finished.
+        draw_set = synthdata._draw_set
+
+        def failing(spec, name, *args):
+            if name in ("train", "fresh"):
+                raise RuntimeError(f"{name} failed")
+            return draw_set(spec, name, *args)
+
+        monkeypatch.setattr(synthdata, "_draw_set", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="train failed"):
+            generate(self.SPEC)
+        assert threading.active_count() == before
+
+    def test_import_does_not_load_thread_pool(self):
+        # generate imports concurrent.futures, and with it logging, only
+        # when called, so importing the package stays light.
+        # The child imports the same copy of the package as this process.
+        package_parent = str(Path(synthdata.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {package_parent!r}); import radabound; "
+            "assert 'concurrent.futures' not in sys.modules, radabound.__file__"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_threads_joined_after_success(self):
         before = threading.active_count()
