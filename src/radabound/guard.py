@@ -170,12 +170,11 @@ class Guard:
         self._check_open()
         return self._answer_rows(*self.rad.correlations(query(self.sample.points)))
 
-    def _answer_rows(self, values, corr) -> Iterator[QueryOutcome]:
-        """Certify each row in turn: commit its suprema and release its mean,
-        or halt and end the rows.  Yields each outcome; the guard keeps none."""
-        # One mean per row, taken for the block at once: bit-equal to each
-        # row's own mean.
-        means = values.mean(axis=1)
+    def _answer_rows(self, means, corr) -> Iterator[QueryOutcome]:
+        """Certify each row in turn, given the row means and correlations that
+        ``RademacherState.correlations`` returns: commit its suprema and release
+        its mean, or halt and end the rows.  Yields each outcome; the guard
+        keeps none."""
         for mean, row_corr in zip(means, corr):
             self._check_open()
             candidate, estimate = self.rad.preview_corr(row_corr)

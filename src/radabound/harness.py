@@ -13,17 +13,18 @@ largest epsilon: a smaller epsilon's trace is a prefix of that run's rows,
 cut at the first row its own certification test rejects.
 
 The candidates are fixed until one is accepted, since only an acceptance
-moves the scores.  So the learner submits them in blocks: the losses of the
-next features' candidates form one k x m bool matrix, in the order the learner
-tries them, and ``Guard.submit_batch`` answers it with one matrix product.
-Predictions come from comparing each feature with the current scores, so the
-candidates' float scores are never formed and the losses stay bool all the
-way to that product, which runs exactly in float32.
-The learner reads the outcomes in order and abandons the rest of the block
-after the first feature with an accepted candidate, or at a halt.  A block
-starts at one feature after an acceptance and doubles, up to 64 features,
-after each block without one.  The losses are 0/1, so every outcome is
-bit-equal to submitting the candidates one query at a time.
+moves the scores.  So the learner submits them in blocks: the holdout losses
+of the next features' candidates form one k x m bool matrix, in the order the
+learner tries them, and ``Guard.submit_batch`` answers it with one matrix
+product.  Predictions come from comparing each feature with the current
+scores, so the candidates' float scores are never formed and the losses stay
+bool all the way to that product, which runs exactly in float32.  The learner
+reads the outcomes in order, scoring each recorded row's fresh accuracy from
+its feature's fresh column, and abandons the rest of the block after the
+first feature with an accepted candidate, or at a halt.  A block starts at
+one feature after an acceptance and doubles, up to 64 features, after each
+block without one.  The losses are 0/1, so every outcome is bit-equal to
+submitting the candidates one query at a time.
 """
 
 from __future__ import annotations
@@ -157,24 +158,25 @@ def run_adaptive_analysis(
     rows: list[TraceRow] = []
     best_loss = math.inf
 
-    def submit_block(pred_h, pred_f):
+    def submit_block(pred_h):
         """Submit the losses of the candidates that predict ``pred_h`` as one
-        bool batch; yields the outcome and fresh accuracy of each row the
-        caller pulls."""
-        losses = pred_h != positive_h
-        fresh_accs = np.count_nonzero(pred_f == positive_f, axis=1) / len(fresh)
-        return zip(guard.submit_batch(lambda _points: losses), fresh_accs)
+        bool batch; yields the outcome of each row the caller pulls."""
+        return guard.submit_batch(lambda _points: pred_h != positive_h)
 
-    def record(outcome, fresh_acc, feature=None, candidate=0):
-        """Append the trace row; returns whether the candidate was accepted."""
+    def record(outcome, feature=None, candidate=0):
+        """Append the trace row, scoring its candidate's fresh accuracy under
+        the current scores; returns whether the candidate was accepted."""
         nonlocal best_loss
+        # _candidate_predictions' comparisons; the baseline's column is all 0.
+        col = fresh.features[:, feature] if candidate else 0
+        pred_f = col >= -scores_f if candidate > 0 else col <= scores_f
         accepted = outcome.answered and outcome.empirical_mean < best_loss
         if accepted:
             best_loss = outcome.empirical_mean
         rows.append(
             TraceRow(
                 query_index=len(rows) + 1,
-                fresh_acc=float(fresh_acc),
+                fresh_acc=float(np.count_nonzero(pred_f == positive_f) / len(fresh)),
                 r_tilde=outcome.r_tilde,
                 delta_prime=outcome.delta_prime,
                 accepted=accepted,
@@ -187,25 +189,25 @@ def run_adaptive_analysis(
         return accepted
 
     # Baseline query: the all-zero classifier (predicts +1 everywhere).
-    record(*next(submit_block((scores_h >= 0)[None], (scores_f >= 0)[None])))
+    record(next(submit_block((scores_h >= 0)[None])))
     start, size = 0, 1
     while start < d and not rows[-1].halted:
         block = order[start : start + size]
-        answers = submit_block(
-            _candidate_predictions(holdout.features, scores_h, block),
-            _candidate_predictions(fresh.features, scores_f, block),
-        )
+        answers = submit_block(_candidate_predictions(holdout.features, scores_h, block))
         for i in block:
             chosen = 0
             for cand in (-1, 1):
-                if record(*next(answers), int(i), cand):
+                if record(next(answers), int(i), cand):
                     chosen = cand
                 if rows[-1].halted:
                     break
             start += 1
             if chosen != 0:
-                scores_h = scores_h + chosen * holdout.features[:, i]
-                scores_f = scores_f + chosen * fresh.features[:, i]
+                # Not ``+ chosen * column``: numpy will not negate an unsigned
+                # column, and for floats s - x is the same operation as s + -x.
+                step = np.add if chosen > 0 else np.subtract
+                scores_h = step(scores_h, holdout.features[:, i])
+                scores_f = step(scores_f, fresh.features[:, i])
             if chosen != 0 or rows[-1].halted:
                 break
         # An acceptance moves the scores and leaves the rest of the block

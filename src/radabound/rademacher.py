@@ -85,7 +85,8 @@ class RademacherState:
             raise DimensionError(
                 f"expected rows of {m} query values, got shape {values.shape}"
             )
-        return _check_unit_interval(values)
+        # A bool block lies in [0, 1] by its dtype.
+        return values if values.dtype == bool else _check_unit_interval(values)
 
     # Only the trace shim calls preview(); it goes once the shim traces
     # correlations() instead (ROADMAP item 7).
@@ -96,24 +97,28 @@ class RademacherState:
 
     def correlations(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Validate a k x m value matrix and correlate every row with every
-        sign vector in one matrix product.  Returns the validated values
-        (bool stays bool, any other dtype becomes float64) and the k x
-        n_vectors absolute correlations; the state is not touched.  A single
-        query is the one-row case: Guard.submit_query comes through here too.
+        sign vector in one matrix product.  Returns each row's mean and the
+        k x n_vectors absolute correlations; the state is not touched.  A
+        single query is the one-row case: Guard.submit_query comes through
+        here too.
 
-        When every value is 0 or 1 and m < 2**24, the product runs in
-        float32 on a private copy of the signs.  Every partial sum is then an
-        integer below 2**24, which float32 holds exactly, so the result has
-        the bits of the float64 product whatever k is or the summation order.
-        Other values use the float64 product; for them a k-row product may
-        round a few ulps differently from k one-row products.
+        When every value is 0 or 1 and m < 2**24, the product and the row
+        sums run in float32.  Every partial sum is then an integer below
+        2**24, which float32 holds exactly, so the result has the bits of the
+        float64 product and mean whatever k is or the summation order.  Other
+        values use the float64 product; for them a k-row product may round a
+        few ulps differently from k one-row products.
         """
         values = self._validate(values)
+        m = self.signs.shape[1]
         if self._signs32 is not None and _zero_one(values):
-            sums = (values.astype(np.float32) @ self._signs32.T).astype(float)
+            values = values.astype(np.float32)
+            sums = (values @ self._signs32.T).astype(float)
+            means = values.sum(axis=1).astype(float) / m
         else:
             sums = values @ self.signs.T
-        return values, np.abs(sums / self.signs.shape[1])
+            means = values.mean(axis=1)
+        return means, np.abs(sums / m)
 
     def preview_corr(self, corr: np.ndarray) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate after absorbing one query's

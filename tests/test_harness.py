@@ -558,3 +558,28 @@ class TestBlockedAnalysis:
         assert (first.candidate, second.candidate) == (-1, 1)
         assert first.accepted and second.accepted
         assert trace.final_classifier.weights[first.feature] == 1
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool, np.float32])
+    def test_feature_dtype_gives_the_float64_trace(self, dtype):
+        # 0/1 features, which each dtype holds exactly.  Feature 0 is 1 on
+        # every negative and 30% of positives: the learner accepts it at
+        # weight -1, which numpy cannot apply as -1 times an unsigned column.
+        # Feature 1 is 1 on 40% of positives only: it then turns the tied
+        # positives back to +1 and is accepted at weight +1.
+        rng = np.random.default_rng(7)
+        sets = []
+        for m in (300, 200, 200):
+            labels = 2 * rng.integers(0, 2, size=m) - 1
+            features = rng.integers(0, 2, size=(m, 6))
+            features[:, 0] = (labels == -1) | (rng.random(m) < 0.3)
+            features[:, 1] = (labels == 1) & (rng.random(m) < 0.4)
+            sets.append((features, labels))
+        cfg = GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=7)
+        floats = [make_dataset(x, y) for x, y in sets]
+        want = run_adaptive_analysis(*floats, cfg)
+        assert_same_trace(want, reference_analysis(*floats, cfg))
+        got = run_adaptive_analysis(
+            *(LabeledDataset(features=x.astype(dtype), labels=y) for x, y in sets), cfg
+        )
+        assert_same_trace(got, want)
+        assert {(r.feature, r.candidate) for r in got.rows if r.accepted} >= {(0, -1), (1, 1)}

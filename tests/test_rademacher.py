@@ -175,8 +175,9 @@ class TestCorrelationPaths:
             bits = np.random.default_rng(k * m).integers(0, 2, size=(k, m))
             want = np.abs(bits.astype(float) @ state.signs.T / m)
             for values in (bits.astype(bool), bits, bits.astype(float)):
-                checked, corr = state.correlations(values)
-                assert checked.dtype == (bool if values.dtype == bool else float)
+                means, corr = state.correlations(values)
+                want_means = values.astype(float).mean(axis=1)
+                assert means.tobytes() == want_means.tobytes(), (k, m, values.dtype)
                 assert np.array_equal(corr, want), (k, m, n_vectors, values.dtype)
 
     def test_one_fractional_entry_takes_the_float64_product(self):
@@ -186,7 +187,8 @@ class TestCorrelationPaths:
         for fraction in (0.5, 1 / 3):
             values = np.random.default_rng(3).integers(0, 2, size=(3, m)).astype(float)
             values[1, 17] = fraction
-            _, corr = state.correlations(values)
+            means, corr = state.correlations(values)
+            assert means.tobytes() == values.mean(axis=1).tobytes()
             assert np.array_equal(corr, np.abs(values @ state.signs.T / m))
 
 
