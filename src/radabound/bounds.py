@@ -241,8 +241,14 @@ _METHOD_DISPATCH = {
 
 
 def overfit_bound(method: BoundMethod, m: int, n_vectors: int, slack: float) -> float:
-    """Dispatch to the overfit-probability bound selected by ``method``."""
-    return _METHOD_DISPATCH[method](m, n_vectors, slack)
+    """Dispatch to the overfit-probability bound selected by ``method``, a
+    ``BoundMethod`` or its value.  Any other method raises DomainError."""
+    try:
+        bound = _METHOD_DISPATCH[method]
+    except (KeyError, TypeError):
+        names = ", ".join(choice.value for choice in BoundMethod)
+        raise DomainError(f"method must be one of {names}, got {method!r}") from None
+    return bound(m, n_vectors, slack)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ NORMAL_SAMPLER_IDENTITY = "marsaglia-polar"
 # generate: small enough that each block's temporaries stay in cache.
 _SAMPLER_BLOCK = 1 << 14
 _COPY_BLOCK_ROWS = 128
+# Candidate pairs per value still needed, in each sampler batch: about pi/4
+# of the pairs are accepted and each gives 2 values, so one batch almost
+# always suffices.
+_BATCH_PAIRS_PER_VALUE = 0.7
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,8 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
     Implemented on top of the generator's uniform stream so the sampling
     algorithm itself is pinned independently of the numpy version's ziggurat.
-    The values are those of ``_polar_chunks(rng, n)``, joined in order.
+    The values are those of ``_polar_chunks(rng, n)``, joined in order;
+    ``rng`` must run on a PCG64 or PCG64DXSM bit generator.
     """
     out = np.empty(n)
     filled = 0
@@ -155,12 +160,18 @@ def _polar_chunks(rng: np.random.Generator, n: int):
     out, and ``rng`` is then moved past the whole batch, so a caller that
     runs the generator to its end leaves ``rng`` where two full-length draws
     would.  This needs a bit generator whose ``advance(k)`` skips k 64-bit
-    draws, as every ``seed_substream`` PCG64 does.
+    draws: PCG64, as every ``seed_substream`` is, or PCG64DXSM.  Any other
+    raises ConfigurationError.
     """
-    filled = 0
     bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ConfigurationError(
+            f"the polar sampler needs a PCG64 or PCG64DXSM bit generator, "
+            f"got {type(bits).__name__}"
+        )
+    filled = 0
     while filled < n:
-        batch = int((n - filled) * 0.7) + 32  # ~pi/4 pair acceptance, 2 values/pair
+        batch = int((n - filled) * _BATCH_PAIRS_PER_VALUE) + 32
         v_bits = type(bits)()
         v_bits.state = bits.state
         v_bits.advance(batch)
@@ -199,50 +210,39 @@ def _polar_chunks(rng: np.random.Generator, n: int):
         }
 
 
-def _draw_labels(rng: np.random.Generator, n: int) -> np.ndarray:
-    return 2 * rng.integers(0, 2, size=n) - 1
-
-
 def _draw_set(
     spec: DatasetSpec, name: str, labels: np.ndarray, features: np.ndarray,
     perm: np.ndarray,
 ) -> LabeledDataset:
     """Fill ``features`` with set ``name``'s points and return the set.
 
-    The polar normals of the set's substream stream through a C-ordered
-    buffer of ``_COPY_BLOCK_ROWS`` rows.  Each full buffer, then the partial
-    last one, is scaled, shifted by ``bias * label`` on its first
-    ``n_biased`` columns and copied with its columns permuted into its rows
-    of ``features``: element by element the float operations of scaling,
-    shifting and permuting the whole n x d sample, so the bits are the same.
+    The set's polar normals stream through a buffer of ``_COPY_BLOCK_ROWS``
+    rows, flushed at one site when it is full or the last value has arrived,
+    so the last flush takes the partial buffer.  A flush scales the rows,
+    shifts their first ``n_biased`` columns by ``bias * label`` and copies
+    them, columns permuted, into ``features``: element by element the float
+    operations on the whole n x d sample, so the bits are the same.
     """
     n, d = features.shape
     scale = math.sqrt(spec.variance)
-    buf = np.empty((_COPY_BLOCK_ROWS, d))
-    flat = buf.reshape(-1)
+    buf = np.empty(_COPY_BLOCK_ROWS * d)
     filled = 0  # values in buf
     start = 0  # features row of buf's first row
-
-    def flush(rows: np.ndarray, start: int) -> None:
-        rows *= scale
-        stop = start + rows.shape[0]
-        if spec.n_biased > 0:
-            rows[:, : spec.n_biased] += spec.bias * labels[start:stop, None]
-        features[start:stop] = rows[:, perm]
-
     for chunk in _polar_chunks(seed_substream(spec.seed, name), n * d):
         pos = 0
         while pos < chunk.size:
-            take = min(chunk.size - pos, flat.size - filled)
-            flat[filled : filled + take] = chunk[pos : pos + take]
+            take = min(chunk.size - pos, buf.size - filled)
+            buf[filled : filled + take] = chunk[pos : pos + take]
             filled += take
             pos += take
-            if filled == flat.size:
-                flush(buf, start)
-                start += _COPY_BLOCK_ROWS
-                filled = 0
-    if filled:
-        flush(buf[: filled // d], start)
+            stop = start + filled // d
+            if filled == buf.size or stop == n:
+                rows = buf[:filled].reshape(-1, d)
+                rows *= scale
+                if spec.n_biased > 0:
+                    rows[:, : spec.n_biased] += spec.bias * labels[start:stop, None]
+                features[start:stop] = rows[:, perm]
+                start, filled = stop, 0
     return LabeledDataset(features=features, labels=labels)
 
 
@@ -270,7 +270,7 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     features = [np.empty((n, spec.d), order="F") for n in sizes]
     perm = seed_substream(spec.seed, "permutation").permutation(spec.d)
     label_rng = seed_substream(spec.seed, "labels")
-    labels = [_draw_labels(label_rng, n) for n in sizes]
+    labels = [2 * label_rng.integers(0, 2, size=n) - 1 for n in sizes]
 
     # Imported here: concurrent.futures pulls in logging, which would slow
     # every ``import radabound``, including runs that never call generate.

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from radabound import bounds
 from radabound.bounds import (
     _TOLERANCE_CAP,
     COMPARE_TABLE_HEADER,
@@ -183,6 +184,22 @@ class TestOverfitBounds:
     def test_negative_slack_rejected(self):
         with pytest.raises(DomainError):
             overfit_bound_mclt(100, 8, -0.01)
+
+    def test_unknown_method_rejected(self):
+        names = "bernstein_two_term, bernstein_single, mclt, mcdiarmid_combined"
+        for method in ("bogus", None, 3, ["mclt"]):
+            with pytest.raises(DomainError, match=f"one of {names}, got"):
+                overfit_bound(method, 100, 8, 0.1)
+        # The value string names its method.
+        assert overfit_bound("mclt", 100, 8, 0.1) == overfit_bound_mclt(100, 8, 0.1)
+
+    def test_key_error_inside_a_bound_is_not_masked(self, monkeypatch):
+        def failing(m, n_vectors, slack):
+            raise KeyError("inside the bound")
+
+        monkeypatch.setitem(bounds._METHOD_DISPATCH, BoundMethod.MCLT, failing)
+        with pytest.raises(KeyError, match="inside the bound"):
+            overfit_bound(BoundMethod.MCLT, 100, 8, 0.1)
 
 
 ALL_BOUNDS = [

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from radabound import rademacher
 from radabound.errors import ConfigurationError, DimensionError, DomainError
+from radabound.guard import Guard, GuardConfig, HoldoutSample
 from radabound.rademacher import RademacherState, init_state
 
 from rademacher_oracle import exact_empirical_rademacher, update
@@ -190,6 +192,37 @@ class TestCorrelationPaths:
             means, corr = state.correlations(values)
             assert means.tobytes() == values.mean(axis=1).tobytes()
             assert np.array_equal(corr, np.abs(values @ state.signs.T / m))
+
+    def test_zero_one_values_at_the_float32_limit_take_the_float64_product(
+        self, monkeypatch
+    ):
+        # From m = 2**24 columns there is no float32 copy of the signs; a
+        # lower limit reaches that path at a small m.
+        m = 4000
+        bits = np.random.default_rng(6).integers(0, 2, size=(3, m))
+        for limit in (1, m):
+            monkeypatch.setattr(rademacher, "_EXACT_FLOAT32_COLUMNS", limit)
+            state = init_state(m, 32, rng=np.random.default_rng(5))
+            assert state._signs32 is None
+            for values in (bits.astype(bool), bits, bits.astype(float)):
+                means, corr = state.correlations(values)
+                want = values.astype(float)
+                assert means.tobytes() == want.mean(axis=1).tobytes(), values.dtype
+                want_corr = np.abs(want @ state.signs.T / m)
+                assert corr.tobytes() == want_corr.tobytes(), values.dtype
+
+    def test_guard_answers_alike_on_either_product(self, monkeypatch):
+        m = 4000
+        bits = np.random.default_rng(7).integers(0, 2, size=(40, m)).astype(bool)
+        sample = HoldoutSample(points=None, m=m)
+        # Answers 18 rows, then halts on the 19th.
+        config = GuardConfig(epsilon=0.06, delta=0.1, n_vectors=32, seed=3)
+        float32_rows = list(Guard(sample, config).submit_batch(lambda points: bits))
+        assert [row.answered for row in float32_rows] == [True] * 18 + [False]
+        monkeypatch.setattr(rademacher, "_EXACT_FLOAT32_COLUMNS", m)
+        guard = Guard(sample, config)
+        assert guard.rad._signs32 is None
+        assert list(guard.submit_batch(lambda points: bits)) == float32_rows
 
 
 class TestSignChecks:

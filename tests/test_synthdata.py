@@ -100,6 +100,50 @@ class TestNormalSampler:
         standard_normals(rng, 7)
         assert int(rng.integers(2**31 - 1, dtype=np.int32)) == 488200390
 
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
+                                               np.random.Philox])
+    def test_bit_generator_without_64_bit_advance_rejected(self, bit_generator):
+        # MT19937 and SFC64 have no advance(); Philox's counts 4-word blocks.
+        rng = np.random.Generator(bit_generator(12345))
+        with pytest.raises(ConfigurationError, match="PCG64 or PCG64DXSM"):
+            standard_normals(rng, 7)
+
+    # With 2 values a pair, a batch of int(f n) + 32 pairs gives at most
+    # 2 f n + 64 values: fewer than n at f = 0.1 and 0.3 for n = 1000 and
+    # 50000, so those calls need later batches.
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    @pytest.mark.parametrize("factor", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 50000])
+    def test_equals_plain_reference(self, monkeypatch, bit_generator, factor, n):
+        monkeypatch.setattr(synthdata, "_BATCH_PAIRS_PER_VALUE", factor)
+        got_rng, want_rng = (np.random.Generator(bit_generator(12345)) for _ in range(2))
+        for rng in (got_rng, want_rng):
+            rng.integers(2**31 - 1, dtype=np.int32)  # buffers the other half
+        got = standard_normals(got_rng, n)
+        assert got.tobytes() == plain_polar(want_rng, n).tobytes()
+        # The buffered half, then a half of the next 64-bit draw.
+        for _ in range(2):
+            got_next = int(got_rng.integers(2**31 - 1, dtype=np.int32))
+            assert got_next == int(want_rng.integers(2**31 - 1, dtype=np.int32))
+
+
+def plain_polar(rng, n):
+    """``standard_normals`` by its definition: each batch draws all its u,
+    then all its v, and the accepted pairs give (u * f, v * f) in order."""
+    values = []
+    filled = 0
+    while filled < n:
+        batch = int((n - filled) * synthdata._BATCH_PAIRS_PER_VALUE) + 32
+        u = rng.uniform(-1.0, 1.0, size=batch)
+        v = rng.uniform(-1.0, 1.0, size=batch)
+        s = u * u + v * v
+        keep = (s < 1.0) & (s > 0.0)
+        factor = np.sqrt(-2.0 * np.log(s[keep]) / s[keep])
+        pairs = np.column_stack([u[keep] * factor, v[keep] * factor]).reshape(-1)
+        values.append(pairs[: n - filled])
+        filled += values[-1].size
+    return np.concatenate(values)
+
 
 class TestGenerate:
     def test_bit_identical_reruns(self):
@@ -235,6 +279,7 @@ def assert_same_bytes(data, reference):
 # (5 x 3 normals) to several (1501 x 41 normals: a batch of 43110 candidate
 # pairs, walked in 3 blocks).  A sample never needs a second batch: a batch yields
 # about 1.1 n + 50 values, more than 7 sd above the n needed for every n.
+# TestNormalSampler reaches later batches with a smaller batch factor.
 REFERENCE_SPECS = [
     dict(m_train=5, m_holdout=3, m_fresh=1, d=3),
     dict(m_train=300, m_holdout=_COPY_BLOCK_ROWS, m_fresh=129, d=1,
