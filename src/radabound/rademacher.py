@@ -37,16 +37,10 @@ def as_query_values(values) -> np.ndarray:
     return values.astype(dtype, order="C", copy=False)
 
 
-def _check_unit_interval(values: np.ndarray) -> np.ndarray:
+def _check_unit_interval(values: np.ndarray) -> None:
     # Written so that NaN fails it.
     if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0):
         raise DomainError("query values must lie in [0, 1]")
-    return values
-
-
-def _zero_one(values: np.ndarray) -> bool:
-    """Whether every entry of ``values`` is 0 or 1."""
-    return values.dtype == bool or bool(((values == 0) | (values == 1)).all())
 
 
 # Below this many columns a row of 0/1 values correlates exactly in float32:
@@ -77,17 +71,6 @@ class RademacherState:
         """Current complexity estimate: mean of the per-vector suprema."""
         return float(self.running_sup.mean())
 
-    def _validate(self, values) -> np.ndarray:
-        """``values`` as bool or float64: k rows of m, each in [0, 1]."""
-        values = as_query_values(values)
-        m = self.signs.shape[1]
-        if values.ndim != 2 or values.shape[1] != m:
-            raise DimensionError(
-                f"expected rows of {m} query values, got shape {values.shape}"
-            )
-        # A bool block lies in [0, 1] by its dtype.
-        return values if values.dtype == bool else _check_unit_interval(values)
-
     # Only the trace shim calls preview(); it goes once the shim traces
     # correlations() instead (ROADMAP item 7).
     def preview(self, values) -> tuple[np.ndarray, float]:
@@ -96,11 +79,15 @@ class RademacherState:
         return self.preview_corr(self.correlations([values])[1][0])
 
     def correlations(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """Validate a k x m value matrix and correlate every row with every
-        sign vector in one matrix product.  Returns each row's mean and the
+        """Check a k x m value matrix and correlate every row with every sign
+        vector in one matrix product.  Returns each row's mean and the
         k x n_vectors absolute correlations; the state is not touched.  A
         single query is the one-row case: Guard.submit_query comes through
         here too.
+
+        The shape is checked first (DimensionError), then the range [0, 1]
+        (DomainError; NaN fails).  One scan asks whether every value is 0 or
+        1; only a block that is not gets the range scan.
 
         When every value is 0 or 1 and m < 2**24, the product and the row
         sums run in float32.  Every partial sum is then an integer below
@@ -109,9 +96,16 @@ class RademacherState:
         values use the float64 product; for them a k-row product may round a
         few ulps differently from k one-row products.
         """
-        values = self._validate(values)
+        values = as_query_values(values)
         m = self.signs.shape[1]
-        if self._signs32 is not None and _zero_one(values):
+        if values.ndim != 2 or values.shape[1] != m:
+            raise DimensionError(
+                f"expected rows of {m} query values, got shape {values.shape}"
+            )
+        zero_one = values.dtype == bool or ((values == 0) | (values == 1)).all()
+        if not zero_one:
+            _check_unit_interval(values)
+        if zero_one and self._signs32 is not None:
             values = values.astype(np.float32)
             sums = (values @ self._signs32.T).astype(float)
             means = values.sum(axis=1).astype(float) / m

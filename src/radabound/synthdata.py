@@ -8,8 +8,8 @@ of every fixed classifier is exactly 0.5.
 
 Training, holdout and fresh sets draw from disjoint substreams of the master
 seed, so they are independent and individually reproducible.  ``generate``
-therefore draws the three sets at once, two of them on a two-thread pool,
-and the bytes do not depend on how many cores those threads get.  Each set's
+therefore draws the three sets at once on a three-thread pool, and the
+bytes do not depend on how many cores those threads get.  Each set's
 normals stream through a small row buffer into the set's column-major
 result, so no n x d temporary is held beside it.  Feature columns are
 shuffled by a seeded permutation so learners cannot exploit the canonical
@@ -135,8 +135,12 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     Implemented on top of the generator's uniform stream so the sampling
     algorithm itself is pinned independently of the numpy version's ziggurat.
     The values are those of ``_polar_chunks(rng, n)``, joined in order;
-    ``rng`` must run on a PCG64 or PCG64DXSM bit generator.
+    ``rng`` must run on a PCG64 or PCG64DXSM bit generator, and ``n`` be a
+    non-negative integer (a numpy integer too, not a bool).
     """
+    validate_type("n", n, numbers.Integral)
+    if n < 0:
+        raise ConfigurationError(f"n must be >= 0, got {n}")
     out = np.empty(n)
     filled = 0
     for chunk in _polar_chunks(rng, n):
@@ -255,14 +259,15 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     bit-identical data.
 
     The three feature matrices are allocated first, so a size numpy refuses
-    fails before any draw.  Then a two-thread ``ThreadPoolExecutor`` draws
-    the train and holdout sets while the calling thread draws the fresh set;
-    numpy releases the interpreter lock in the sampler's array steps, so the
-    sets overlap on a multi-core machine.  Each set streams through a small
-    row buffer into its column-major result, so the peak memory is the three
-    results plus the buffer and one sampler block's temporaries per set,
-    about 2 MB at d = 500.  The first exception of a set, in set order, is
-    raised once every set has finished and the pool has shut down.
+    fails before any draw.  Then a three-thread ``ThreadPoolExecutor`` draws
+    the train, holdout and fresh sets, one a thread; numpy releases the
+    interpreter lock in the sampler's array steps, so the sets overlap on a
+    multi-core machine.  Each set streams through a small row buffer into
+    its column-major result, so the peak memory is the three results plus
+    the buffer and one sampler block's temporaries per set, about 2 MB at
+    d = 500.  The first exception of a set, in set order, is raised once
+    every set has finished, or was cancelled before it started, and the
+    pool has shut down.
     """
     names = ("train", "holdout", "fresh")
     sizes = (spec.m_train, spec.m_holdout, spec.m_fresh)
@@ -279,12 +284,8 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     def draw(i: int) -> LabeledDataset:
         return _draw_set(spec, names[i], labels[i], features[i], perm)
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        drawn = [pool.submit(draw, i) for i in (0, 1)]
-        try:
-            fresh = draw(2)
-        finally:
-            # Raises the first error in set order, ahead of any error of
-            # fresh; leaving the with block waits for both pool sets.
-            train, holdout = [future.result() for future in drawn]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        # map yields in set order, so the first error in set order is
+        # raised; leaving the with block waits for every set.
+        train, holdout, fresh = pool.map(draw, range(3))
     return SyntheticData(train, holdout, fresh, column_permutation=perm)

@@ -382,6 +382,9 @@ class TestSubmitBatch:
         "too wide": lambda good: np.hstack([good, good[:, :1]]),
         "nan": lambda good: np.where(np.arange(good.shape[1]) == 7, np.nan, good),
         "above one": lambda good: good + 0.5,
+        "just above one": lambda good: np.where(
+            np.arange(good.shape[1]) == 7, np.nextafter(1.0, 2.0), good
+        ),
         "below zero": lambda good: good - 0.5,
         "numeric strings": lambda good: good.astype(str),
         "complex": lambda good: good + 0j,

@@ -176,7 +176,8 @@ class TestCorrelationPaths:
             state = init_state(m, n_vectors, rng=np.random.default_rng(m + n_vectors))
             bits = np.random.default_rng(k * m).integers(0, 2, size=(k, m))
             want = np.abs(bits.astype(float) @ state.signs.T / m)
-            for values in (bits.astype(bool), bits, bits.astype(float)):
+            signed_zeros = np.where(bits == 1, 1.0, -0.0)
+            for values in (bits.astype(bool), bits, bits.astype(float), signed_zeros):
                 means, corr = state.correlations(values)
                 want_means = values.astype(float).mean(axis=1)
                 assert means.tobytes() == want_means.tobytes(), (k, m, values.dtype)
@@ -192,6 +193,28 @@ class TestCorrelationPaths:
             means, corr = state.correlations(values)
             assert means.tobytes() == values.mean(axis=1).tobytes()
             assert np.array_equal(corr, np.abs(values @ state.signs.T / m))
+
+    def test_zero_one_block_skips_the_range_scan(self, monkeypatch):
+        # The 0/1 test already puts a block in [0, 1]; only a block with
+        # another value reaches the range check.
+        m = 4000
+        state = init_state(m, 32, rng=np.random.default_rng(8))
+        bits = np.random.default_rng(9).integers(0, 2, size=(3, m))
+        blocks = (bits.astype(bool), bits, bits.astype(float))
+        want = [state.correlations(values) for values in blocks]
+
+        def range_scan(values):
+            raise AssertionError("range scan ran")
+
+        monkeypatch.setattr(rademacher, "_check_unit_interval", range_scan)
+        for values, (want_means, want_corr) in zip(blocks, want):
+            means, corr = state.correlations(values)
+            assert means.tobytes() == want_means.tobytes(), values.dtype
+            assert corr.tobytes() == want_corr.tobytes(), values.dtype
+        fractional = bits.astype(float)
+        fractional[1, 17] = 0.5
+        with pytest.raises(AssertionError, match="range scan ran"):
+            state.correlations(fractional)
 
     def test_zero_one_values_at_the_float32_limit_take_the_float64_product(
         self, monkeypatch

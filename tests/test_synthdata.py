@@ -100,6 +100,16 @@ class TestNormalSampler:
         standard_normals(rng, 7)
         assert int(rng.integers(2**31 - 1, dtype=np.int32)) == 488200390
 
+    def test_count_must_be_a_non_negative_integer(self):
+        for n in (-1, 2.5, 3.0, True, None, "3"):
+            with pytest.raises(ConfigurationError, match="n must be"):
+                standard_normals(np.random.default_rng(0), n)
+        # 0 and numpy integers pass; a numpy integer gives the bytes of the int.
+        for n in (0, 7, 1000):
+            got = standard_normals(np.random.default_rng(4), np.int64(n))
+            assert got.shape == (n,)
+            assert got.tobytes() == standard_normals(np.random.default_rng(4), n).tobytes()
+
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
                                                np.random.Philox])
     def test_bit_generator_without_64_bit_advance_rejected(self, bit_generator):
@@ -316,8 +326,8 @@ class TestGenerateThreads:
         assert threading.active_count() == before
 
     def test_first_failure_in_set_order_is_raised(self, monkeypatch):
-        # Fresh is drawn on the calling thread and fails first, but train's
-        # error is the one raised, after both worker sets have finished.
+        # Fresh fails too, but train's error is the one raised, after the
+        # pool has shut down.
         draw_set = synthdata._draw_set
 
         def failing(spec, name, *args):
