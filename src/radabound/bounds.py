@@ -62,10 +62,15 @@ class BoundMethod(str, Enum):
 # ---------------------------------------------------------------------------
 
 
+def _is_real(x) -> bool:
+    # numpy floats and ints are reals; bools, strings and None are not.
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def normal_sf(x: float) -> float:
     """Standard normal upper tail 1 - Phi(x), from the stdlib ``math.erfc``
-    without cancellation.  Raises DomainError on non-finite input."""
-    if not math.isfinite(x):
+    without cancellation.  Raises DomainError unless ``x`` is a finite real."""
+    if not (_is_real(x) and math.isfinite(x)):
         raise DomainError(f"normal_sf requires a finite argument, got {x!r}")
     return 0.5 * math.erfc(x / _SQRT2)
 
@@ -84,14 +89,14 @@ def _check_counts(m: int, n_vectors: int | None = None) -> None:
 
 
 def _check_eps(eps: float) -> float:
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"estimate-error tolerance must be finite and > 0, got {eps}")
+    if not (_is_real(eps) and 0.0 < eps < math.inf):
+        raise DomainError(f"estimate-error tolerance must be finite and > 0, got {eps!r}")
     return min(eps, _TOLERANCE_CAP)
 
 
 def _check_slack(slack: float) -> float:
-    if not 0.0 <= slack < math.inf:
-        raise DomainError(f"slack must be finite and >= 0, got {slack}")
+    if not (_is_real(slack) and 0.0 <= slack < math.inf):
+        raise DomainError(f"slack must be finite and >= 0, got {slack!r}")
     return min(slack, _TOLERANCE_CAP)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -158,11 +159,6 @@ def run_adaptive_analysis(
     rows: list[TraceRow] = []
     best_loss = math.inf
 
-    def submit_block(pred_h):
-        """Submit the losses of the candidates that predict ``pred_h`` as one
-        bool batch; yields the outcome of each row the caller pulls."""
-        return guard.submit_batch(lambda _points: pred_h != positive_h)
-
     def record(outcome, feature=None, candidate=0):
         """Append the trace row, scoring its candidate's fresh accuracy under
         the current scores; returns whether the candidate was accepted."""
@@ -189,30 +185,31 @@ def run_adaptive_analysis(
         return accepted
 
     # Baseline query: the all-zero classifier (predicts +1 everywhere).
-    record(next(submit_block((scores_h >= 0)[None])))
+    record(next(guard.submit_batch(lambda _points: ~positive_h[None])))
     start, size = 0, 1
     while start < d and not rows[-1].halted:
         block = order[start : start + size]
-        answers = submit_block(_candidate_predictions(holdout.features, scores_h, block))
-        for i in block:
-            chosen = 0
-            for cand in (-1, 1):
-                if record(next(answers), int(i), cand):
-                    chosen = cand
-                if rows[-1].halted:
-                    break
-            start += 1
-            if chosen != 0:
-                # Not ``+ chosen * column``: numpy will not negate an unsigned
-                # column, and for floats s - x is the same operation as s + -x.
-                step = np.add if chosen > 0 else np.subtract
-                scores_h = step(scores_h, holdout.features[:, i])
-                scores_f = step(scores_f, fresh.features[:, i])
-            if chosen != 0 or rows[-1].halted:
+        pred_h = _candidate_predictions(holdout.features, scores_h, block)
+        answers = guard.submit_batch(lambda _points: pred_h != positive_h)
+        # The rows in _candidate_predictions' order: feature-major, -1 then +1.
+        chosen = 0
+        for (i, cand), outcome in zip(product(block.tolist(), (-1, 1)), answers):
+            if record(outcome, i, cand):
+                chosen = cand
+            if rows[-1].halted or (chosen and cand > 0):
                 break
+        # The baseline row, then two rows for each feature read (one, if
+        # its -1 row halted).
+        start = len(rows) // 2
+        if chosen:
+            # Not ``+ chosen * column``: numpy will not negate an unsigned
+            # column, and for floats s - x is the same operation as s + -x.
+            step = np.add if chosen > 0 else np.subtract
+            scores_h = step(scores_h, holdout.features[:, i])
+            scores_f = step(scores_f, fresh.features[:, i])
         # An acceptance moves the scores and leaves the rest of the block
         # stale: it is abandoned, and the next block starts at one feature.
-        size = 1 if chosen != 0 else min(2 * size, _MAX_BLOCK)
+        size = 1 if chosen else min(2 * size, _MAX_BLOCK)
 
     return _finish(rows, d, guard_config)
 

@@ -104,7 +104,9 @@ class LabeledDataset:
             raise ConfigurationError("feature and label row counts disagree")
         # The learner compares features with scores, which is exact only
         # for finite features; a NaN score would also predict -1 silently.
-        if self.features.dtype.kind == "f" and not np.isfinite(self.features).all():
+        # NaN reaches min and max, and +-inf one of them, with no n x d mask.
+        x = self.features
+        if x.dtype.kind == "f" and not np.isfinite((x.min(initial=0), x.max(initial=0))).all():
             raise ConfigurationError("features must be finite")
         if not np.all(np.abs(self.labels) == 1):
             raise ConfigurationError("labels must be -1 or +1")

@@ -74,10 +74,9 @@ class TestEstErrorBounds:
             lambda e: est_error_bernstein(10, 2, e),
             lambda e: est_error_mcdiarmid(10, 2, e),
         ):
-            with pytest.raises(DomainError):
-                fn(0.0)
-            with pytest.raises(DomainError):
-                fn(-0.1)
+            for bad in (0.0, -0.1, "0.1", None, True):
+                with pytest.raises(DomainError):
+                    fn(bad)
 
 
 class TestNormalCdf:
@@ -109,7 +108,7 @@ class TestNormalCdf:
         assert vals[0] <= 1.0 and vals[-1] >= 0.0
 
     def test_nonfinite_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, "0.1", None, True):
             with pytest.raises(DomainError):
                 normal_sf(bad)
 
@@ -184,6 +183,29 @@ class TestOverfitBounds:
     def test_negative_slack_rejected(self):
         with pytest.raises(DomainError):
             overfit_bound_mclt(100, 8, -0.01)
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            overfit_bound_two_term,
+            overfit_bound_bernstein_single,
+            overfit_bound_mclt,
+            overfit_bound_mcdiarmid_combined,
+            est_error_mclt,
+            lambda m, l, slack: overfit_bound("mclt", m, l, slack),
+        ],
+    )
+    @pytest.mark.parametrize("slack", ["0.1", None, True])
+    def test_slack_that_is_not_a_real_rejected(self, bound, slack):
+        # A bool is not read as 1, nor a string compared as a number.
+        with pytest.raises(DomainError, match="slack must be finite"):
+            bound(100, 4, slack)
+
+    def test_numpy_and_int_tolerances_are_valid(self):
+        assert overfit_bound_mclt(100, 4, np.float64(0.1)) == overfit_bound_mclt(100, 4, 0.1)
+        assert overfit_bound_mclt(100, 4, np.float32(0.5)) == overfit_bound_mclt(100, 4, 0.5)
+        assert overfit_bound_mclt(100, 4, 1) == overfit_bound_mclt(100, 4, 1.0)
+        assert est_error_bernstein(100, 4, np.int64(1)) == est_error_bernstein(100, 4, 1.0)
 
     def test_unknown_method_rejected(self):
         names = "bernstein_two_term, bernstein_single, mclt, mcdiarmid_combined"

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,20 @@ class TestLabeledDataset:
         ds = LabeledDataset(features=[[0.5, 1.0], [2.0, 3.0]], labels=[1, -1])
         assert isinstance(ds.features, np.ndarray) and ds.features.shape == (2, 2)
         assert isinstance(ds.labels, np.ndarray) and ds.labels.tolist() == [1, -1]
+
+    def test_finiteness_check_allocates_no_mask(self):
+        # generate builds its sets on worker threads, whose malloc arenas
+        # would each keep an n x d bool mask after the check.
+        n, d = 4000, 500
+        features = np.random.default_rng(0).standard_normal((n, d))
+        labels = np.ones(n, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            LabeledDataset(features=features, labels=labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d / 8
 
 
 def test_dump_csv(tmp_path):
