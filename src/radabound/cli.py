@@ -33,7 +33,6 @@ from .seeding import (
     validate_type,
 )
 from .synthdata import NORMAL_SAMPLER_IDENTITY, DatasetSpec, LabeledDataset, generate
-from .thresholdout import ThresholdoutParams, comparison_report
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -205,6 +204,9 @@ def cmd_compare_bounds(m: int, eps: float, l_values, output=None) -> int:
 
 def cmd_thresholdout_size(k: int, budget: int, eps: float, delta: float,
                           radabound_m: int) -> int:
+    # The one command that uses thresholdout; the others never load it.
+    from .thresholdout import ThresholdoutParams, comparison_report
+
     report = comparison_report(
         ThresholdoutParams(k=k, budget=budget, epsilon=eps, delta=delta),
         radabound_m,

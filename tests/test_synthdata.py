@@ -353,6 +353,35 @@ class TestGenerateThreads:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
+    @pytest.mark.parametrize(
+        "statement, loaded",
+        [
+            ("import radabound", set()),
+            (
+                "from radabound import guard",
+                {"errors", "bounds", "seeding", "rademacher", "guard"},
+            ),
+            (
+                "import radabound.cli",
+                {"errors", "bounds", "seeding", "rademacher", "guard",
+                 "synthdata", "harness", "cli"},
+            ),
+        ],
+    )
+    def test_import_loads_only_the_submodules_used(self, statement, loaded):
+        # The package loads a submodule on first use of one of its names, so
+        # a guard-only program never compiles the learner, the generator or
+        # Thresholdout, and the CLI loads Thresholdout only for its command.
+        package_parent = str(Path(synthdata.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {package_parent!r}); {statement}; "
+            "print(' '.join(m for m in sys.modules if m.startswith('radabound.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True
+        ).stdout
+        assert set(out.split()) == {f"radabound.{name}" for name in loaded}
+
     def test_threads_joined_after_success(self):
         before = threading.active_count()
         generate(self.SPEC)
