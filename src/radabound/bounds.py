@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .seeding import MAX_COUNT
+from .seeding import MAX_COUNT, is_kind
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -38,11 +38,11 @@ _SQRT2 = math.sqrt(2.0)
 _GRID_POINTS = 1024
 _REFINE_REL_TOL = 1e-10
 
-# The checks below cap every eps and slack here, since past about 1e154 the
-# squared tolerance overflows.  The cap changes no value: each bound is
-# non-increasing in its tolerance, m and l, and at m = l = 1 is already
-# exactly 0.0 at the cap, with exponents below -1800 (the split bounds at
-# the middle of the split) and normal tails 4000 sd out.
+# The checks below cap every eps and slack here, and normal_sf its argument
+# at +-cap, since past about 1e154 the squared tolerance overflows.  The cap
+# changes no value: each bound is non-increasing in its tolerance, m and l,
+# and at m = l = 1 is already exactly 0.0 at the cap, with exponents below
+# -1800 (the split bounds mid-split) and normal tails 4000 sd out.
 _TOLERANCE_CAP = 1e4
 
 
@@ -62,16 +62,12 @@ class BoundMethod(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-def _is_real(x) -> bool:
-    # numpy floats and ints are reals; bools, strings and None are not.
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def normal_sf(x: float) -> float:
     """Standard normal upper tail 1 - Phi(x), from the stdlib ``math.erfc``
     without cancellation.  Raises DomainError unless ``x`` is a finite real."""
-    if not (_is_real(x) and math.isfinite(x)):
+    if not (is_kind(x, numbers.Real) and -math.inf < x < math.inf):
         raise DomainError(f"normal_sf requires a finite argument, got {x!r}")
+    x = float(max(-_TOLERANCE_CAP, min(x, _TOLERANCE_CAP)))
     return 0.5 * math.erfc(x / _SQRT2)
 
 
@@ -80,24 +76,24 @@ def normal_sf(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_counts(m: int, n_vectors: int | None = None) -> None:
-    for name, n in (("sample size", m), ("sign-vector count", n_vectors)):
-        # numpy integers are counts; bools, floats and strings are not.
-        is_int = isinstance(n, numbers.Integral) and not isinstance(n, bool)
-        if n is not None and not (is_int and 1 <= n <= MAX_COUNT):
+def _check_counts(*counts) -> list[int]:
+    # m, then l if given, as Python ints.  numpy integers are counts.
+    for name, n in zip(("sample size", "sign-vector count"), counts):
+        if not (is_kind(n, numbers.Integral) and 1 <= n <= MAX_COUNT):
             raise DomainError(f"{name} must be an int in [1, {MAX_COUNT}], got {n!r}")
+    return [int(n) for n in counts]
 
 
 def _check_eps(eps: float) -> float:
-    if not (_is_real(eps) and 0.0 < eps < math.inf):
+    if not (is_kind(eps, numbers.Real) and 0.0 < eps < math.inf):
         raise DomainError(f"estimate-error tolerance must be finite and > 0, got {eps!r}")
-    return min(eps, _TOLERANCE_CAP)
+    return float(min(eps, _TOLERANCE_CAP))
 
 
 def _check_slack(slack: float) -> float:
-    if not (_is_real(slack) and 0.0 <= slack < math.inf):
+    if not (is_kind(slack, numbers.Real) and 0.0 <= slack < math.inf):
         raise DomainError(f"slack must be finite and >= 0, got {slack!r}")
-    return min(slack, _TOLERANCE_CAP)
+    return float(min(slack, _TOLERANCE_CAP))
 
 
 def _clamp(p: float) -> float:
@@ -109,7 +105,7 @@ def est_error_bernstein(m: int, n_vectors: int, eps: float) -> float:
 
     exp(-6 m l eps^2 / (15 + 8 l eps)) with l = n_vectors, clamped to [0, 1].
     """
-    _check_counts(m, n_vectors)
+    m, n_vectors = _check_counts(m, n_vectors)
     eps = _check_eps(eps)
     return _clamp(
         math.exp(-6.0 * m * n_vectors * eps * eps / (15.0 + 8.0 * n_vectors * eps))
@@ -118,7 +114,7 @@ def est_error_bernstein(m: int, n_vectors: int, eps: float) -> float:
 
 def est_error_mcdiarmid(m: int, n_vectors: int, eps: float) -> float:
     """McDiarmid bound on the complexity-estimate error: exp(-2 m l eps^2 / (l + 4))."""
-    _check_counts(m, n_vectors)
+    m, n_vectors = _check_counts(m, n_vectors)
     eps = _check_eps(eps)
     return _clamp(math.exp(-2.0 * m * n_vectors * eps * eps / (n_vectors + 4.0)))
 
@@ -129,7 +125,7 @@ def est_error_mclt(m: int, n_vectors: int, slack: float) -> float:
     Tail probability of exceeding ``slack`` once the standardized estimate
     error is treated as N(0, 5/(4 l m)).  Analysis/comparison use only.
     """
-    _check_counts(m, n_vectors)
+    m, n_vectors = _check_counts(m, n_vectors)
     slack = _check_slack(slack)
     return normal_sf(2.0 * slack * math.sqrt(n_vectors * m / 5.0))
 
@@ -182,7 +178,7 @@ def overfit_bound_two_term(m: int, n_vectors: int, slack: float) -> float:
     min over a in (0, slack) of exp(-2m (slack-a)^2) + exp(-3 m l a^2 / (30 + 8 l a)).
     Returns 1 for slack = 0.
     """
-    _check_counts(m, n_vectors)
+    m, n_vectors = _check_counts(m, n_vectors)
     slack = _check_slack(slack)
 
     def objective(a, exp):
@@ -199,7 +195,7 @@ def overfit_bound_bernstein_single(m: int, n_vectors: int, slack: float) -> floa
     exp(-slack^2 / ((l + 4 sqrt(l) + 20)/(2 m l) + 4 slack/(3 m))).
     Returns 1 for slack = 0.
     """
-    _check_counts(m, n_vectors)
+    m, n_vectors = _check_counts(m, n_vectors)
     slack = _check_slack(slack)
     denom = (n_vectors + 4.0 * math.sqrt(n_vectors) + 20.0) / (
         2.0 * m * n_vectors
@@ -213,7 +209,7 @@ def overfit_bound_mclt(m: int, n_vectors: int, slack: float) -> float:
     1 - Phi(slack * sqrt(4 l m / (l + 4 sqrt(l) + 20))).  Returns 0.5 for
     slack = 0 (the exact limit value).
     """
-    _check_counts(m, n_vectors)
+    m, n_vectors = _check_counts(m, n_vectors)
     slack = _check_slack(slack)
     scale = math.sqrt(
         4.0 * n_vectors * m / (n_vectors + 4.0 * math.sqrt(n_vectors) + 20.0)
@@ -225,7 +221,7 @@ def overfit_bound_mcdiarmid_combined(m: int, n_vectors: int, slack: float) -> fl
     """McDiarmid analogue of the two-term bound, minimized over the split
     slack = e1 + 2 e2 of exp(-2 m e1^2) + exp(-2 m l e2^2 / (l + 4)).
     Returns 1 for slack = 0."""
-    _check_counts(m, n_vectors)
+    m, n_vectors = _check_counts(m, n_vectors)
     slack = _check_slack(slack)
 
     def objective(e1, exp):
@@ -266,8 +262,8 @@ COMPARE_TABLE_HEADER = ("l", "mcdiarmid", "bernstein", "mclt")
 def compare_bounds_table(m: int, eps: float, l_values) -> list[tuple[int, float, float, float]]:
     """One row per sign-vector count: McDiarmid, Bernstein and normal-limit
     estimate-error bounds evaluated at the same (m, eps)."""
-    _check_counts(m)
-    _check_eps(eps)
+    (m,) = _check_counts(m)
+    eps = _check_eps(eps)
     rows = []
     for l in l_values:
         # est_error_mcdiarmid rejects a bad l before anything is appended.

@@ -87,25 +87,27 @@ class Certifier:
     so a derived decision is bit-equal to a direct one.  It keeps the last
     (slack, delta_prime) pair: the bound is pure and r_tilde never decreases,
     so slack never increases and equal slacks come in runs, and one pair is
-    an exact memo.
+    an exact memo.  Slack and threshold are Python floats, so a numpy-typed
+    config still certifies in double precision.
     """
 
     def __init__(self, config: GuardConfig, m: int):
         self.config = config
         self.m = m
-        self.threshold = config.delta * (1.0 - config.delta)
+        self._epsilon = float(config.epsilon)
+        delta = float(config.delta)
+        self.threshold = delta * (1.0 - delta)
         self._slack = None
         self._delta_prime = None
 
     def __call__(self, r_tilde: float) -> tuple[float, bool]:
-        slack = max(0.0, self.config.epsilon - 2.0 * r_tilde)
+        slack = max(0.0, self._epsilon - 2.0 * r_tilde)
         if slack != self._slack:
             self._delta_prime = overfit_bound(
                 self.config.method, self.m, self.config.n_vectors, slack
             )
             self._slack = slack
-        # A plain bool, also when numpy-typed config values make it np.bool_.
-        return self._delta_prime, bool(self._delta_prime <= self.threshold)
+        return self._delta_prime, self._delta_prime <= self.threshold
 
 
 class Guard:

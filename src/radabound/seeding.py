@@ -27,12 +27,16 @@ SUBSTREAM_LABELS = {
 GENERATOR_IDENTITY = "pcg64/seedsequence-spawn-key"
 
 
+def is_kind(value, kind: type = int) -> bool:
+    """True when ``value`` is a ``kind``: ``int`` for counts and seeds,
+    ``numbers.Real`` for tolerances, ``bool`` for flags, ``dict`` or ``list``
+    for config sections.  A bool is only ever a ``bool``, never a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def validate_type(name: str, value, kind: type = int):
-    """Raise ConfigurationError unless ``value`` is a ``kind`` (``int`` for
-    counts and seeds, ``numbers.Real`` for tolerances, ``bool`` for flags,
-    ``dict`` or ``list`` for config sections).  A bool passes only as a
-    ``bool``, never as a number."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+    """Raise ConfigurationError unless ``is_kind(value, kind)``."""
+    if not is_kind(value, kind):
         raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
     return value
 

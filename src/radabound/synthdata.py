@@ -108,7 +108,8 @@ class LabeledDataset:
         x = self.features
         if x.dtype.kind == "f" and not np.isfinite((x.min(initial=0), x.max(initial=0))).all():
             raise ConfigurationError("features must be finite")
-        if not np.all(np.abs(self.labels) == 1):
+        # A bool label array holds no -1, even when every label is True.
+        if self.labels.dtype.kind == "b" or not np.all(np.abs(self.labels) == 1):
             raise ConfigurationError("labels must be -1 or +1")
 
     def __len__(self) -> int:

@@ -44,12 +44,14 @@ class ThresholdoutParams:
 def min_holdout_size(p: ThresholdoutParams) -> float:
     """96 eps^-2 ln(4k/delta) min(80 sqrt(B ln(1/(eps delta))), 16 B),
     evaluated literally from the printed formula.  Raises ConfigurationError
-    where the formula leaves float range."""
+    where the formula leaves float range.  A numpy ``epsilon`` or ``delta``
+    is read as a Python float, so the result is a float in double precision."""
+    eps, delta = float(p.epsilon), float(p.delta)
     try:
-        log_term = math.log(4.0 * p.k / p.delta)
-        sqrt_branch = 80.0 * math.sqrt(p.budget * math.log(1.0 / (p.epsilon * p.delta)))
+        log_term = math.log(4.0 * p.k / delta)
+        sqrt_branch = 80.0 * math.sqrt(p.budget * math.log(1.0 / (eps * delta)))
         linear_branch = 16.0 * p.budget
-        n = 96.0 * p.epsilon**-2 * log_term * min(sqrt_branch, linear_branch)
+        n = 96.0 * eps**-2 * log_term * min(sqrt_branch, linear_branch)
     except (OverflowError, ZeroDivisionError):
         n = math.inf
     if not math.isfinite(n):

@@ -24,6 +24,8 @@ from radabound.cli import cmd_compare_bounds
 from radabound.errors import DomainError
 from radabound.seeding import MAX_COUNT
 
+from child_process import run_in_child
+
 mp.mp.dps = 40
 
 
@@ -111,6 +113,10 @@ class TestNormalCdf:
         for bad in (math.nan, math.inf, -math.inf, "0.1", None, True):
             with pytest.raises(DomainError):
                 normal_sf(bad)
+
+    def test_ints_past_float_range_are_finite(self):
+        assert normal_sf(10**400) == 0.0
+        assert normal_sf(-(10**400)) == 1.0
 
 
 class TestOverfitBounds:
@@ -207,6 +213,24 @@ class TestOverfitBounds:
         assert overfit_bound_mclt(100, 4, 1) == overfit_bound_mclt(100, 4, 1.0)
         assert est_error_bernstein(100, 4, np.int64(1)) == est_error_bernstein(100, 4, 1.0)
 
+    @pytest.mark.parametrize(
+        "slack", ["np.float32(0.05)", "np.float16(0.05)", "Fraction(1, 20)", "np.int8(0)"]
+    )
+    @pytest.mark.parametrize("method", [method.value for method in BoundMethod])
+    def test_any_real_slack_is_read_as_a_python_float(self, method, slack):
+        # The bound at a numpy or Fraction slack is the bound at float(slack).
+        # A float32 or float16 slack once kept the split bounds' golden-section
+        # loop from ending, so each case runs in a child with a timeout.
+        out = run_in_child(
+            "from fractions import Fraction\n"
+            "import numpy as np\n"
+            "from radabound.bounds import overfit_bound\n"
+            f"x = {slack}\n"
+            f"typed, plain = (overfit_bound({method!r}, 4000, 32, s) for s in (x, float(x)))\n"
+            "print(type(typed).__name__, typed == plain)"
+        )
+        assert out.split() == ["float", "True"]
+
     def test_unknown_method_rejected(self):
         names = "bernstein_two_term, bernstein_single, mclt, mcdiarmid_combined"
         for method in ("bogus", None, 3, ["mclt"]):
@@ -243,6 +267,12 @@ def test_infinite_tolerance_rejected(bound):
         bound(1000, 8, math.inf)
     with pytest.raises(DomainError, match="sample size must be an int"):
         bound(1000.5, 8, 0.1)
+
+
+@pytest.mark.parametrize("bound", ALL_BOUNDS)
+def test_missing_sign_vector_count_rejected(bound):
+    with pytest.raises(DomainError, match="sign-vector count must be an int"):
+        bound(1000, None, 0.1)
 
 
 @pytest.mark.parametrize("tolerance", [1e154, 1e200, 1e308])
@@ -375,6 +405,12 @@ class TestTwoStepBounds:
 
     def test_slack_zero(self):
         assert est_error_mclt(100, 8, 0.0) == 0.5
+
+    def test_numpy_counts_multiply_as_python_ints(self):
+        # l * m = 2**70 overflows int64.
+        value = est_error_mclt(np.int64(2**40), np.int64(2**30), 1e-12)
+        assert value == est_error_mclt(2**40, 2**30, 1e-12)
+        assert value == pytest.approx(0.48774152209513055, rel=1e-12)
 
     def test_decreasing_in_m_and_l(self):
         assert est_error_mclt(1000, 16, 0.01) < est_error_mclt(1000, 8, 0.01)

@@ -10,6 +10,8 @@ from radabound.bounds import BoundMethod
 from radabound.errors import ConfigurationError, DomainError, GuardHaltedError
 from radabound.guard import Certifier, Guard, GuardConfig, HoldoutSample
 
+from child_process import run_in_child
+
 
 def make_sample(m, seed=0):
     rng = np.random.default_rng(seed)
@@ -33,6 +35,37 @@ class TestStoppingThreshold:
     def test_values(self, delta, expected):
         certify = Certifier(GuardConfig(epsilon=0.1, delta=delta, n_vectors=8), m=100)
         assert certify.threshold == pytest.approx(expected, rel=1e-14)
+
+    def test_numpy_config_certifies_in_python_floats(self):
+        typed = GuardConfig(epsilon=np.float32(0.2), delta=np.float32(0.1), n_vectors=8)
+        plain = GuardConfig(
+            epsilon=float(np.float32(0.2)), delta=float(np.float32(0.1)), n_vectors=8
+        )
+        certify = Certifier(typed, m=100)
+        assert type(certify.threshold) is float
+        assert certify.threshold == Certifier(plain, m=100).threshold
+        for r_tilde in (0.0, 0.03, 0.05, 0.2):
+            delta_prime, answered = certify(r_tilde)
+            assert type(delta_prime) is float and type(answered) is bool
+            assert (delta_prime, answered) == Certifier(plain, m=100)(r_tilde)
+
+    def test_float32_epsilon_guard_answers(self):
+        # A float32 epsilon once made a float32 slack, on which the two-term
+        # bound's golden-section loop never ended: run it in a child with a
+        # timeout, next to the same guard at the epsilon as a Python float.
+        out = run_in_child(
+            "import numpy as np\n"
+            "from radabound.bounds import BoundMethod\n"
+            "from radabound.guard import Guard, GuardConfig, HoldoutSample\n"
+            "points = np.random.default_rng(0).uniform(size=500)\n"
+            "for eps in (np.float32(0.2), float(np.float32(0.2))):\n"
+            "    config = GuardConfig(epsilon=eps, delta=0.1, n_vectors=8,\n"
+            "                         method=BoundMethod.BERNSTEIN_TWO_TERM)\n"
+            "    guard = Guard(HoldoutSample(points=points, m=500), config)\n"
+            "    print(guard.submit_query(lambda x: float(x > 0.5)))\n"
+        )
+        typed, plain = out.splitlines()
+        assert typed == plain
 
     def test_domain(self):
         # A Certifier reads delta from a GuardConfig, which rejects these.

@@ -1,9 +1,12 @@
+import numbers
+
 import numpy as np
 import pytest
 
 from radabound.errors import ConfigurationError
 from radabound.seeding import (
     SUBSTREAM_LABELS,
+    is_kind,
     seed_substream,
     validate_seed,
     validate_type,
@@ -52,5 +55,22 @@ def test_bool_passes_only_as_bool():
     assert validate_type("flag", False, bool) is False
     assert validate_type("count", 3) == 3
     for value, kind in ((1, bool), ("no", bool), (True, int), (False, float)):
+        with pytest.raises(ConfigurationError):
+            validate_type("x", value, kind)
+
+
+def test_is_kind_is_the_rule_validate_type_enforces():
+    # numpy numbers are numbers; a bool is a number of no kind.
+    for value, kind in (
+        (np.float32(0.5), numbers.Real),
+        (np.int8(3), numbers.Integral),
+        (3, numbers.Real),
+        (True, bool),
+        ({}, dict),
+    ):
+        assert is_kind(value, kind)
+        assert validate_type("x", value, kind) is value
+    for value, kind in ((True, int), (False, numbers.Real), (1, bool), ("1", int)):
+        assert not is_kind(value, kind)
         with pytest.raises(ConfigurationError):
             validate_type("x", value, kind)

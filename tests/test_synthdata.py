@@ -436,6 +436,11 @@ class TestLabeledDataset:
                 LabeledDataset(features=features, labels=labels)
         with pytest.raises(ConfigurationError, match="features must not be ragged"):
             LabeledDataset(features=[[1.0, 2.0], [3.0]], labels=[1, -1])
+        # Bool labels hold no -1, even when all are True; bool features are valid.
+        for labels in ([True, True], [True, False]):
+            with pytest.raises(ConfigurationError, match=r"labels must be -1 or \+1"):
+                LabeledDataset(features=[[True, False], [False, True]], labels=labels)
+        LabeledDataset(features=[[True, False], [False, True]], labels=[1, -1])
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ConfigurationError, match="features must be finite"):
                 LabeledDataset(features=[[0.5, bad], [2.0, 3.0]], labels=[1, -1])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from radabound.errors import ConfigurationError
@@ -56,6 +57,18 @@ class TestMinHoldoutSize:
             params(epsilon=0.0)
         with pytest.raises(ConfigurationError):
             params(delta=1.0)
+
+    def test_numpy_tolerances_are_read_as_floats(self):
+        # In float32, eps**-2 overflowed at 1e-20 (a RuntimeWarning, which
+        # this suite makes an error) and the result stayed float32.
+        for typed in (
+            {"epsilon": np.float32(1e-20)},
+            {"epsilon": np.float32(0.5)},
+            {"delta": np.float32(0.1)},
+        ):
+            n = min_holdout_size(params(**typed))
+            plain = {name: float(value) for name, value in typed.items()}
+            assert type(n) is float and n == min_holdout_size(params(**plain))
 
     @pytest.mark.parametrize(
         "bad",
