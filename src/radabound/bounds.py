@@ -97,26 +97,25 @@ def _check_slack(slack: float) -> float:
 
 
 def _clamp(p: float) -> float:
+    # Only the split bounds need it: their sum of two terms can exceed 1.
     return min(1.0, max(0.0, p))
 
 
 def est_error_bernstein(m: int, n_vectors: int, eps: float) -> float:
     """Martingale-Bernstein bound on the complexity-estimate error.
 
-    exp(-6 m l eps^2 / (15 + 8 l eps)) with l = n_vectors, clamped to [0, 1].
+    exp(-6 m l eps^2 / (15 + 8 l eps)) with l = n_vectors.
     """
     m, n_vectors = _check_counts(m, n_vectors)
     eps = _check_eps(eps)
-    return _clamp(
-        math.exp(-6.0 * m * n_vectors * eps * eps / (15.0 + 8.0 * n_vectors * eps))
-    )
+    return math.exp(-6.0 * m * n_vectors * eps * eps / (15.0 + 8.0 * n_vectors * eps))
 
 
 def est_error_mcdiarmid(m: int, n_vectors: int, eps: float) -> float:
     """McDiarmid bound on the complexity-estimate error: exp(-2 m l eps^2 / (l + 4))."""
     m, n_vectors = _check_counts(m, n_vectors)
     eps = _check_eps(eps)
-    return _clamp(math.exp(-2.0 * m * n_vectors * eps * eps / (n_vectors + 4.0)))
+    return math.exp(-2.0 * m * n_vectors * eps * eps / (n_vectors + 4.0))
 
 
 def est_error_mclt(m: int, n_vectors: int, slack: float) -> float:
@@ -200,7 +199,7 @@ def overfit_bound_bernstein_single(m: int, n_vectors: int, slack: float) -> floa
     denom = (n_vectors + 4.0 * math.sqrt(n_vectors) + 20.0) / (
         2.0 * m * n_vectors
     ) + 4.0 * slack / (3.0 * m)
-    return _clamp(math.exp(-slack * slack / denom))
+    return math.exp(-slack * slack / denom)
 
 
 def overfit_bound_mclt(m: int, n_vectors: int, slack: float) -> float:
@@ -264,15 +263,10 @@ def compare_bounds_table(m: int, eps: float, l_values) -> list[tuple[int, float,
     estimate-error bounds evaluated at the same (m, eps)."""
     (m,) = _check_counts(m)
     eps = _check_eps(eps)
-    rows = []
-    for l in l_values:
-        # est_error_mcdiarmid rejects a bad l before anything is appended.
-        rows.append(
-            (
-                int(l),
-                est_error_mcdiarmid(m, l, eps),
-                est_error_bernstein(m, l, eps),
-                est_error_mclt(m, l, eps),
-            )
-        )
-    return rows
+    # Every l is checked, and read as a Python int, before any row is built.
+    l_values = [_check_counts(m, l)[1] for l in l_values]
+    return [
+        (l, est_error_mcdiarmid(m, l, eps), est_error_bernstein(m, l, eps),
+         est_error_mclt(m, l, eps))
+        for l in l_values
+    ]

@@ -48,6 +48,8 @@ def _trace_filename(epsilon: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """``epsilon_list`` is stored as a tuple of Python floats."""
+
     experiment: DatasetSpec
     guard: GuardConfig
     epsilon_list: tuple[float, ...] = ()
@@ -59,9 +61,8 @@ class RunConfig:
         if "\0" in self.output_dir:
             raise ConfigurationError("output_dir must not contain a NUL character")
         validate_type("emit_dataset_dump", self.emit_dataset_dump, bool)
-        eps = self.epsilon_list
-        for e in eps:
-            validate_fraction("epsilon_list entry", e)
+        eps = tuple(validate_fraction("epsilon_list entry", e) for e in self.epsilon_list)
+        object.__setattr__(self, "epsilon_list", eps)
         if any(a >= b for a, b in zip(eps, eps[1:])):
             raise ConfigurationError("epsilon_list must be strictly increasing")
         names = [_trace_filename(e) for e in eps]
@@ -78,15 +79,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         validate_fields("run config", d, cls)
-        epsilon_list = validate_type("epsilon_list", d.get("epsilon_list", []), list)
-        return cls(
-            **{
-                **d,
-                "experiment": DatasetSpec.from_dict(d["experiment"]),
-                "guard": GuardConfig.from_dict(d["guard"]),
-                "epsilon_list": tuple(epsilon_list),
-            }
-        )
+        validate_type("epsilon_list", d.get("epsilon_list", []), list)
+        sections = {"experiment": DatasetSpec.from_dict(d["experiment"]),
+                    "guard": GuardConfig.from_dict(d["guard"])}
+        return cls(**{**d, **sections})
 
 
 def load_run_config(path) -> RunConfig:

@@ -43,6 +43,8 @@ class HoldoutSample:
 
 @dataclass(frozen=True)
 class GuardConfig:
+    """``epsilon`` and ``delta`` are stored as Python floats."""
+
     epsilon: float
     delta: float
     n_vectors: int
@@ -50,8 +52,8 @@ class GuardConfig:
     seed: int = 0
 
     def __post_init__(self):
-        validate_fraction("epsilon", self.epsilon)
-        validate_fraction("delta", self.delta)
+        for name in ("epsilon", "delta"):
+            object.__setattr__(self, name, validate_fraction(name, getattr(self, name)))
         validate_count("n_vectors", self.n_vectors)
         if not isinstance(self.method, BoundMethod):
             raise ConfigurationError(f"method must be a BoundMethod, got {self.method!r}")
@@ -60,11 +62,12 @@ class GuardConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "GuardConfig":
         validate_fields("guard config", d, cls)
-        try:
-            method = BoundMethod(d.get("method", BoundMethod.MCLT))
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
-        return cls(**{**d, "method": method})
+        if "method" in d:
+            try:
+                d = {**d, "method": BoundMethod(d["method"])}
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from None
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -87,21 +90,19 @@ class Certifier:
     so a derived decision is bit-equal to a direct one.  It keeps the last
     (slack, delta_prime) pair: the bound is pure and r_tilde never decreases,
     so slack never increases and equal slacks come in runs, and one pair is
-    an exact memo.  Slack and threshold are Python floats, so a numpy-typed
-    config still certifies in double precision.
+    an exact memo.  The config holds Python floats, so slack and threshold
+    are computed in double precision.
     """
 
     def __init__(self, config: GuardConfig, m: int):
         self.config = config
         self.m = m
-        self._epsilon = float(config.epsilon)
-        delta = float(config.delta)
-        self.threshold = delta * (1.0 - delta)
+        self.threshold = config.delta * (1.0 - config.delta)
         self._slack = None
         self._delta_prime = None
 
     def __call__(self, r_tilde: float) -> tuple[float, bool]:
-        slack = max(0.0, self._epsilon - 2.0 * r_tilde)
+        slack = max(0.0, self.config.epsilon - 2.0 * r_tilde)
         if slack != self._slack:
             self._delta_prime = overfit_bound(
                 self.config.method, self.m, self.config.n_vectors, slack

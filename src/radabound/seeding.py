@@ -55,11 +55,12 @@ def validate_count(name: str, value) -> int:
 
 
 def validate_fraction(name: str, value) -> float:
-    """Raise ConfigurationError unless ``value`` is a real number in (0, 1)."""
+    """Return ``value`` as a Python float.  Raise ConfigurationError unless it
+    is a real number in (0, 1), also once rounded to a float."""
     validate_type(name, value, numbers.Real)
-    if not 0.0 < value < 1.0:
+    if not (0.0 < value < 1.0 and 0.0 < float(value) < 1.0):
         raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
-    return value
+    return float(value)
 
 
 def validate_fields(name: str, section, cls) -> dict:

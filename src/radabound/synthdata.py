@@ -48,6 +48,8 @@ _BATCH_PAIRS_PER_VALUE = 0.7
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """``variance`` and ``bias`` are stored as an int when integral, else as a float."""
+
     m_train: int
     m_holdout: int
     m_fresh: int
@@ -68,8 +70,13 @@ class DatasetSpec:
         for name in ("variance", "bias"):
             value = validate_type(name, getattr(self, name), numbers.Real)
             # Python's json reads NaN, Infinity and integers beyond any float.
-            if not abs(value) <= sys.float_info.max:
+            try:
+                typed = int(value) if isinstance(value, numbers.Integral) else float(value)
+            except OverflowError:  # a Fraction beyond any float
+                typed = math.inf
+            if not abs(typed) <= sys.float_info.max:
                 raise ConfigurationError(f"{name} must be a finite float, got {value}")
+            object.__setattr__(self, name, typed)
         if not self.variance > 0.0:
             raise ConfigurationError(f"variance must be > 0, got {self.variance}")
         if not 0 <= self.n_biased <= self.d:

@@ -29,6 +29,8 @@ PUBLISHED_EXAMPLE_NOTE = (
 
 @dataclass(frozen=True)
 class ThresholdoutParams:
+    """``epsilon`` and ``delta`` are stored as Python floats."""
+
     k: int  # number of adaptive queries
     budget: int  # overfit budget B
     epsilon: float
@@ -37,21 +39,20 @@ class ThresholdoutParams:
     def __post_init__(self):
         validate_count("k", self.k)
         validate_count("budget", self.budget)
-        validate_fraction("epsilon", self.epsilon)
-        validate_fraction("delta", self.delta)
+        for name in ("epsilon", "delta"):
+            object.__setattr__(self, name, validate_fraction(name, getattr(self, name)))
 
 
 def min_holdout_size(p: ThresholdoutParams) -> float:
     """96 eps^-2 ln(4k/delta) min(80 sqrt(B ln(1/(eps delta))), 16 B),
     evaluated literally from the printed formula.  Raises ConfigurationError
-    where the formula leaves float range.  A numpy ``epsilon`` or ``delta``
-    is read as a Python float, so the result is a float in double precision."""
-    eps, delta = float(p.epsilon), float(p.delta)
+    where the formula leaves float range.  ``p`` holds Python floats, so the
+    result is a double-precision float."""
     try:
-        log_term = math.log(4.0 * p.k / delta)
-        sqrt_branch = 80.0 * math.sqrt(p.budget * math.log(1.0 / (eps * delta)))
+        log_term = math.log(4.0 * p.k / p.delta)
+        sqrt_branch = 80.0 * math.sqrt(p.budget * math.log(1.0 / (p.epsilon * p.delta)))
         linear_branch = 16.0 * p.budget
-        n = 96.0 * eps**-2 * log_term * min(sqrt_branch, linear_branch)
+        n = 96.0 * p.epsilon**-2 * log_term * min(sqrt_branch, linear_branch)
     except (OverflowError, ZeroDivisionError):
         n = math.inf
     if not math.isfinite(n):

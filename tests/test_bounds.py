@@ -447,7 +447,8 @@ class TestCompareTable:
         assert lines[1].startswith("2,")
 
     def test_invalid_l_rejected(self):
-        # zero, and counts that are not integers: a float, a bool, a string
-        for bad in (0, 1.5, True, "8"):
+        # zero, and counts that are not integers: a float, a bool, a string,
+        # None and an object that is no number at all
+        for bad in (0, 1.5, True, "8", None, object()):
             with pytest.raises(DomainError):
                 compare_bounds_table(1000, 0.01, [bad])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from radabound.cli import (
@@ -9,6 +10,7 @@ from radabound.cli import (
     EXIT_OK,
     TRACE_HEADER,
     RunConfig,
+    cmd_run_experiment,
     load_run_config,
     main,
 )
@@ -249,6 +251,34 @@ class TestRunExperimentCommand:
         assert halts >= 1
         summary = (tmp_path / "out" / "summary.json").read_bytes()
         assert hashlib.sha256(summary).hexdigest() == self.GOLDEN_SUMMARIES[method]
+
+    @pytest.mark.parametrize("real", [np.float32, np.float16])
+    def test_numpy_tolerances_write_the_float_bytes(self, tmp_path, monkeypatch, real):
+        # A config built from numpy numbers keeps Python numbers, so it
+        # writes the bytes of a JSON config holding those values as floats.
+        def config(convert, integral):
+            cfg = small_config_dict("out", epsilon_list=[convert(0.2), convert(0.3)])
+            cfg["experiment"].update(variance=integral(4), bias=convert(0.5))
+            cfg["guard"].update(epsilon=convert(0.3), delta=convert(0.1))
+            return cfg
+
+        typed = RunConfig.from_dict(config(real, np.int64))
+        plain = config(lambda value: float(real(value)), int)
+        assert typed == RunConfig.from_dict(plain)
+        assert {type(e) for e in (*typed.epsilon_list, typed.guard.delta)} == {float}
+
+        def run(name, command):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert command() == EXIT_OK
+            return {f.name: f.read_bytes() for f in (tmp_path / name / "out").iterdir()}
+
+        path = str(write_config(tmp_path, plain))
+        written = run("plain", lambda: main(["run-experiment", "--config", path]))
+        assert run("typed", lambda: cmd_run_experiment(typed)) == written
+        assert len(written) == 3
+        # The JSON 4 is written back as 4, not 4.0.
+        assert b'"variance": 4\n' in written["summary.json"]
 
     def test_halt_on_first_query_writes_null_loss(self, tmp_path):
         # eps 0.05 halts on the baseline query, before any loss is released.

@@ -41,6 +41,8 @@ class TestStoppingThreshold:
         plain = GuardConfig(
             epsilon=float(np.float32(0.2)), delta=float(np.float32(0.1)), n_vectors=8
         )
+        # The config keeps the Python floats its checks return.
+        assert typed == plain and type(typed.epsilon) is type(typed.delta) is float
         certify = Certifier(typed, m=100)
         assert type(certify.threshold) is float
         assert certify.threshold == Certifier(plain, m=100).threshold
@@ -313,6 +315,10 @@ class TestGuardConfigSerialization:
             seed=987654321,
         )
         assert GuardConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+    def test_method_defaults_to_the_field_default(self):
+        cfg = GuardConfig.from_dict({"epsilon": 0.1, "delta": 0.1, "n_vectors": 8})
+        assert cfg == GuardConfig(0.1, 0.1, 8) and cfg.method is BoundMethod.MCLT
 
     def test_method_string_stability(self):
         assert BoundMethod.MCLT.value == "mclt"

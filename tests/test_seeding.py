@@ -1,4 +1,5 @@
 import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from radabound.seeding import (
     SUBSTREAM_LABELS,
     is_kind,
     seed_substream,
+    validate_fraction,
     validate_seed,
     validate_type,
 )
@@ -57,6 +59,21 @@ def test_bool_passes_only_as_bool():
     for value, kind in ((1, bool), ("no", bool), (True, int), (False, float)):
         with pytest.raises(ConfigurationError):
             validate_type("x", value, kind)
+
+
+@pytest.mark.parametrize(
+    "value", [0.1, np.float32(0.1), np.float16(0.1), np.longdouble(0.1), Fraction(1, 10)]
+)
+def test_fraction_is_returned_as_a_python_float(value):
+    checked = validate_fraction("x", value)
+    assert type(checked) is float and checked == float(value)
+
+
+def test_fraction_that_rounds_to_an_end_is_rejected():
+    # In (0, 1) exactly, but 0.0 and 1.0 once rounded to a float.
+    for bad in (Fraction(1, 10**400), Fraction(10**400 - 1, 10**400)):
+        with pytest.raises(ConfigurationError):
+            validate_fraction("x", bad)
 
 
 def test_is_kind_is_the_rule_validate_type_enforces():

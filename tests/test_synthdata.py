@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,25 @@ class TestDatasetSpec:
             DatasetSpec(m_train=1, m_holdout=1, m_fresh=1, d=2, n_biased=3)
         with pytest.raises(ConfigurationError):
             DatasetSpec(m_train=1, m_holdout=1, m_fresh=1, d=2, seed=-1)
+
+    def test_numpy_variance_and_bias_kept_as_python_numbers(self):
+        base = dict(m_train=50, m_holdout=40, m_fresh=30, d=6, n_biased=2, seed=5)
+        typed = DatasetSpec(**base, variance=np.float32(2.5), bias=np.float32(0.7))
+        plain = DatasetSpec(**base, variance=2.5, bias=float(np.float32(0.7)))
+        assert typed == plain and type(typed.variance) is type(typed.bias) is float
+        for a, b in zip(generate(typed), generate(plain)):
+            assert a.features.tobytes() == b.features.tobytes()
+        # An integral value stays an int, so a JSON 4 is written back as 4.
+        spec = DatasetSpec(**base, variance=np.int64(4), bias=np.int8(-1))
+        assert (type(spec.variance), type(spec.bias)) == (int, int)
+        assert (spec.variance, spec.bias) == (4, -1)
+
+    def test_values_beyond_float_range_rejected(self):
+        # Fraction.__float__ raises OverflowError here; the check does not.
+        for bad in (Fraction(10**400), Fraction(-(10**400), 3)):
+            for name in ("variance", "bias"):
+                with pytest.raises(ConfigurationError):
+                    DatasetSpec(m_train=1, m_holdout=1, m_fresh=1, d=2, **{name: bad})
 
 
 class TestNormalSampler:

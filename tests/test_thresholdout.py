@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -66,7 +68,9 @@ class TestMinHoldoutSize:
             {"epsilon": np.float32(0.5)},
             {"delta": np.float32(0.1)},
         ):
-            n = min_holdout_size(params(**typed))
+            p = params(**typed)
+            assert (type(p.epsilon), type(p.delta)) == (float, float)
+            n = min_holdout_size(p)
             plain = {name: float(value) for name, value in typed.items()}
             assert type(n) is float and n == min_holdout_size(params(**plain))
 
@@ -100,6 +104,21 @@ class TestComparisonReport:
         )
         assert report["ratio_printed"] == pytest.approx(3.7e6 / 4000, rel=1e-12)
         assert report["radabound_larger"] is False
+
+    @pytest.mark.parametrize(
+        "typed,printed",
+        [
+            # float32 holds 0.5 exactly: still the worked example.
+            ({"epsilon": np.float32(0.5)}, PUBLISHED_EXAMPLE_N),
+            # float32 rounds 0.1 to 0.10000000149: not the worked example.
+            ({"delta": np.float32(0.1)}, None),
+        ],
+    )
+    def test_numpy_tolerances_report_as_floats(self, typed, printed):
+        report = comparison_report(params(**typed), radabound_m=4000)
+        assert report["paper_printed_n"] == printed
+        plain = {name: float(value) for name, value in typed.items()}
+        assert json.loads(json.dumps(report))["params"] == asdict(params(**plain))
 
     def test_other_params_omit_published_figure(self):
         report = comparison_report(params(k=20), radabound_m=4000)
