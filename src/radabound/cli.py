@@ -61,7 +61,10 @@ class RunConfig:
         if "\0" in self.output_dir:
             raise ConfigurationError("output_dir must not contain a NUL character")
         validate_type("emit_dataset_dump", self.emit_dataset_dump, bool)
-        eps = tuple(validate_fraction("epsilon_list entry", e) for e in self.epsilon_list)
+        eps = self.epsilon_list
+        if not isinstance(eps, (list, tuple)):
+            raise ConfigurationError(f"epsilon_list must be a list or tuple, got {eps!r}")
+        eps = tuple(validate_fraction("epsilon_list entry", e) for e in eps)
         object.__setattr__(self, "epsilon_list", eps)
         if any(a >= b for a, b in zip(eps, eps[1:])):
             raise ConfigurationError("epsilon_list must be strictly increasing")
@@ -79,7 +82,6 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         validate_fields("run config", d, cls)
-        validate_type("epsilon_list", d.get("epsilon_list", []), list)
         sections = {"experiment": DatasetSpec.from_dict(d["experiment"]),
                     "guard": GuardConfig.from_dict(d["guard"])}
         return cls(**{**d, **sections})

@@ -50,20 +50,16 @@ _EXACT_FLOAT32_COLUMNS = 2**24
 
 
 class RademacherState:
-    """A fixed n_vectors x m matrix of signs in {-1, +1}, one running
-    supremum per sign vector, and the count of committed queries."""
+    """A fixed n_vectors x m matrix of signs in {-1, +1}, held once as float32,
+    one running supremum per sign vector, and the count of committed queries."""
 
     def __init__(self, signs: np.ndarray):
         if signs.ndim != 2:
             raise ConfigurationError("sign matrix must be two-dimensional")
         if not np.all(np.abs(signs) == 1.0):
             raise ConfigurationError("sign matrix entries must be -1 or +1")
-        signs.setflags(write=False)
-        self.signs = signs
-        # A private float32 copy for exact 0/1 correlations; see correlations().
-        self._signs32 = None
-        if signs.shape[1] < _EXACT_FLOAT32_COLUMNS:
-            self._signs32 = signs.astype(np.float32)
+        self.signs = signs.astype(np.float32, copy=False)
+        self.signs.setflags(write=False)
         self.running_sup = np.zeros(signs.shape[0])
         self.query_count = 0
 
@@ -93,8 +89,8 @@ class RademacherState:
         sums run in float32.  Every partial sum is then an integer below
         2**24, which float32 holds exactly, so the result has the bits of the
         float64 product and mean whatever k is or the summation order.  Other
-        values use the float64 product; for them a k-row product may round a
-        few ulps differently from k one-row products.
+        values use a float64 copy of the signs made per call; for them a k-row
+        product may round a few ulps differently from k one-row products.
         """
         values = as_query_values(values)
         m = self.signs.shape[1]
@@ -105,12 +101,13 @@ class RademacherState:
         zero_one = values.dtype == bool or ((values == 0) | (values == 1)).all()
         if not zero_one:
             _check_unit_interval(values)
-        if zero_one and self._signs32 is not None:
+        if zero_one and m < _EXACT_FLOAT32_COLUMNS:
             values = values.astype(np.float32)
-            sums = (values @ self._signs32.T).astype(float)
+            sums = (values @ self.signs.T).astype(float)
             means = values.sum(axis=1).astype(float) / m
         else:
-            sums = values @ self.signs.T
+            # Cast after transposing: a column-major copy keeps the product's bits.
+            sums = values @ self.signs.T.astype(float)
             means = values.mean(axis=1)
         return means, np.abs(sums / m)
 
@@ -131,11 +128,12 @@ def init_state(m: int, n_vectors: int, *, rng: np.random.Generator) -> Rademache
     """Draw the fixed sign matrix and start with all suprema at zero.
 
     Signs are iid uniform on {-1, +1} from ``rng``; the same generator state
-    always yields the same matrix.
+    always yields the same matrix.  The int64 0/1 draw becomes float32 ±1
+    with no float64 temporary.
     """
     validate_count("m", m)
     validate_count("n_vectors", n_vectors)
-    validate_count("float64 bytes of the n_vectors x m signs", 8 * n_vectors * m)
-    signs = 2.0 * rng.integers(0, 2, size=(n_vectors, m)).astype(float) - 1.0
+    validate_count("int64 bytes of the n_vectors x m sign draw", 8 * n_vectors * m)
+    signs = 2 * rng.integers(0, 2, size=(n_vectors, m)).astype(np.float32) - 1
     return RademacherState(signs=signs)
 

@@ -254,7 +254,7 @@ def _draw_set(
                 rows = buf[:filled].reshape(-1, d)
                 rows *= scale
                 if spec.n_biased > 0:
-                    rows[:, : spec.n_biased] += spec.bias * labels[start:stop, None]
+                    rows[:, : spec.n_biased] += float(spec.bias) * labels[start:stop, None]
                 features[start:stop] = rows[:, perm]
                 start, filled = stop, 0
     return LabeledDataset(features=features, labels=labels)

@@ -65,6 +65,15 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict(small_config_dict(tmp_path, epsilon_list=[0.5, 1.5]))
 
+    def test_constructor_checks_epsilon_list_type(self, tmp_path):
+        # A dict would otherwise be read through its keys, and a string
+        # through its characters.
+        cfg = RunConfig.from_dict(small_config_dict(tmp_path))
+        for bad in (0.2, "0.2", {0.2: 1}):
+            with pytest.raises(ConfigurationError, match="epsilon_list"):
+                RunConfig(cfg.experiment, cfg.guard, epsilon_list=bad)
+        assert RunConfig(cfg.experiment, cfg.guard, [0.2]).epsilon_list == (0.2,)
+
     # A run is fixed by its config file alone: RADABOUND_SEED, which once
     # overrode both seeds, now changes neither seed nor a byte of output.
     def check_seed_env_var_ignored(self, tmp_path, monkeypatch, value):
@@ -158,6 +167,8 @@ class TestRunExperimentCommand:
             ("experiment", "seed", 7.0),
             (None, "epsilon_list", ["0.2", "0.3"]),
             (None, "epsilon_list", 0.2),
+            (None, "epsilon_list", "0.2"),
+            (None, "epsilon_list", {"0.2": 1}),
             (None, "guard", 5),
             (None, "experiment", [1]),
             # a field of earlier versions, with a value that was valid then
@@ -279,6 +290,13 @@ class TestRunExperimentCommand:
         assert len(written) == 3
         # The JSON 4 is written back as 4, not 4.0.
         assert b'"variance": 4\n' in written["summary.json"]
+
+    def test_bias_beyond_int64_runs(self, tmp_path):
+        cfg = small_config_dict(tmp_path / "out")
+        cfg["experiment"]["bias"] = 2**63
+        assert main(["run-experiment", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config"]["experiment"]["bias"] == 2**63
 
     def test_halt_on_first_query_writes_null_loss(self, tmp_path):
         # eps 0.05 halts on the baseline query, before any loss is released.

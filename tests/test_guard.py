@@ -78,9 +78,24 @@ class TestStoppingThreshold:
 
 class TestGuardConstruction:
     def test_sign_matrix_too_big_for_numpy(self):
-        # Each count is valid alone; the l x m float64 matrix is not.
-        with pytest.raises(ConfigurationError, match="float64 bytes"):
+        # Each count is valid alone; the l x m int64 draw is not.
+        with pytest.raises(ConfigurationError, match="int64 bytes"):
             Guard(HoldoutSample(None, 4000), GuardConfig(0.1, 0.1, 2**62))
+
+    def test_holds_one_float32_sign_matrix(self):
+        # 4 bytes a sign, and no second copy of the matrix.
+        l, m = 512, 4000
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            g = Guard(HoldoutSample(None, m), GuardConfig(0.1, 0.1, l))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g.rad.signs.shape == (l, m)
+        assert retained <= 4 * l * m + 2**20, f"{retained / 2**20:.2f} MiB retained"
 
     def test_fresh_guard_state(self):
         g = Guard(

@@ -177,7 +177,8 @@ class GuardMachine(RuleBasedStateMachine):
         if not self.committed_rows:
             assert not rad.running_sup.any()
             return
-        corr = np.abs([rad.signs @ row / M for row in self.committed_rows])
+        signs = rad.signs.astype(float)
+        corr = np.abs([signs @ row / M for row in self.committed_rows])
         assert np.array_equal(rad.running_sup, corr.max(axis=0))
         assert rad.estimate() == self.last_r_tilde
 

@@ -175,7 +175,7 @@ class TestCorrelationPaths:
         for k, m, n_vectors in itertools.product((1, 3, 64), (1, 7, 4000), (1, 32, 64)):
             state = init_state(m, n_vectors, rng=np.random.default_rng(m + n_vectors))
             bits = np.random.default_rng(k * m).integers(0, 2, size=(k, m))
-            want = np.abs(bits.astype(float) @ state.signs.T / m)
+            want = np.abs(bits.astype(float) @ state.signs.astype(float).T / m)
             signed_zeros = np.where(bits == 1, 1.0, -0.0)
             for values in (bits.astype(bool), bits, bits.astype(float), signed_zeros):
                 means, corr = state.correlations(values)
@@ -192,7 +192,8 @@ class TestCorrelationPaths:
             values[1, 17] = fraction
             means, corr = state.correlations(values)
             assert means.tobytes() == values.mean(axis=1).tobytes()
-            assert np.array_equal(corr, np.abs(values @ state.signs.T / m))
+            want = np.abs(values @ state.signs.astype(float).T / m)
+            assert np.array_equal(corr, want)
 
     def test_zero_one_block_skips_the_range_scan(self, monkeypatch):
         # The 0/1 test already puts a block in [0, 1]; only a block with
@@ -219,19 +220,18 @@ class TestCorrelationPaths:
     def test_zero_one_values_at_the_float32_limit_take_the_float64_product(
         self, monkeypatch
     ):
-        # From m = 2**24 columns there is no float32 copy of the signs; a
+        # From m = 2**24 columns a 0/1 block takes the float64 product; a
         # lower limit reaches that path at a small m.
         m = 4000
         bits = np.random.default_rng(6).integers(0, 2, size=(3, m))
         for limit in (1, m):
             monkeypatch.setattr(rademacher, "_EXACT_FLOAT32_COLUMNS", limit)
             state = init_state(m, 32, rng=np.random.default_rng(5))
-            assert state._signs32 is None
             for values in (bits.astype(bool), bits, bits.astype(float)):
                 means, corr = state.correlations(values)
                 want = values.astype(float)
                 assert means.tobytes() == want.mean(axis=1).tobytes(), values.dtype
-                want_corr = np.abs(want @ state.signs.T / m)
+                want_corr = np.abs(want @ state.signs.astype(float).T / m)
                 assert corr.tobytes() == want_corr.tobytes(), values.dtype
 
     def test_guard_answers_alike_on_either_product(self, monkeypatch):
@@ -244,7 +244,6 @@ class TestCorrelationPaths:
         assert [row.answered for row in float32_rows] == [True] * 18 + [False]
         monkeypatch.setattr(rademacher, "_EXACT_FLOAT32_COLUMNS", m)
         guard = Guard(sample, config)
-        assert guard.rad._signs32 is None
         assert list(guard.submit_batch(lambda points: bits)) == float32_rows
 
 

@@ -57,6 +57,18 @@ class TestDatasetSpec:
         assert (type(spec.variance), type(spec.bias)) == (int, int)
         assert (spec.variance, spec.bias) == (4, -1)
 
+    def test_integral_bias_shifts_by_its_float(self):
+        # An integral bias stays an int, and one beyond int64 must not
+        # overflow in numpy: it shifts by the float it rounds to.
+        base = dict(m_train=5, m_holdout=5, m_fresh=5, d=3, n_biased=1)
+        for bias in (2**62, 2**63, -(2**63), 10**300):
+            spec = DatasetSpec(**base, bias=bias)
+            assert type(spec.bias) is int
+            rounded = DatasetSpec(**base, bias=float(bias))
+            for a, b in zip(generate(spec), generate(rounded)):
+                assert a.features.tobytes() == b.features.tobytes(), bias
+                assert a.labels.tobytes() == b.labels.tobytes(), bias
+
     def test_values_beyond_float_range_rejected(self):
         # Fraction.__float__ raises OverflowError here; the check does not.
         for bad in (Fraction(10**400), Fraction(-(10**400), 3)):
