@@ -32,18 +32,19 @@ from .seeding import (
 class HoldoutSample:
     """The m protected observations.  ``points`` is opaque to the guard: it
     only needs to be iterable per observation, or consumable wholesale by a
-    vectorized query."""
+    vectorized query.  ``m`` is stored as a Python int."""
 
     points: object
     m: int
 
     def __post_init__(self):
-        validate_count("m", self.m)
+        object.__setattr__(self, "m", validate_count("m", self.m))
 
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """``epsilon`` and ``delta`` are stored as Python floats."""
+    """``epsilon`` and ``delta`` are stored as Python floats, ``n_vectors``
+    and ``seed`` as Python ints."""
 
     epsilon: float
     delta: float
@@ -54,10 +55,10 @@ class GuardConfig:
     def __post_init__(self):
         for name in ("epsilon", "delta"):
             object.__setattr__(self, name, validate_fraction(name, getattr(self, name)))
-        validate_count("n_vectors", self.n_vectors)
+        object.__setattr__(self, "n_vectors", validate_count("n_vectors", self.n_vectors))
         if not isinstance(self.method, BoundMethod):
             raise ConfigurationError(f"method must be a BoundMethod, got {self.method!r}")
-        validate_seed(self.seed)
+        object.__setattr__(self, "seed", validate_seed(self.seed))
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuardConfig":

@@ -56,7 +56,8 @@ class RademacherState:
     def __init__(self, signs: np.ndarray):
         if signs.ndim != 2:
             raise ConfigurationError("sign matrix must be two-dimensional")
-        if not np.all(np.abs(signs) == 1.0):
+        # Two bool masks, not the float array np.abs would build.
+        if np.count_nonzero(signs == 1) + np.count_nonzero(signs == -1) != signs.size:
             raise ConfigurationError("sign matrix entries must be -1 or +1")
         self.signs = signs.astype(np.float32, copy=False)
         self.signs.setflags(write=False)
@@ -124,16 +125,28 @@ class RademacherState:
         self.query_count += 1
 
 
+# Bytes of each int64 row block of the sign draw in init_state.
+_SIGN_DRAW_BLOCK_BYTES = 1 << 16
+
+
 def init_state(m: int, n_vectors: int, *, rng: np.random.Generator) -> RademacherState:
     """Draw the fixed sign matrix and start with all suprema at zero.
 
     Signs are iid uniform on {-1, +1} from ``rng``; the same generator state
-    always yields the same matrix.  The int64 0/1 draw becomes float32 ±1
-    with no float64 temporary.
+    always yields the same matrix.  The 0/1 draw is made in int64 row blocks
+    of about 64 KiB, each mapped straight into the float32 ±1 result: the
+    blocks take the stream's values in the order of one
+    ``rng.integers(0, 2, size=(n_vectors, m))`` and leave ``rng`` where it
+    would, and the peak stays near the 4·n_vectors·m bytes kept.
     """
-    validate_count("m", m)
-    validate_count("n_vectors", n_vectors)
+    m = validate_count("m", m)
+    n_vectors = validate_count("n_vectors", n_vectors)
     validate_count("int64 bytes of the n_vectors x m sign draw", 8 * n_vectors * m)
-    signs = 2 * rng.integers(0, 2, size=(n_vectors, m)).astype(np.float32) - 1
+    signs = np.empty((n_vectors, m), dtype=np.float32)
+    rows = max(1, _SIGN_DRAW_BLOCK_BYTES // (8 * m))
+    for start in range(0, n_vectors, rows):
+        block = signs[start : start + rows]
+        np.multiply(rng.integers(0, 2, size=block.shape), 2, out=block, casting="unsafe")
+        block -= 1
     return RademacherState(signs=signs)
 

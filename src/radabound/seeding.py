@@ -46,9 +46,16 @@ def validate_type(name: str, value, kind: type = int):
 MAX_COUNT = np.iinfo(np.intp).max
 
 
+def validate_int(name: str, value) -> int:
+    """Return ``value`` as a Python int.  Raise ConfigurationError unless it
+    is an integer: a Python or numpy integer, never a bool."""
+    return int(validate_type(name, value, numbers.Integral))
+
+
 def validate_count(name: str, value) -> int:
-    """Raise ConfigurationError unless ``value`` is an int in [1, MAX_COUNT]."""
-    validate_type(name, value)
+    """Return ``value`` as a Python int.  Raise ConfigurationError unless it
+    is an integer in [1, MAX_COUNT]."""
+    value = validate_int(name, value)
     if not 1 <= value <= MAX_COUNT:
         raise ConfigurationError(f"{name} must be in [1, {MAX_COUNT}], got {value}")
     return value
@@ -82,7 +89,9 @@ def validate_fields(name: str, section, cls) -> dict:
 
 
 def validate_seed(seed: int) -> int:
-    validate_type("seed", seed)
+    """Return ``seed`` as a Python int.  Raise ConfigurationError unless it
+    is an integer in [0, 2**64)."""
+    seed = validate_int("seed", seed)
     if not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed
@@ -94,7 +103,7 @@ def seed_substream(master_seed: int, label: str) -> np.random.Generator:
     Raises ConfigurationError for seeds outside 64 bits or labels not in
     SUBSTREAM_LABELS.
     """
-    validate_seed(master_seed)
+    master_seed = validate_seed(master_seed)
     try:
         index = SUBSTREAM_LABELS[label]
     except KeyError:

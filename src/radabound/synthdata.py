@@ -11,9 +11,12 @@ seed, so they are independent and individually reproducible.  ``generate``
 therefore draws the three sets at once on a three-thread pool, and the
 bytes do not depend on how many cores those threads get.  Each set's
 normals stream through a small row buffer into the set's column-major
-result, so no n x d temporary is held beside it.  Feature columns are
-shuffled by a seeded permutation so learners cannot exploit the canonical
-placement of the biased columns; the permutation is recorded on the result.
+result, so no n x d temporary is held beside it.  The calling thread
+allocates every buffer the pool threads write to: what a pool thread frees
+stays in its own malloc arena, which the calling thread's later
+allocations do not reuse.  Feature columns are shuffled by a seeded
+permutation so learners cannot exploit the canonical placement of the
+biased columns; the permutation is recorded on the result.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .seeding import (
     seed_substream,
     validate_count,
     validate_fields,
+    validate_int,
     validate_seed,
     validate_type,
 )
@@ -48,7 +52,8 @@ _BATCH_PAIRS_PER_VALUE = 0.7
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """``variance`` and ``bias`` are stored as an int when integral, else as a float."""
+    """Counts and ``seed`` are stored as Python ints; ``variance`` and
+    ``bias`` as an int when integral, else as a float."""
 
     m_train: int
     m_holdout: int
@@ -61,12 +66,12 @@ class DatasetSpec:
 
     def __post_init__(self):
         for name in ("m_train", "m_holdout", "m_fresh", "d"):
-            validate_count(name, getattr(self, name))
+            object.__setattr__(self, name, validate_count(name, getattr(self, name)))
         # numpy sizes no array past MAX_COUNT bytes.
         for name in ("m_train", "m_holdout", "m_fresh"):
             size = 8 * getattr(self, name) * self.d
             validate_count(f"float64 bytes of the {name} x d features", size)
-        validate_type("n_biased", self.n_biased)
+        object.__setattr__(self, "n_biased", validate_int("n_biased", self.n_biased))
         for name in ("variance", "bias"):
             value = validate_type(name, getattr(self, name), numbers.Real)
             # Python's json reads NaN, Infinity and integers beyond any float.
@@ -83,7 +88,7 @@ class DatasetSpec:
             raise ConfigurationError(
                 f"n_biased must be in [0, d], got {self.n_biased} with d={self.d}"
             )
-        validate_seed(self.seed)
+        object.__setattr__(self, "seed", validate_seed(self.seed))
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
@@ -144,38 +149,53 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
     Implemented on top of the generator's uniform stream so the sampling
     algorithm itself is pinned independently of the numpy version's ziggurat.
-    The values are those of ``_polar_chunks(rng, n)``, joined in order;
-    ``rng`` must run on a PCG64 or PCG64DXSM bit generator, and ``n`` be a
-    non-negative integer (a numpy integer too, not a bool).
+    The values are those of ``_polar_chunks(rng, n, _sampler_buffers())``,
+    joined in order; ``rng`` must run on a PCG64 or PCG64DXSM bit generator,
+    and ``n`` be a non-negative integer (a numpy integer too, not a bool).
     """
-    validate_type("n", n, numbers.Integral)
+    n = validate_int("n", n)
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     out = np.empty(n)
     filled = 0
-    for chunk in _polar_chunks(rng, n):
+    for chunk in _polar_chunks(rng, n, _sampler_buffers()):
         out[filled : filled + chunk.size] = chunk
         filled += chunk.size
     return out
 
 
-def _polar_chunks(rng: np.random.Generator, n: int):
+def _sampler_buffers() -> tuple[np.ndarray, np.ndarray]:
+    """The arrays one ``_polar_chunks`` run writes to, each one sampler block
+    long: eight float rows (u, v, s, v squared, the accepted s, u and v, and
+    the factor) and the keep mask."""
+    return np.empty((8, _SAMPLER_BLOCK)), np.empty(_SAMPLER_BLOCK, dtype=bool)
+
+
+def _polar_chunks(rng: np.random.Generator, n: int, buffers):
     """Yield the n polar-transform normals of ``standard_normals`` in order,
     one array per sampler block.
 
     Each batch of candidate pairs takes ``batch`` uniforms on [-1, 1) for u,
     then the next ``batch`` for v.  Accepted pairs give the values in order
     as (u * factor, v * factor), with factor = sqrt(-2 log(s) / s); the
-    in-place steps below round exactly as that expression does.
+    in-place steps below round exactly as that expression does.  A uniform
+    is -1 + 2r for the generator's next double r, a multiple of 2**-53, so
+    ``2r - 1`` is exact and equals ``uniform(-1, 1)``.
 
     A batch is walked in blocks of ``_SAMPLER_BLOCK`` pairs, so the
     temporaries stay in cache: u comes from ``rng`` and v from a copy of its
-    bit generator moved ``batch`` draws ahead.  Blocks stop once n values are
-    out, and ``rng`` is then moved past the whole batch, so a caller that
-    runs the generator to its end leaves ``rng`` where two full-length draws
-    would.  This needs a bit generator whose ``advance(k)`` skips k 64-bit
-    draws: PCG64, as every ``seed_substream`` is, or PCG64DXSM.  Any other
-    raises ConfigurationError.
+    bit generator moved ``batch`` draws ahead.  Every block is written only
+    into ``buffers``, from ``_sampler_buffers()``; the sampler allocates
+    only each block's s > 0 mask and index of accepted pairs.  A yielded
+    block is a view of the u and v rows, so the caller copies it before
+    asking for the next one.
+
+    Blocks stop once n values are out, and ``rng`` is then moved past the
+    whole batch, so a caller that runs the generator to its end leaves
+    ``rng`` where two full-length draws would.  This needs a bit generator
+    whose ``advance(k)`` skips k 64-bit draws: PCG64, as every
+    ``seed_substream`` is, or PCG64DXSM.  Any other raises
+    ConfigurationError.
     """
     bits = rng.bit_generator
     if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
@@ -183,6 +203,8 @@ def _polar_chunks(rng: np.random.Generator, n: int):
             f"the polar sampler needs a PCG64 or PCG64DXSM bit generator, "
             f"got {type(bits).__name__}"
         )
+    floats, keep_buf = buffers
+    values = floats[:2].reshape(-1)  # the u and v rows, reused for the output
     filled = 0
     while filled < n:
         batch = int((n - filled) * _BATCH_PAIRS_PER_VALUE) + 32
@@ -195,23 +217,31 @@ def _polar_chunks(rng: np.random.Generator, n: int):
             need = n - filled
             size = min(_SAMPLER_BLOCK, batch - drawn)
             drawn += size
-            u = rng.uniform(-1.0, 1.0, size=size)
-            v = v_rng.uniform(-1.0, 1.0, size=size)
-            s = u * u
-            s += v * v
-            keep = s < 1.0
+            u, v, s, v2, acc_s, acc_u, acc_v, factor = floats[:, :size]
+            keep = keep_buf[:size]
+            for r, uniform in ((rng, u), (v_rng, v)):
+                r.random(out=uniform)
+                uniform *= 2.0
+                uniform -= 1.0
+            np.multiply(u, u, out=s)
+            s += np.multiply(v, v, out=v2)
+            np.less(s, 1.0, out=keep)
             keep &= s > 0.0
             idx = np.flatnonzero(keep)[: (need + 1) // 2]
-            s = s.take(idx)
-            factor = np.log(s)
+            k = idx.size
+            acc_s, acc_u, acc_v, factor = acc_s[:k], acc_u[:k], acc_v[:k], factor[:k]
+            # mode="clip" writes straight into out; idx is always in range.
+            for source, accepted in ((s, acc_s), (u, acc_u), (v, acc_v)):
+                source.take(idx, out=accepted, mode="clip")
+            np.log(acc_s, out=factor)
             factor *= -2.0
-            factor /= s
+            factor /= acc_s
             np.sqrt(factor, out=factor)
-            take = min(2 * idx.size, need)
-            chunk = np.empty(take)
-            np.multiply(u.take(idx), factor, out=chunk[0::2])
+            take = min(2 * k, need)
+            chunk = values[:take]
+            np.multiply(acc_u, factor, out=chunk[0::2])
             n_v = take // 2
-            np.multiply(v.take(idx[:n_v]), factor[:n_v], out=chunk[1::2])
+            np.multiply(acc_v[:n_v], factor[:n_v], out=chunk[1::2])
             filled += take
             yield chunk
         # Skip the batch's unread u draws and all its v draws.  advance() also
@@ -224,25 +254,33 @@ def _polar_chunks(rng: np.random.Generator, n: int):
         }
 
 
+def _set_buffers(d: int) -> tuple:
+    """The arrays one ``_draw_set`` writes to besides its result: the
+    sampler's, the row buffer and the gather buffer of the permuted copy."""
+    return _sampler_buffers(), np.empty(_COPY_BLOCK_ROWS * d), np.empty((_COPY_BLOCK_ROWS, d))
+
+
 def _draw_set(
     spec: DatasetSpec, name: str, labels: np.ndarray, features: np.ndarray,
-    perm: np.ndarray,
+    perm: np.ndarray, buffers: tuple,
 ) -> LabeledDataset:
     """Fill ``features`` with set ``name``'s points and return the set.
 
-    The set's polar normals stream through a buffer of ``_COPY_BLOCK_ROWS``
-    rows, flushed at one site when it is full or the last value has arrived,
-    so the last flush takes the partial buffer.  A flush scales the rows,
-    shifts their first ``n_biased`` columns by ``bias * label`` and copies
-    them, columns permuted, into ``features``: element by element the float
-    operations on the whole n x d sample, so the bits are the same.
+    ``buffers`` is ``_set_buffers(d)``, made by the caller.  The set's polar
+    normals stream through its row buffer of ``_COPY_BLOCK_ROWS`` rows,
+    flushed at one site when it is full or the last value has arrived, so
+    the last flush takes the partial buffer.  A flush scales the rows,
+    shifts their first ``n_biased`` columns by ``bias * label``, gathers
+    them, columns permuted, into the gather buffer and copies that into
+    ``features``: element by element the float operations on the whole
+    n x d sample, so the bits are the same.
     """
     n, d = features.shape
     scale = math.sqrt(spec.variance)
-    buf = np.empty(_COPY_BLOCK_ROWS * d)
+    sampler, buf, gather = buffers
     filled = 0  # values in buf
     start = 0  # features row of buf's first row
-    for chunk in _polar_chunks(seed_substream(spec.seed, name), n * d):
+    for chunk in _polar_chunks(seed_substream(spec.seed, name), n * d, sampler):
         pos = 0
         while pos < chunk.size:
             take = min(chunk.size - pos, buf.size - filled)
@@ -255,7 +293,11 @@ def _draw_set(
                 rows *= scale
                 if spec.n_biased > 0:
                     rows[:, : spec.n_biased] += float(spec.bias) * labels[start:stop, None]
-                features[start:stop] = rows[:, perm]
+                # A contiguous gather, then one copy into the column-major
+                # rows: faster than a gather straight into them.
+                permuted = gather[: stop - start]
+                np.take(rows, perm, axis=1, out=permuted, mode="clip")
+                features[start:stop] = permuted
                 start, filled = stop, 0
     return LabeledDataset(features=features, labels=labels)
 
@@ -273,11 +315,20 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     the train, holdout and fresh sets, one a thread; numpy releases the
     interpreter lock in the sampler's array steps, so the sets overlap on a
     multi-core machine.  Each set streams through a small row buffer into
-    its column-major result, so the peak memory is the three results plus
-    the buffer and one sampler block's temporaries per set, about 2 MB at
-    d = 500.  The first exception of a set, in set order, is raised once
-    every set has finished, or was cancelled before it started, and the
-    pool has shut down.
+    its column-major result.
+
+    The calling thread allocates every array the pool threads write to:
+    the results, and per set the sampler's block arrays, the row buffer
+    and the gather buffer (``_set_buffers``, about 2 MB at d = 500), all
+    freed when the call returns.  A pool thread allocates only the sampler's
+    per-block mask and index and the set's small result checks, about
+    0.3 MB at paper scale.  What a pool thread frees stays in its own
+    malloc arena, which the calling thread's later allocations do not
+    reuse, so every large buffer belongs to the calling thread.
+
+    The first exception of a set, in set order, is raised once every set
+    has finished, or was cancelled before it started, and the pool has
+    shut down.
     """
     names = ("train", "holdout", "fresh")
     sizes = (spec.m_train, spec.m_holdout, spec.m_fresh)
@@ -291,8 +342,10 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     # every ``import radabound``, including runs that never call generate.
     from concurrent.futures import ThreadPoolExecutor
 
+    buffers = [_set_buffers(spec.d) for _ in names]
+
     def draw(i: int) -> LabeledDataset:
-        return _draw_set(spec, names[i], labels[i], features[i], perm)
+        return _draw_set(spec, names[i], labels[i], features[i], perm, buffers[i])
 
     with ThreadPoolExecutor(max_workers=3) as pool:
         # map yields in set order, so the first error in set order is

@@ -29,7 +29,8 @@ PUBLISHED_EXAMPLE_NOTE = (
 
 @dataclass(frozen=True)
 class ThresholdoutParams:
-    """``epsilon`` and ``delta`` are stored as Python floats."""
+    """``k`` and ``budget`` are stored as Python ints, ``epsilon`` and
+    ``delta`` as Python floats."""
 
     k: int  # number of adaptive queries
     budget: int  # overfit budget B
@@ -37,8 +38,8 @@ class ThresholdoutParams:
     delta: float
 
     def __post_init__(self):
-        validate_count("k", self.k)
-        validate_count("budget", self.budget)
+        for name in ("k", "budget"):
+            object.__setattr__(self, name, validate_count(name, getattr(self, name)))
         for name in ("epsilon", "delta"):
             object.__setattr__(self, name, validate_fraction(name, getattr(self, name)))
 
@@ -66,7 +67,7 @@ def comparison_report(p: ThresholdoutParams, radabound_m: int) -> dict:
     Carries both the formula-faithful size and (when the parameters match the
     published worked example) the published figure with its discrepancy note.
     """
-    validate_count("radabound_m", radabound_m)
+    radabound_m = validate_count("radabound_m", radabound_m)
     formula_n = min_holdout_size(p)
     matches = astuple(p) == _PUBLISHED_EXAMPLE_PARAMS
     printed_n = PUBLISHED_EXAMPLE_N if matches else None

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,35 @@ class TestInitState:
             init_state(0, 2, rng=np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             init_state(2, 0, rng=np.random.default_rng(0))
+
+    # The draw comes in row blocks of 64 KiB of int64: 16 rows at m = 500,
+    # 8192 at m = 1 and one row past m = 8192.  Each shape ends in a partial
+    # block.
+    @pytest.mark.parametrize("m, n_vectors", [(500, 37), (1, 9000), (2**16 + 3, 3), (7, 5)])
+    def test_row_blocks_equal_one_draw(self, m, n_vectors):
+        rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for r in (rng, want_rng):
+            r.integers(2**31 - 1, dtype=np.int32)  # buffers the other half
+        state = init_state(m, n_vectors, rng=rng)
+        bits = want_rng.integers(0, 2, size=(n_vectors, m))
+        assert state.signs.dtype == np.float32
+        assert np.array_equal(state.signs, 2.0 * bits - 1.0)
+        for dtype in (np.int32, np.int64):
+            assert int(rng.integers(2**31 - 1, dtype=dtype)) == int(
+                want_rng.integers(2**31 - 1, dtype=dtype)
+            )
+
+    def test_peak_stays_near_the_signs_kept(self):
+        # 4·l·m bytes of float32 signs, one l x m bool mask of the ±1 check
+        # and one 64 KiB int64 block; one whole int64 draw alone is 8·l·m.
+        m, n_vectors = 4000, 512
+        tracemalloc.start()
+        try:
+            init_state(m, n_vectors, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * n_vectors * m
 
 
 class TestUpdate:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from radabound.errors import ConfigurationError
+from radabound.guard import GuardConfig, HoldoutSample
 from radabound.seeding import (
     SUBSTREAM_LABELS,
     is_kind,
@@ -13,6 +14,8 @@ from radabound.seeding import (
     validate_seed,
     validate_type,
 )
+from radabound.synthdata import DatasetSpec
+from radabound.thresholdout import ThresholdoutParams
 
 
 def test_labels_are_fixed():
@@ -91,3 +94,34 @@ def test_is_kind_is_the_rule_validate_type_enforces():
         assert not is_kind(value, kind)
         with pytest.raises(ConfigurationError):
             validate_type("x", value, kind)
+
+
+SPEC = dict(m_train=5, m_holdout=4, m_fresh=3, d=2)
+GUARD = dict(epsilon=0.1, delta=0.1, n_vectors=4)
+THRESHOLDOUT = dict(k=10, budget=1, epsilon=0.5, delta=0.1)
+# Every config count and seed, with the Python int it is given as.
+CONFIG_INTS = [
+    *((DatasetSpec, SPEC, name, SPEC[name]) for name in SPEC),
+    (DatasetSpec, SPEC, "n_biased", 1),
+    (DatasetSpec, SPEC, "seed", 3),
+    (GuardConfig, GUARD, "n_vectors", 4),
+    (GuardConfig, GUARD, "seed", 3),
+    (HoldoutSample, dict(points=None, m=5), "m", 5),
+    (ThresholdoutParams, THRESHOLDOUT, "k", 10),
+    (ThresholdoutParams, THRESHOLDOUT, "budget", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name, value", CONFIG_INTS,
+    ids=[f"{cls.__name__}.{name}" for cls, _, name, _ in CONFIG_INTS],
+)
+def test_config_ints_accept_numpy_integers(cls, fields, name, value):
+    plain = cls(**{**fields, name: value})
+    for convert in (np.int64, np.uint64, np.int8):
+        config = cls(**{**fields, name: convert(value)})
+        assert type(getattr(config, name)) is int
+        assert config == plain
+    for bad in (True, np.bool_(True), float(value), str(value)):
+        with pytest.raises(ConfigurationError):
+            cls(**{**fields, name: bad})

@@ -414,6 +414,29 @@ class TestGenerateThreads:
         ).stdout
         assert set(out.split()) == {f"radabound.{name}" for name in loaded}
 
+    def test_pool_thread_allocates_little(self):
+        # A thread's malloc arena keeps what the thread frees, so a set drawn
+        # off the calling thread writes into buffers the caller made, and
+        # allocates only the sampler's per-block mask and index and its
+        # result checks.
+        n, d = 4000, 500
+        spec = DatasetSpec(m_train=n, m_holdout=n, m_fresh=n, d=d, variance=4.0,
+                           n_biased=50, bias=0.5)
+        labels = 2 * np.random.default_rng(0).integers(0, 2, size=n) - 1
+        features = np.empty((n, d), order="F")
+        perm = np.random.default_rng(1).permutation(d)
+        args = (spec, "train", labels, features, perm, synthdata._set_buffers(d))
+        worker = threading.Thread(target=synthdata._draw_set, args=args)
+        tracemalloc.start()
+        try:
+            worker.start()
+            worker.join(timeout=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not worker.is_alive()
+        assert peak < 512 * 1024
+
     def test_threads_joined_after_success(self):
         before = threading.active_count()
         generate(self.SPEC)

@@ -134,7 +134,12 @@ class TestComparisonReport:
         with pytest.raises(ConfigurationError):
             comparison_report(params(), radabound_m=0)
 
-    @pytest.mark.parametrize("bad", [4000.5, 4000.0, True, "4000", None])
+    def test_numpy_holdout_size_reports_as_int(self):
+        report = comparison_report(params(), radabound_m=np.int64(4000))
+        assert type(report["radabound_m"]) is int
+        assert json.loads(json.dumps(report)) == comparison_report(params(), 4000)
+
+    @pytest.mark.parametrize("bad", [4000.5, 4000.0, True, np.bool_(True), "4000", None])
     def test_holdout_size_must_be_int(self, bad):
         with pytest.raises(ConfigurationError):
             comparison_report(params(), radabound_m=bad)
