@@ -12,11 +12,9 @@ input: exponential bounds return 1 there, the normal-approximation bound
 returns 0.5.  The normal tail comes from the stdlib ``math.erfc``.
 
 The two bounds defined as a minimum over a split of the budget
-(``overfit_bound_two_term``, ``overfit_bound_mcdiarmid_combined``) write
-their objective once as ``objective(x, exp)``: arithmetic on ``x`` plus the
-given ``exp``.  ``_minimize_split`` calls it with a numpy grid and
-``np.exp`` to find the best grid point, and with floats and ``math.exp`` for
-every value it can return, so results are Python floats.
+(``overfit_bound_two_term``, ``overfit_bound_mcdiarmid_combined``) pass
+``_minimize_split`` only ``exponents(x)``, their two tails' exponents as
+arithmetic on ``x``; it sums the two ``exp`` terms and caps the result at 1.
 """
 
 from __future__ import annotations
@@ -96,11 +94,6 @@ def _check_slack(slack: float) -> float:
     return float(min(slack, _TOLERANCE_CAP))
 
 
-def _clamp(p: float) -> float:
-    # Only the split bounds need it: their sum of two terms can exceed 1.
-    return min(1.0, max(0.0, p))
-
-
 def est_error_bernstein(m: int, n_vectors: int, eps: float) -> float:
     """Martingale-Bernstein bound on the complexity-estimate error.
 
@@ -134,24 +127,27 @@ def est_error_mclt(m: int, n_vectors: int, slack: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _minimize_split(objective, upper: float) -> float:
-    """Minimize a smooth scalar function over the open interval (0, upper).
+def _minimize_split(exponents, upper: float) -> float:
+    """Minimize exp(e1) + exp(e2), with ``e1, e2 = exponents(x)``, over the
+    open interval (0, upper), capped at 1.
 
-    ``objective(x, exp)`` takes a float with ``exp=math.exp`` or a float
-    array with ``exp=np.exp``.  The coarse uniform grid (_GRID_POINTS
-    interior points) is one numpy call and only picks the best grid point.
-    That point and the golden-section refinement around it, to relative
-    tolerance _REFINE_REL_TOL on the argument, are evaluated on floats with
+    ``exponents`` is arithmetic on ``x``, so it takes a float or a float
+    array.  The coarse uniform grid (_GRID_POINTS interior points) is one
+    numpy call and only picks the best grid point.  That point and the
+    golden-section refinement around it, to relative tolerance
+    _REFINE_REL_TOL on the argument, are evaluated on floats with
     ``math.exp``, so the minimum is a Python float equal to what a scalar
     loop over the same grid returns.
     """
-    h = upper / (_GRID_POINTS + 1)
-    grid = objective(np.arange(1, _GRID_POINTS + 1) * h, np.exp)
-    best_i = int(np.argmin(grid)) + 1
-    best_v = objective(best_i * h, math.exp)
 
     def f(x: float) -> float:
-        return objective(x, math.exp)
+        e1, e2 = exponents(x)
+        return math.exp(e1) + math.exp(e2)
+
+    h = upper / (_GRID_POINTS + 1)
+    e1, e2 = exponents(np.arange(1, _GRID_POINTS + 1) * h)
+    best_i = int(np.argmin(np.exp(e1) + np.exp(e2))) + 1
+    best_v = f(best_i * h)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = (best_i - 1) * h, (best_i + 1) * h
@@ -168,7 +164,7 @@ def _minimize_split(objective, upper: float) -> float:
             d = a + inv_phi * (b - a)
             fd = f(d)
     mid = 0.5 * (a + b)
-    return min(best_v, fc, fd, f(mid))
+    return min(1.0, best_v, fc, fd, f(mid))
 
 
 def overfit_bound_two_term(m: int, n_vectors: int, slack: float) -> float:
@@ -180,12 +176,11 @@ def overfit_bound_two_term(m: int, n_vectors: int, slack: float) -> float:
     m, n_vectors = _check_counts(m, n_vectors)
     slack = _check_slack(slack)
 
-    def objective(a, exp):
-        t1 = exp(-2.0 * m * (slack - a) ** 2)
-        t2 = exp(-3.0 * m * n_vectors * a * a / (30.0 + 8.0 * n_vectors * a))
-        return t1 + t2
+    def exponents(a):
+        return (-2.0 * m * (slack - a) ** 2,
+                -3.0 * m * n_vectors * a * a / (30.0 + 8.0 * n_vectors * a))
 
-    return _clamp(_minimize_split(objective, slack))
+    return _minimize_split(exponents, slack)
 
 
 def overfit_bound_bernstein_single(m: int, n_vectors: int, slack: float) -> float:
@@ -223,13 +218,11 @@ def overfit_bound_mcdiarmid_combined(m: int, n_vectors: int, slack: float) -> fl
     m, n_vectors = _check_counts(m, n_vectors)
     slack = _check_slack(slack)
 
-    def objective(e1, exp):
+    def exponents(e1):
         e2 = (slack - e1) / 2.0
-        t1 = exp(-2.0 * m * e1 * e1)
-        t2 = exp(-2.0 * m * n_vectors * e2 * e2 / (n_vectors + 4.0))
-        return t1 + t2
+        return -2.0 * m * e1 * e1, -2.0 * m * n_vectors * e2 * e2 / (n_vectors + 4.0)
 
-    return _clamp(_minimize_split(objective, slack))
+    return _minimize_split(exponents, slack)
 
 
 _METHOD_DISPATCH = {

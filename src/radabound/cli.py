@@ -57,6 +57,8 @@ class RunConfig:
     emit_dataset_dump: bool = False
 
     def __post_init__(self):
+        validate_type("experiment", self.experiment, DatasetSpec)
+        validate_type("guard", self.guard, GuardConfig)
         validate_type("output_dir", self.output_dir, str)
         if "\0" in self.output_dir:
             raise ConfigurationError("output_dir must not contain a NUL character")
@@ -130,12 +132,11 @@ def write_trace_csv(trace: ExperimentTrace, path) -> None:
 
 
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
-    """Debug dump: one row per point, d feature columns then ``label``."""
+    """Debug dump: one row per point, d feature columns then ``label``.
+    Writes one row at a time, so only one row is ever a Python list."""
     d = dataset.features.shape[1]
     header = [f"f{i}" for i in range(d)] + ["label"]
-    rows = (
-        (*x, y) for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())
-    )
+    rows = ((*x.tolist(), y) for x, y in zip(dataset.features, dataset.labels.tolist()))
     write_csv(path, header, (FLOAT,) * d + ("%d",), rows)
 
 

@@ -54,8 +54,12 @@ class RademacherState:
     one running supremum per sign vector, and the count of committed queries."""
 
     def __init__(self, signs: np.ndarray):
-        if signs.ndim != 2:
-            raise ConfigurationError("sign matrix must be two-dimensional")
+        # An empty matrix would average no suprema and divide by m = 0.
+        if not (isinstance(signs, np.ndarray) and signs.ndim == 2 and signs.size > 0):
+            raise ConfigurationError(
+                "sign matrix must be a two-dimensional numpy array with at least "
+                f"one row and one column, got {signs!r}"
+            )
         # Two bool masks, not the float array np.abs would build.
         if np.count_nonzero(signs == 1) + np.count_nonzero(signs == -1) != signs.size:
             raise ConfigurationError("sign matrix entries must be -1 or +1")

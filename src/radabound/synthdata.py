@@ -254,10 +254,12 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
         }
 
 
-def _set_buffers(d: int) -> tuple:
-    """The arrays one ``_draw_set`` writes to besides its result: the
-    sampler's, the row buffer and the gather buffer of the permuted copy."""
-    return _sampler_buffers(), np.empty(_COPY_BLOCK_ROWS * d), np.empty((_COPY_BLOCK_ROWS, d))
+def _set_buffers(n: int, d: int) -> tuple:
+    """The arrays one ``_draw_set`` of an n x d set writes to besides its
+    result: the sampler's, and the row buffer and the gather buffer of the
+    permuted copy, each ``min(n, _COPY_BLOCK_ROWS)`` rows."""
+    rows = min(n, _COPY_BLOCK_ROWS)
+    return _sampler_buffers(), np.empty(rows * d), np.empty((rows, d))
 
 
 def _draw_set(
@@ -266,14 +268,14 @@ def _draw_set(
 ) -> LabeledDataset:
     """Fill ``features`` with set ``name``'s points and return the set.
 
-    ``buffers`` is ``_set_buffers(d)``, made by the caller.  The set's polar
-    normals stream through its row buffer of ``_COPY_BLOCK_ROWS`` rows,
-    flushed at one site when it is full or the last value has arrived, so
-    the last flush takes the partial buffer.  A flush scales the rows,
-    shifts their first ``n_biased`` columns by ``bias * label``, gathers
-    them, columns permuted, into the gather buffer and copies that into
-    ``features``: element by element the float operations on the whole
-    n x d sample, so the bits are the same.
+    ``buffers`` is ``_set_buffers(n, d)``, made by the caller.  The set's
+    polar normals stream through its row buffer of up to
+    ``_COPY_BLOCK_ROWS`` rows, flushed at one site when it is full or the
+    last value has arrived, so the last flush takes the partial buffer.  A
+    flush scales the rows, shifts their first ``n_biased`` columns by
+    ``bias * label``, gathers them, columns permuted, into the gather buffer
+    and copies that into ``features``: element by element the float
+    operations on the whole n x d sample, so the bits are the same.
     """
     n, d = features.shape
     scale = math.sqrt(spec.variance)
@@ -319,12 +321,13 @@ def generate(spec: DatasetSpec) -> SyntheticData:
 
     The calling thread allocates every array the pool threads write to:
     the results, and per set the sampler's block arrays, the row buffer
-    and the gather buffer (``_set_buffers``, about 2 MB at d = 500), all
-    freed when the call returns.  A pool thread allocates only the sampler's
-    per-block mask and index and the set's small result checks, about
-    0.3 MB at paper scale.  What a pool thread frees stays in its own
-    malloc arena, which the calling thread's later allocations do not
-    reuse, so every large buffer belongs to the calling thread.
+    and the gather buffer (``_set_buffers``, each ``min(n, 128)`` rows of
+    d doubles for a set of n rows), all freed when the call returns.  A
+    pool thread allocates only the sampler's per-block mask and index and
+    the set's small result checks, about 0.3 MB at paper scale.  What a
+    pool thread frees stays in its own malloc arena, which the calling
+    thread's later allocations do not reuse, so every large buffer belongs
+    to the calling thread.
 
     The first exception of a set, in set order, is raised once every set
     has finished, or was cancelled before it started, and the pool has
@@ -342,7 +345,7 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     # every ``import radabound``, including runs that never call generate.
     from concurrent.futures import ThreadPoolExecutor
 
-    buffers = [_set_buffers(spec.d) for _ in names]
+    buffers = [_set_buffers(n, spec.d) for n in sizes]
 
     def draw(i: int) -> LabeledDataset:
         return _draw_set(spec, names[i], labels[i], features[i], perm, buffers[i])

@@ -74,6 +74,15 @@ class TestRunConfig:
                 RunConfig(cfg.experiment, cfg.guard, epsilon_list=bad)
         assert RunConfig(cfg.experiment, cfg.guard, [0.2]).epsilon_list == (0.2,)
 
+    def test_constructor_checks_section_types(self, tmp_path):
+        # A section of another type would otherwise fail later, with
+        # AttributeError, in the run or in ``epsilons``.
+        cfg = RunConfig.from_dict(small_config_dict(tmp_path))
+        with pytest.raises(ConfigurationError, match="experiment must be of type"):
+            RunConfig(experiment=5, guard=cfg.guard)
+        with pytest.raises(ConfigurationError, match="guard must be of type"):
+            RunConfig(cfg.experiment, guard={"epsilon": 0.2})
+
     # A run is fixed by its config file alone: RADABOUND_SEED, which once
     # overrode both seeds, now changes neither seed nor a byte of output.
     def check_seed_env_var_ignored(self, tmp_path, monkeypatch, value):

@@ -283,6 +283,10 @@ class TestSignChecks:
             RademacherState(signs=np.array([[1.0, 0.5]]))
         with pytest.raises(ConfigurationError, match="two-dimensional"):
             RademacherState(signs=np.ones(3))
+        # No sign vectors, no columns, or a list instead of an array.
+        for bad in (np.ones((0, 3)), np.ones((2, 0)), [[1, -1]]):
+            with pytest.raises(ConfigurationError, match="two-dimensional"):
+                RademacherState(signs=bad)
 
     def test_immutable_after_creation(self):
         state = RademacherState(signs=np.ones((2, 3)))

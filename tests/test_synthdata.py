@@ -425,7 +425,7 @@ class TestGenerateThreads:
         labels = 2 * np.random.default_rng(0).integers(0, 2, size=n) - 1
         features = np.empty((n, d), order="F")
         perm = np.random.default_rng(1).permutation(d)
-        args = (spec, "train", labels, features, perm, synthdata._set_buffers(d))
+        args = (spec, "train", labels, features, perm, synthdata._set_buffers(n, d))
         worker = threading.Thread(target=synthdata._draw_set, args=args)
         tracemalloc.start()
         try:
@@ -436,6 +436,19 @@ class TestGenerateThreads:
             tracemalloc.stop()
         assert not worker.is_alive()
         assert peak < 512 * 1024
+
+    def test_small_sets_get_small_buffers(self):
+        # Each set's row and gather buffers hold at most its own n rows: a
+        # 128-row pair per set would be 3 x 2 x 128 x 20000 doubles, 117 MiB,
+        # for 0.48 MB of data.
+        spec = DatasetSpec(m_train=1, m_holdout=1, m_fresh=1, d=20000)
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
 
     def test_threads_joined_after_success(self):
         before = threading.active_count()
@@ -527,3 +540,18 @@ def test_dump_csv(tmp_path):
     path = tmp_path / "out.csv"
     write_dataset_csv(ds, path)
     assert path.read_bytes() == b"f0,f1,label\n0.5,-1.25,1\n2,3,-1\n"
+
+
+def test_dump_csv_streams_rows(tmp_path):
+    # The whole 2000 x 200 set as Python floats would take about 12 MB.
+    n, d = 2000, 200
+    rng = np.random.default_rng(0)
+    ds = LabeledDataset(features=np.asfortranarray(rng.standard_normal((n, d))),
+                        labels=2 * rng.integers(0, 2, size=n) - 1)
+    tracemalloc.start()
+    try:
+        write_dataset_csv(ds, tmp_path / "out.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
