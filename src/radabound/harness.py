@@ -57,6 +57,11 @@ class LinearClassifier:
             raise ConfigurationError("weights must not be ragged") from None
         if w.ndim != 1 or not np.all(np.isin(w, (-1, 0, 1))):
             raise ConfigurationError("weights must be a 1-d vector over {-1, 0, +1}")
+        # A bool is a flag, never a number: True must not read as weight 1.
+        # np.asarray turns a list mixing bools and ints into ints.
+        elements = w.tolist() if isinstance(self.weights, np.ndarray) else self.weights
+        if any(isinstance(x, (bool, np.bool_)) for x in elements):
+            raise ConfigurationError("weights must be numbers, not bools")
         # Keep the array that was checked, also for list or tuple weights.
         object.__setattr__(self, "weights", w)
 

@@ -8,22 +8,28 @@ of every fixed classifier is exactly 0.5.
 
 Training, holdout and fresh sets draw from disjoint substreams of the master
 seed, so they are independent and individually reproducible.  ``generate``
-therefore draws the three sets at once on a three-thread pool, and the
-bytes do not depend on how many cores those threads get.  Each set's
-normals stream through a small row buffer into the set's column-major
-result, so no n x d temporary is held beside it.  The calling thread
-allocates every buffer the pool threads write to: what a pool thread frees
-stays in its own malloc arena, which the calling thread's later
-allocations do not reuse.  Feature columns are shuffled by a seeded
+therefore draws the three sets at once, and the bytes do not depend on the
+order of their steps.  A step streams one small row buffer of a set's
+normals into the set's column-major result, so no n x d temporary is held
+beside it.  The sets take turns, one step at a time, on one worker per CPU
+this process may run on, at most three, the calling thread among them: on
+one CPU no thread starts.  The calling thread allocates every buffer the
+workers write to: what a worker thread frees stays in its own malloc arena,
+which the calling thread's later allocations do not reuse.  The sampler
+blocks and row buffers stay small, so each step's arrays stay in cache and
+the peak memory stays low.  Feature columns are shuffled by a seeded
 permutation so learners cannot exploit the canonical placement of the
 biased columns; the permutation is recorded on the result.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,8 +172,8 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _sampler_buffers() -> tuple[np.ndarray, np.ndarray]:
     """The arrays one ``_polar_chunks`` run writes to, each one sampler block
-    long: eight float rows (u, v, s, v squared, the accepted s, u and v, and
-    the factor) and the keep mask."""
+    long: eight float rows (s, u, v; the two squares, whose first row then
+    holds the factor; the accepted s, u and v) and the keep mask."""
     return np.empty((8, _SAMPLER_BLOCK)), np.empty(_SAMPLER_BLOCK, dtype=bool)
 
 
@@ -186,9 +192,11 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
     temporaries stay in cache: u comes from ``rng`` and v from a copy of its
     bit generator moved ``batch`` draws ahead.  Every block is written only
     into ``buffers``, from ``_sampler_buffers()``; the sampler allocates
-    only each block's s > 0 mask and index of accepted pairs.  A yielded
-    block is a view of the u and v rows, so the caller copies it before
-    asking for the next one.
+    only each block's index of accepted pairs.  Each numpy call takes u and
+    v, or the accepted s, u and v, as the rows of one array: every call
+    releases and retakes the interpreter lock, so fewer calls trade it less
+    often between ``generate``'s workers.  A yielded block is a view of the
+    buffers, so the caller copies it before asking for the next one.
 
     Blocks stop once n values are out, and ``rng`` is then moved past the
     whole batch, so a caller that runs the generator to its end leaves
@@ -204,7 +212,11 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
             f"got {type(bits).__name__}"
         )
     floats, keep_buf = buffers
-    values = floats[:2].reshape(-1)  # the u and v rows, reused for the output
+    # Flat regions, so that each block's rows are one contiguous array:
+    # s, u and v; the two squares; the accepted s, u and v.
+    suv_buf, squares_buf, accepted_buf = np.split(
+        floats.reshape(-1), (3 * _SAMPLER_BLOCK, 5 * _SAMPLER_BLOCK)
+    )
     filled = 0
     while filled < n:
         batch = int((n - filled) * _BATCH_PAIRS_PER_VALUE) + 32
@@ -217,33 +229,36 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
             need = n - filled
             size = min(_SAMPLER_BLOCK, batch - drawn)
             drawn += size
-            u, v, s, v2, acc_s, acc_u, acc_v, factor = floats[:, :size]
+            suv = suv_buf[: 3 * size].reshape(3, size)
+            s, uv = suv[0], suv[1:]
+            rng.random(out=uv[0])
+            v_rng.random(out=uv[1])
+            uv *= 2.0
+            uv -= 1.0
+            squares = squares_buf[: 2 * size].reshape(2, size)
+            np.multiply(uv, uv, out=squares)
+            np.add(squares[0], squares[1], out=s)
             keep = keep_buf[:size]
-            for r, uniform in ((rng, u), (v_rng, v)):
-                r.random(out=uniform)
-                uniform *= 2.0
-                uniform -= 1.0
-            np.multiply(u, u, out=s)
-            s += np.multiply(v, v, out=v2)
             np.less(s, 1.0, out=keep)
-            keep &= s > 0.0
+            np.logical_and(keep, s, out=keep)  # s >= 0, so s is true where s > 0
             idx = np.flatnonzero(keep)[: (need + 1) // 2]
             k = idx.size
-            acc_s, acc_u, acc_v, factor = acc_s[:k], acc_u[:k], acc_v[:k], factor[:k]
+            accepted = accepted_buf[: 3 * k].reshape(3, k)
             # mode="clip" writes straight into out; idx is always in range.
-            for source, accepted in ((s, acc_s), (u, acc_u), (v, acc_v)):
-                source.take(idx, out=accepted, mode="clip")
+            np.take(suv, idx, axis=1, out=accepted, mode="clip")
+            acc_s = accepted[0]
+            factor = squares_buf[:k]
             np.log(acc_s, out=factor)
             factor *= -2.0
             factor /= acc_s
             np.sqrt(factor, out=factor)
+            # Interleaved (u * factor, v * factor) pairs.  When need is odd
+            # the last v value is computed but not yielded.
+            values = suv_buf[: 2 * k]
+            np.multiply(accepted[1:], factor, out=values.reshape(k, 2).T)
             take = min(2 * k, need)
-            chunk = values[:take]
-            np.multiply(acc_u, factor, out=chunk[0::2])
-            n_v = take // 2
-            np.multiply(acc_v[:n_v], factor[:n_v], out=chunk[1::2])
             filled += take
-            yield chunk
+            yield values[:take]
         # Skip the batch's unread u draws and all its v draws.  advance() also
         # clears the buffered half of a 32-bit draw, which uniforms never
         # touch, so put it back.
@@ -255,18 +270,19 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
 
 
 def _set_buffers(n: int, d: int) -> tuple:
-    """The arrays one ``_draw_set`` of an n x d set writes to besides its
-    result: the sampler's, and the row buffer and the gather buffer of the
-    permuted copy, each ``min(n, _COPY_BLOCK_ROWS)`` rows."""
+    """The arrays one ``_set_steps`` run for an n x d set writes to besides
+    its result: the sampler's, and the row buffer and the gather buffer of
+    the permuted copy, each ``min(n, _COPY_BLOCK_ROWS)`` rows."""
     rows = min(n, _COPY_BLOCK_ROWS)
     return _sampler_buffers(), np.empty(rows * d), np.empty((rows, d))
 
 
-def _draw_set(
+def _set_steps(
     spec: DatasetSpec, name: str, labels: np.ndarray, features: np.ndarray,
     perm: np.ndarray, buffers: tuple,
-) -> LabeledDataset:
-    """Fill ``features`` with set ``name``'s points and return the set.
+):
+    """Fill ``features`` with set ``name``'s points, one step a ``next``,
+    and return the set as the generator's value.
 
     ``buffers`` is ``_set_buffers(n, d)``, made by the caller.  The set's
     polar normals stream through its row buffer of up to
@@ -275,7 +291,8 @@ def _draw_set(
     flush scales the rows, shifts their first ``n_biased`` columns by
     ``bias * label``, gathers them, columns permuted, into the gather buffer
     and copies that into ``features``: element by element the float
-    operations on the whole n x d sample, so the bits are the same.
+    operations on the whole n x d sample, so the bits are the same.  Each
+    flush ends a step; the last ``next`` checks the set and returns it.
     """
     n, d = features.shape
     scale = math.sqrt(spec.variance)
@@ -301,7 +318,15 @@ def _draw_set(
                 np.take(rows, perm, axis=1, out=permuted, mode="clip")
                 features[start:stop] = permuted
                 start, filled = stop, 0
+                yield
     return LabeledDataset(features=features, labels=labels)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def generate(spec: DatasetSpec) -> SyntheticData:
@@ -313,25 +338,31 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     bit-identical data.
 
     The three feature matrices are allocated first, so a size numpy refuses
-    fails before any draw.  Then a three-thread ``ThreadPoolExecutor`` draws
-    the train, holdout and fresh sets, one a thread; numpy releases the
-    interpreter lock in the sampler's array steps, so the sets overlap on a
-    multi-core machine.  Each set streams through a small row buffer into
-    its column-major result.
+    fails before any draw.  Each set is then a ``_set_steps`` generator, one
+    step a flush of its row buffer, and the sets wait in one queue.
+    ``min(3, CPUs this process may run on)`` workers, the calling thread
+    among them, each pop a set, run one step and push the set back, until
+    the queue is empty.  numpy releases the interpreter lock in the
+    sampler's array steps, so the sets overlap on a multi-core machine.  On
+    two CPUs the three sets share two workers evenly, and on one CPU no
+    thread starts: a third thread on two cores only trades the lock.
 
-    The calling thread allocates every array the pool threads write to:
-    the results, and per set the sampler's block arrays, the row buffer
-    and the gather buffer (``_set_buffers``, each ``min(n, 128)`` rows of
-    d doubles for a set of n rows), all freed when the call returns.  A
-    pool thread allocates only the sampler's per-block mask and index and
-    the set's small result checks, about 0.3 MB at paper scale.  What a
-    pool thread frees stays in its own malloc arena, which the calling
-    thread's later allocations do not reuse, so every large buffer belongs
-    to the calling thread.
+    The calling thread allocates every array the workers write to: the
+    results, and per set the sampler's block arrays, the row buffer and the
+    gather buffer (``_set_buffers``, each ``min(n, 128)`` rows of d doubles
+    for a set of n rows), all freed when the call returns.  A worker
+    thread allocates only the sampler's per-block index and the set's small
+    result checks, about 0.3 MB at paper scale.  What a worker thread frees
+    stays in its own malloc arena, which the calling thread's later
+    allocations do not reuse, so every large buffer belongs to the calling
+    thread.  The sampler blocks and row buffers stay small, so each step's
+    arrays stay in cache and the peak memory stays low: blocks of twice the
+    pairs add about 4 MB to the peak of a paper-scale call.
 
-    The first exception of a set, in set order, is raised once every set
-    has finished, or was cancelled before it started, and the pool has
-    shut down.
+    A set whose step raises stops, and the other sets finish.  Once every
+    worker has been joined, the first error in set order is raised.  If the
+    calling thread is interrupted, the other workers stop after their
+    current step and are joined before the interrupt propagates.
     """
     names = ("train", "holdout", "fresh")
     sizes = (spec.m_train, spec.m_holdout, spec.m_fresh)
@@ -340,18 +371,50 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     perm = seed_substream(spec.seed, "permutation").permutation(spec.d)
     label_rng = seed_substream(spec.seed, "labels")
     labels = [2 * label_rng.integers(0, 2, size=n) - 1 for n in sizes]
-
-    # Imported here: concurrent.futures pulls in logging, which would slow
-    # every ``import radabound``, including runs that never call generate.
-    from concurrent.futures import ThreadPoolExecutor
-
     buffers = [_set_buffers(n, spec.d) for n in sizes]
 
-    def draw(i: int) -> LabeledDataset:
-        return _draw_set(spec, names[i], labels[i], features[i], perm, buffers[i])
+    queue = collections.deque(
+        (i, _set_steps(spec, names[i], labels[i], features[i], perm, buffers[i]))
+        for i in range(3)
+    )
+    results = [None] * 3
+    errors = [None] * 3
+    stop = threading.Event()
 
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        # map yields in set order, so the first error in set order is
-        # raised; leaving the with block waits for every set.
-        train, holdout, fresh = pool.map(draw, range(3))
-    return SyntheticData(train, holdout, fresh, column_permutation=perm)
+    def work():
+        # deque's popleft and append are atomic, and a set is out of the
+        # queue while its step runs, so no two workers run one generator.
+        while not stop.is_set():
+            try:
+                i, steps = queue.popleft()
+            except IndexError:
+                return
+            try:
+                next(steps)
+            except StopIteration as done:
+                results[i] = done.value
+            except Exception as err:
+                errors[i] = err
+            else:
+                queue.append((i, steps))
+
+    threads = [threading.Thread(target=work) for _ in range(min(3, _cpu_count()) - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        # Interrupted, or a thread did not start: the other workers stop
+        # after their current step.
+        stop.set()
+        queue.clear()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    for error in errors:
+        if error is not None:
+            raise error
+    return SyntheticData(*results, column_permutation=perm)

@@ -71,6 +71,13 @@ class TestLinearClassifier:
         with pytest.raises(ConfigurationError, match="ragged"):
             LinearClassifier(weights=[[1], [0, 1]])
 
+    def test_rejects_bool_weights(self):
+        # True is not the weight 1, alone, mixed with ints or in an array.
+        for weights in ([True, False], [1, True], (0, np.True_),
+                        np.array([True, False]), np.array([1, True], dtype=object)):
+            with pytest.raises(ConfigurationError, match="not bools"):
+                LinearClassifier(weights=weights)
+
     def test_dimension_mismatch(self):
         w = LinearClassifier(weights=np.array([1, -1]))
         with pytest.raises(DimensionError):

@@ -345,38 +345,110 @@ class TestGenerateThreads:
                        bias=0.5, variance=2.0, seed=17)
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
-        draw_set = synthdata._draw_set
+        set_steps = synthdata._set_steps
 
         def failing(spec, name, *args):
             if name == "holdout":
                 raise RuntimeError("holdout failed")
-            return draw_set(spec, name, *args)
+            return (yield from set_steps(spec, name, *args))
 
-        monkeypatch.setattr(synthdata, "_draw_set", failing)
+        monkeypatch.setattr(synthdata, "_set_steps", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="holdout failed"):
             generate(self.SPEC)
         assert threading.active_count() == before
 
     def test_first_failure_in_set_order_is_raised(self, monkeypatch):
-        # Fresh fails too, but train's error is the one raised, after the
-        # pool has shut down.
-        draw_set = synthdata._draw_set
+        # Fresh fails too, but train's error is the one raised, after every
+        # worker has been joined.
+        set_steps = synthdata._set_steps
 
         def failing(spec, name, *args):
             if name in ("train", "fresh"):
                 raise RuntimeError(f"{name} failed")
-            return draw_set(spec, name, *args)
+            return (yield from set_steps(spec, name, *args))
 
-        monkeypatch.setattr(synthdata, "_draw_set", failing)
+        monkeypatch.setattr(synthdata, "_set_steps", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="train failed"):
             generate(self.SPEC)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_bytes_and_threads_at_every_cpu_count(self, monkeypatch, cpus):
+        # min(3, cpus) workers, the calling thread among them: on one CPU no
+        # thread starts.
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(synthdata, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(synthdata.threading, "Thread", CountingThread)
+        spec = dataclasses.replace(self.SPEC, m_train=1501, d=41)
+        assert_same_bytes(generate(spec), serial_reference(spec))
+        assert len(started) == min(3, cpus) - 1
+
+    def test_failed_set_stops_and_the_others_finish(self, monkeypatch):
+        # On two CPUs holdout fails on its first step and train on its
+        # twentieth; fresh still finishes, and train's error is raised.
+        set_steps = synthdata._set_steps
+        finished = []
+
+        def failing(spec, name, *args):
+            steps = set_steps(spec, name, *args)
+            if name == "holdout":
+                raise RuntimeError("holdout failed")
+            if name == "train":
+                for _ in range(19):
+                    yield next(steps)
+                raise RuntimeError("train failed")
+            result = yield from steps
+            finished.append(name)
+            return result
+
+        monkeypatch.setattr(synthdata, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(synthdata, "_set_steps", failing)
+        spec = dataclasses.replace(self.SPEC, m_train=3000)  # 24 steps
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="train failed"):
+            generate(spec)
+        assert threading.active_count() == before
+        assert finished == ["fresh"]
+
+    def test_interrupt_stops_the_other_workers(self, monkeypatch):
+        # The other workers each hold a set, waiting, until the calling
+        # thread's step is interrupted; then each stops after at most one
+        # more step, no set finishes, and every worker is joined.
+        set_steps = synthdata._set_steps
+        caller = threading.current_thread()
+        interrupted = threading.Event()
+        worker_steps = []
+        finished = []
+
+        def interruptible(spec, name, *args):
+            for _ in set_steps(spec, name, *args):
+                if threading.current_thread() is caller:
+                    interrupted.set()
+                    raise KeyboardInterrupt
+                interrupted.wait(timeout=60)
+                worker_steps.append(name)
+                yield
+            finished.append(name)
+
+        monkeypatch.setattr(synthdata, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(synthdata, "_set_steps", interruptible)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            generate(dataclasses.replace(self.SPEC, m_train=3000))
+        assert threading.active_count() == before
+        assert len(worker_steps) <= 2 and finished == []
+
     def test_import_does_not_load_thread_pool(self):
-        # generate imports concurrent.futures, and with it logging, only
-        # when called, so importing the package stays light.
+        # Importing the package loads neither concurrent.futures nor, with
+        # it, logging, so it stays light.
         # The child imports the same copy of the package as this process.
         package_parent = str(Path(synthdata.__file__).parents[1])
         code = (
@@ -417,16 +489,18 @@ class TestGenerateThreads:
     def test_pool_thread_allocates_little(self):
         # A thread's malloc arena keeps what the thread frees, so a set drawn
         # off the calling thread writes into buffers the caller made, and
-        # allocates only the sampler's per-block mask and index and its
-        # result checks.
+        # allocates only the sampler's per-block index and its result checks.
         n, d = 4000, 500
         spec = DatasetSpec(m_train=n, m_holdout=n, m_fresh=n, d=d, variance=4.0,
                            n_biased=50, bias=0.5)
         labels = 2 * np.random.default_rng(0).integers(0, 2, size=n) - 1
         features = np.empty((n, d), order="F")
         perm = np.random.default_rng(1).permutation(d)
-        args = (spec, "train", labels, features, perm, synthdata._set_buffers(n, d))
-        worker = threading.Thread(target=synthdata._draw_set, args=args)
+        steps = synthdata._set_steps(
+            spec, "train", labels, features, perm, synthdata._set_buffers(n, d)
+        )
+        done = []
+        worker = threading.Thread(target=lambda: done.append(sum(1 for _ in steps)))
         tracemalloc.start()
         try:
             worker.start()
@@ -435,6 +509,8 @@ class TestGenerateThreads:
         finally:
             tracemalloc.stop()
         assert not worker.is_alive()
+        # Every step ran: one a full or final row buffer.
+        assert done == [math.ceil(n / _COPY_BLOCK_ROWS)]
         assert peak < 512 * 1024
 
     def test_small_sets_get_small_buffers(self):
