@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .guard import Certifier, Guard, GuardConfig, HoldoutSample
+from .seeding import validate_type
 from .synthdata import LabeledDataset
 
 
@@ -105,6 +106,7 @@ class ExperimentTrace:
 def feature_order(train: LabeledDataset) -> np.ndarray:
     """Feature indices sorted by |correlation with the label| descending,
     ties broken by ascending index."""
+    validate_type("train", train, LabeledDataset)
     if len(train) < 1:
         raise ConfigurationError("training set must be non-empty")
     corr = train.features.T @ train.labels / len(train)
@@ -113,6 +115,8 @@ def feature_order(train: LabeledDataset) -> np.ndarray:
 
 def evaluate_on(dataset: LabeledDataset, w: LinearClassifier) -> float:
     """Accuracy (1 - mean 0-1 loss) of ``w`` over ``dataset``."""
+    validate_type("dataset", dataset, LabeledDataset)
+    validate_type("w", w, LinearClassifier)
     if len(dataset) < 1:
         raise ConfigurationError("dataset must be non-empty")
     return float(np.mean(w.predict(dataset.features) == dataset.labels))
@@ -141,6 +145,14 @@ def _candidate_predictions(
     return out.reshape(-1, len(scores))
 
 
+def _validate_run(train, holdout, fresh, guard_config) -> None:
+    """Raise ConfigurationError unless the sets are ``LabeledDataset``s and
+    ``guard_config`` a ``GuardConfig``."""
+    for name, dataset in (("train", train), ("holdout", holdout), ("fresh", fresh)):
+        validate_type(name, dataset, LabeledDataset)
+    validate_type("guard_config", guard_config, GuardConfig)
+
+
 def run_adaptive_analysis(
     train: LabeledDataset,
     holdout: LabeledDataset,
@@ -148,6 +160,7 @@ def run_adaptive_analysis(
     guard_config: GuardConfig,
 ) -> ExperimentTrace:
     """Run the greedy classifier search on pre-generated data."""
+    _validate_run(train, holdout, fresh, guard_config)
     d = train.features.shape[1]
     if holdout.features.shape[1] != d or fresh.features.shape[1] != d:
         raise DimensionError("train/holdout/fresh feature counts disagree")
@@ -289,6 +302,10 @@ def run_epsilon_sweep(
     halting row (possible only if the bound were not monotone in slack) is
     run directly.
     """
+    _validate_run(train, holdout, fresh, guard_config)
+    # A string is iterable, but its characters are no epsilons.
+    if isinstance(epsilons, str) or not isinstance(epsilons, Iterable):
+        raise ConfigurationError(f"epsilons must be an iterable of numbers, got {epsilons!r}")
     configs = [replace(guard_config, epsilon=eps) for eps in epsilons]
     if not configs:
         return []

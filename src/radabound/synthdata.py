@@ -9,17 +9,18 @@ of every fixed classifier is exactly 0.5.
 Training, holdout and fresh sets draw from disjoint substreams of the master
 seed, so they are independent and individually reproducible.  ``generate``
 therefore draws the three sets at once, and the bytes do not depend on the
-order of their steps.  A step streams one small row buffer of a set's
-normals into the set's column-major result, so no n x d temporary is held
-beside it.  The sets take turns, one step at a time, on one worker per CPU
-this process may run on, at most three, the calling thread among them: on
-one CPU no thread starts.  The calling thread allocates every buffer the
-workers write to: what a worker thread frees stays in its own malloc arena,
-which the calling thread's later allocations do not reuse.  The sampler
-blocks and row buffers stay small, so each step's arrays stay in cache and
-the peak memory stays low.  Feature columns are shuffled by a seeded
-permutation so learners cannot exploit the canonical placement of the
-biased columns; the permutation is recorded on the result.
+order of their steps.  Feature columns are shuffled by a seeded permutation
+so learners cannot exploit the canonical placement of the biased columns;
+the permutation is recorded on the result.  A step writes one small row
+buffer of a set's normals through the inverse permutation into the set's
+column-major result, so no n x d temporary is held beside it.  The sets
+take turns, one step at a time, on one worker per CPU this process may run
+on, at most three, the calling thread among them: on one CPU no thread
+starts.  The calling thread allocates every buffer the workers write to:
+what a worker thread frees stays in its own malloc arena, which the calling
+thread's later allocations do not reuse.  The sampler blocks and row
+buffers stay small, so each step's arrays stay in cache and the peak memory
+stays low.
 """
 
 from __future__ import annotations
@@ -271,32 +272,32 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
 
 def _set_buffers(n: int, d: int) -> tuple:
     """The arrays one ``_set_steps`` run for an n x d set writes to besides
-    its result: the sampler's, and the row buffer and the gather buffer of
-    the permuted copy, each ``min(n, _COPY_BLOCK_ROWS)`` rows."""
-    rows = min(n, _COPY_BLOCK_ROWS)
-    return _sampler_buffers(), np.empty(rows * d), np.empty((rows, d))
+    its result: the sampler's, and the row buffer of ``min(n,
+    _COPY_BLOCK_ROWS)`` rows."""
+    return _sampler_buffers(), np.empty(min(n, _COPY_BLOCK_ROWS) * d)
 
 
 def _set_steps(
     spec: DatasetSpec, name: str, labels: np.ndarray, features: np.ndarray,
-    perm: np.ndarray, buffers: tuple,
+    inverse: np.ndarray, buffers: tuple,
 ):
     """Fill ``features`` with set ``name``'s points, one step a ``next``,
     and return the set as the generator's value.
 
-    ``buffers`` is ``_set_buffers(n, d)``, made by the caller.  The set's
-    polar normals stream through its row buffer of up to
-    ``_COPY_BLOCK_ROWS`` rows, flushed at one site when it is full or the
-    last value has arrived, so the last flush takes the partial buffer.  A
-    flush scales the rows, shifts their first ``n_biased`` columns by
-    ``bias * label``, gathers them, columns permuted, into the gather buffer
-    and copies that into ``features``: element by element the float
-    operations on the whole n x d sample, so the bits are the same.  Each
-    flush ends a step; the last ``next`` checks the set and returns it.
+    ``buffers`` is ``_set_buffers(n, d)``, made by the caller, and
+    ``inverse`` the inverse column permutation.  The set's polar normals
+    stream through its row buffer, flushed at one site when it is full or
+    the last value has arrived.  A flush scales the rows, shifts their first
+    ``n_biased`` columns by ``bias * label`` and writes column j to column
+    ``inverse[j]`` of ``features``: element by element the float operations
+    on the whole n x d sample, so the bits are the same.  The write reads
+    the row buffer contiguously, writes each column's rows contiguously
+    into the column-major result, and needs no temporary.  Each flush ends
+    a step; the last ``next`` checks the set and returns it.
     """
     n, d = features.shape
     scale = math.sqrt(spec.variance)
-    sampler, buf, gather = buffers
+    sampler, buf = buffers
     filled = 0  # values in buf
     start = 0  # features row of buf's first row
     for chunk in _polar_chunks(seed_substream(spec.seed, name), n * d, sampler):
@@ -312,11 +313,7 @@ def _set_steps(
                 rows *= scale
                 if spec.n_biased > 0:
                     rows[:, : spec.n_biased] += float(spec.bias) * labels[start:stop, None]
-                # A contiguous gather, then one copy into the column-major
-                # rows: faster than a gather straight into them.
-                permuted = gather[: stop - start]
-                np.take(rows, perm, axis=1, out=permuted, mode="clip")
-                features[start:stop] = permuted
+                features[start:stop, inverse] = rows
                 start, filled = stop, 0
                 yield
     return LabeledDataset(features=features, labels=labels)
@@ -348,16 +345,16 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     thread starts: a third thread on two cores only trades the lock.
 
     The calling thread allocates every array the workers write to: the
-    results, and per set the sampler's block arrays, the row buffer and the
-    gather buffer (``_set_buffers``, each ``min(n, 128)`` rows of d doubles
-    for a set of n rows), all freed when the call returns.  A worker
-    thread allocates only the sampler's per-block index and the set's small
-    result checks, about 0.3 MB at paper scale.  What a worker thread frees
-    stays in its own malloc arena, which the calling thread's later
-    allocations do not reuse, so every large buffer belongs to the calling
-    thread.  The sampler blocks and row buffers stay small, so each step's
-    arrays stay in cache and the peak memory stays low: blocks of twice the
-    pairs add about 4 MB to the peak of a paper-scale call.
+    results, and per set the sampler's block arrays and the row buffer
+    (``_set_buffers``, ``min(n, 128)`` rows of d doubles for a set of n
+    rows), all freed when the call returns.  A worker thread allocates only
+    the sampler's per-block index and the set's small result checks, about
+    0.3 MB at paper scale.  What a worker thread frees stays in its own
+    malloc arena, which the calling thread's later allocations do not
+    reuse, so every large buffer belongs to the calling thread.  The
+    sampler blocks and row buffers stay small, so each step's arrays stay in
+    cache and the peak memory stays low: blocks of twice the pairs add about
+    4 MB to the peak of a paper-scale call.
 
     A set whose step raises stops, and the other sets finish.  Once every
     worker has been joined, the first error in set order is raised.  If the
@@ -369,12 +366,13 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     # Column-major, so the learner's per-feature gathers are contiguous.
     features = [np.empty((n, spec.d), order="F") for n in sizes]
     perm = seed_substream(spec.seed, "permutation").permutation(spec.d)
+    inverse = np.argsort(perm)
     label_rng = seed_substream(spec.seed, "labels")
     labels = [2 * label_rng.integers(0, 2, size=n) - 1 for n in sizes]
     buffers = [_set_buffers(n, spec.d) for n in sizes]
 
     queue = collections.deque(
-        (i, _set_steps(spec, names[i], labels[i], features[i], perm, buffers[i]))
+        (i, _set_steps(spec, names[i], labels[i], features[i], inverse, buffers[i]))
         for i in range(3)
     )
     results = [None] * 3

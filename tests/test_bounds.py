@@ -452,3 +452,33 @@ class TestCompareTable:
         for bad in (0, 1.5, True, "8", None, object()):
             with pytest.raises(DomainError):
                 compare_bounds_table(1000, 0.01, [bad])
+
+
+def single_bound_excesses(split_bound, scale=1.0):
+    """The points of the dominance grid where ``split_bound`` is below 1,
+    and those among them where ``overfit_bound_bernstein_single`` exceeds
+    ``scale`` times it."""
+    checked, excesses = [], []
+    for m in (10, 100, 1000, 4000, 100000):
+        for l in (1, 2, 8, 32, 128, 512, 4096):
+            for slack in np.linspace(0.0, 1.0, 41)[1:].tolist():
+                split = split_bound(m, l, slack)
+                if split < 1.0:
+                    checked.append((m, l, slack))
+                    if overfit_bound_bernstein_single(m, l, slack) > scale * split:
+                        excesses.append((m, l, slack))
+    return checked, excesses
+
+
+@pytest.mark.parametrize(
+    "split_bound", [overfit_bound_two_term, overfit_bound_mcdiarmid_combined]
+)
+def test_bernstein_single_at_most_each_split_bound(split_bound):
+    # A guard on a pointwise larger bound halts at the same row or earlier,
+    # so it answers a prefix of what the bernstein_single guard answers.
+    checked, excesses = single_bound_excesses(split_bound)
+    assert len(checked) > 1000
+    assert excesses == []
+    # The check can fail: half of either split bound is below
+    # bernstein_single at some points of the grid.
+    assert single_bound_excesses(split_bound, scale=0.5)[1]

@@ -253,6 +253,37 @@ class TestRunExperiment:
             feature_order(empty)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda s, c: run_epsilon_sweep(*s, c, epsilons=0.2), "epsilons must be an iterable"),
+        (lambda s, c: run_epsilon_sweep(*s, c, epsilons=None), "epsilons must be an iterable"),
+        # Not the characters '0', '.' and '2'.
+        (lambda s, c: run_epsilon_sweep(*s, c, epsilons="0.2"), "epsilons must be an iterable"),
+        (lambda s, c: run_epsilon_sweep(*s, {"epsilon": 0.2}, [0.2]), "guard_config must be"),
+        (lambda s, c: run_epsilon_sweep(s[0].features, *s[1:], c, [0.2]), "train must be"),
+        (lambda s, c: run_adaptive_analysis(s[0].features, *s[1:], c), "train must be"),
+        (lambda s, c: run_adaptive_analysis(s[0], s[1].features, s[2], c), "holdout must be"),
+        (lambda s, c: run_adaptive_analysis(*s[:2], s[2].features, c), "fresh must be"),
+        (lambda s, c: run_adaptive_analysis(*s, dataclasses.asdict(c)), "guard_config must be"),
+        (lambda s, c: evaluate_on(s[1], np.array([1, 0, -1])), "w must be"),
+        (lambda s, c: evaluate_on(s[1].features, LinearClassifier([1, 0, -1])), "dataset must be"),
+        (lambda s, c: feature_order(s[0].features), "train must be"),
+    ],
+    ids=[
+        "sweep-float-epsilons", "sweep-none-epsilons", "sweep-str-epsilons",
+        "sweep-dict-config", "sweep-array-train", "run-array-train",
+        "run-array-holdout", "run-array-fresh", "run-dict-config",
+        "evaluate-array-weights", "evaluate-array-dataset", "order-array-train",
+    ],
+)
+def test_wrong_argument_kinds_rejected(call, match):
+    sets = tuple(generate(DatasetSpec(m_train=5, m_holdout=5, m_fresh=5, d=3, seed=1)))
+    cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=4, seed=1)
+    with pytest.raises(ConfigurationError, match=match):
+        call(sets, cfg)
+
+
 def row_key(row):
     # NaN marks the halting row's withheld answer; compare it as a token.
     return tuple(

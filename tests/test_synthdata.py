@@ -495,9 +495,9 @@ class TestGenerateThreads:
                            n_biased=50, bias=0.5)
         labels = 2 * np.random.default_rng(0).integers(0, 2, size=n) - 1
         features = np.empty((n, d), order="F")
-        perm = np.random.default_rng(1).permutation(d)
+        inverse = np.argsort(np.random.default_rng(1).permutation(d))
         steps = synthdata._set_steps(
-            spec, "train", labels, features, perm, synthdata._set_buffers(n, d)
+            spec, "train", labels, features, inverse, synthdata._set_buffers(n, d)
         )
         done = []
         worker = threading.Thread(target=lambda: done.append(sum(1 for _ in steps)))
@@ -514,9 +514,8 @@ class TestGenerateThreads:
         assert peak < 512 * 1024
 
     def test_small_sets_get_small_buffers(self):
-        # Each set's row and gather buffers hold at most its own n rows: a
-        # 128-row pair per set would be 3 x 2 x 128 x 20000 doubles, 117 MiB,
-        # for 0.48 MB of data.
+        # Each set's row buffer holds at most its own n rows: 128 rows per
+        # set would be 3 x 128 x 20000 doubles, 59 MiB, for 0.48 MB of data.
         spec = DatasetSpec(m_train=1, m_holdout=1, m_fresh=1, d=20000)
         tracemalloc.start()
         try:
@@ -525,6 +524,22 @@ class TestGenerateThreads:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 1024 * 1024
+
+    def test_paper_scale_peak_above_results(self):
+        # Each flush writes its row buffer through the inverse permutation
+        # straight into the result: no per-set gather buffer of 128 x 500
+        # doubles (0.49 MiB) is held beside it.
+        spec = DatasetSpec(m_train=4000, m_holdout=4000, m_fresh=4000, d=500,
+                           variance=4.0, n_biased=50, bias=0.5)
+        generate(spec)  # warm-up: numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            data = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        results = sum(s.features.nbytes + s.labels.nbytes for s in data)
+        assert peak - results < 5.75 * 2**20
 
     def test_threads_joined_after_success(self):
         before = threading.active_count()
