@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from enum import Enum
 
 import numpy as np
@@ -256,6 +257,9 @@ def compare_bounds_table(m: int, eps: float, l_values) -> list[tuple[int, float,
     estimate-error bounds evaluated at the same (m, eps)."""
     (m,) = _check_counts(m)
     eps = _check_eps(eps)
+    # A string is iterable, but its characters are no counts.
+    if isinstance(l_values, str) or not isinstance(l_values, Iterable):
+        raise DomainError(f"l_values must be an iterable of counts, got {l_values!r}")
     # Every l is checked, and read as a Python int, before any row is built.
     l_values = [_check_counts(m, l)[1] for l in l_values]
     return [

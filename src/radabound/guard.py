@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 from . import rademacher
 from .bounds import BoundMethod, overfit_bound
-from .errors import ConfigurationError, GuardHaltedError
+from .errors import ConfigurationError, DomainError, GuardHaltedError
 from .seeding import (
     seed_substream,
     validate_count,
     validate_fields,
     validate_fraction,
     validate_seed,
+    validate_type,
 )
 
 
@@ -32,13 +33,25 @@ from .seeding import (
 class HoldoutSample:
     """The m protected observations.  ``points`` is opaque to the guard: it
     only needs to be iterable per observation, or consumable wholesale by a
-    vectorized query.  ``m`` is stored as a Python int."""
+    vectorized query.  ``m`` is stored as a Python int.
+
+    Every per-point query iterates ``points`` afresh, so a one-shot iterator
+    (one that is its own iterator, such as a generator) raises
+    ConfigurationError: it would answer only the first such query."""
 
     points: object
     m: int
 
     def __post_init__(self):
         object.__setattr__(self, "m", validate_count("m", self.m))
+        try:
+            one_shot = iter(self.points) is self.points
+        except TypeError:  # not iterable: serves vectorized queries only
+            one_shot = False
+        if one_shot:
+            raise ConfigurationError(
+                f"points must be re-iterable, not a one-shot iterator, got {self.points!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -56,8 +69,7 @@ class GuardConfig:
         for name in ("epsilon", "delta"):
             object.__setattr__(self, name, validate_fraction(name, getattr(self, name)))
         object.__setattr__(self, "n_vectors", validate_count("n_vectors", self.n_vectors))
-        if not isinstance(self.method, BoundMethod):
-            raise ConfigurationError(f"method must be a BoundMethod, got {self.method!r}")
+        validate_type("method", self.method, BoundMethod)
         object.__setattr__(self, "seed", validate_seed(self.seed))
 
     @classmethod
@@ -112,16 +124,17 @@ class Certifier:
         return self._delta_prime, self._delta_prime <= self.threshold
 
 
+def _check_callable(query) -> None:
+    if not callable(query):
+        raise DomainError(f"a query must be callable, got {query!r}")
+
+
 class Guard:
     """Single-writer state machine answering queries on a fixed sample."""
 
     def __init__(self, sample: HoldoutSample, config: GuardConfig):
-        if not isinstance(sample, HoldoutSample):
-            raise ConfigurationError("sample must be a HoldoutSample")
-        if not isinstance(config, GuardConfig):
-            raise ConfigurationError("config must be a GuardConfig")
-        self.sample = sample
-        self.config = config
+        self.sample = validate_type("sample", sample, HoldoutSample)
+        self.config = validate_type("config", config, GuardConfig)
         self.rad = rademacher.init_state(
             sample.m,
             config.n_vectors,
@@ -139,11 +152,12 @@ class Guard:
 
     def submit_query(self, query) -> QueryOutcome:
         """Answer one query, or halt permanently if validity cannot be
-        certified.  A malformed query (a value count other than m, a NaN, a
-        value outside [0, 1], or a value that is not a bool, int or float)
-        raises DomainError without touching guard state.  The query is
-        answered as a one-row batch."""
+        certified.  A malformed query (not callable, a value count other
+        than m, a NaN, a value outside [0, 1], or a value that is not a
+        bool, int or float) raises DomainError without touching guard state.
+        The query is answered as a one-row batch."""
         self._check_open()
+        _check_callable(query)
         if getattr(query, "vectorized", False):
             values = [query(self.sample.points)]
         else:
@@ -156,11 +170,12 @@ class Guard:
 
         The whole matrix is validated and correlated with the sign vectors
         (one matrix product) before this returns; a malformed matrix raises
-        DomainError without touching guard state.  The returned iterator
-        answers one row per ``next()``, exactly as ``submit_query`` would at
-        that moment: it certifies and commits that row only, so rows never
-        pulled are never committed.  Iteration ends after a halting row, and
-        ``next()`` raises GuardHaltedError if the guard was halted in between.
+        DomainError without touching guard state, as does a ``query`` that
+        is not callable.  The returned iterator answers one row per
+        ``next()``, exactly as ``submit_query`` would at that moment: it
+        certifies and commits that row only, so rows never pulled are never
+        committed.  Iteration ends after a halting row, and ``next()``
+        raises GuardHaltedError if the guard was halted in between.
 
         ``submit_query`` is the one-row case of this path.  A bool matrix
         stays bool and any other dtype is read as float64.  When every value
@@ -172,6 +187,7 @@ class Guard:
         different order than k one-row products.
         """
         self._check_open()
+        _check_callable(query)
         return self._answer_rows(*self.rad.correlations(query(self.sample.points)))
 
     def _answer_rows(self, means, corr) -> Iterator[QueryOutcome]:

@@ -160,6 +160,7 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     joined in order; ``rng`` must run on a PCG64 or PCG64DXSM bit generator,
     and ``n`` be a non-negative integer (a numpy integer too, not a bool).
     """
+    validate_type("rng", rng, np.random.Generator)
     n = validate_int("n", n)
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
@@ -361,6 +362,7 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     calling thread is interrupted, the other workers stop after their
     current step and are joined before the interrupt propagates.
     """
+    validate_type("spec", spec, DatasetSpec)
     names = ("train", "holdout", "fresh")
     sizes = (spec.m_train, spec.m_holdout, spec.m_fresh)
     # Column-major, so the learner's per-feature gathers are contiguous.

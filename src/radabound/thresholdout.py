@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, astuple, dataclass
 
 from .errors import ConfigurationError
-from .seeding import validate_count, validate_fraction
+from .seeding import validate_count, validate_fraction, validate_type
 
 # Parameters and value of the published worked example.
 _PUBLISHED_EXAMPLE_PARAMS = (10, 1, 0.5, 0.1)
@@ -49,6 +49,7 @@ def min_holdout_size(p: ThresholdoutParams) -> float:
     evaluated literally from the printed formula.  Raises ConfigurationError
     where the formula leaves float range.  ``p`` holds Python floats, so the
     result is a double-precision float."""
+    validate_type("p", p, ThresholdoutParams)
     try:
         log_term = math.log(4.0 * p.k / p.delta)
         sqrt_branch = 80.0 * math.sqrt(p.budget * math.log(1.0 / (p.epsilon * p.delta)))

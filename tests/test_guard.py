@@ -122,6 +122,18 @@ class TestGuardConstruction:
         with pytest.raises(ConfigurationError, match="HoldoutSample"):
             Guard(object(), GuardConfig(epsilon=0.1, delta=0.1, n_vectors=4))
 
+    def test_one_shot_points_rejected(self):
+        # A one-shot iterator would answer only the first per-point query.
+        values = np.random.default_rng(0).uniform(size=20)
+        for points in (iter(values), (v for v in values)):
+            with pytest.raises(ConfigurationError, match="re-iterable"):
+                HoldoutSample(points=points, m=20)
+        # Re-iterable points answer every query; opaque ones stay accepted.
+        g = Guard(HoldoutSample(points=values, m=20), GuardConfig(0.9, 0.1, 4))
+        for _ in range(2):
+            assert g.submit_query(lambda x: x).empirical_mean == pytest.approx(values.mean())
+        HoldoutSample(points=object(), m=20)
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ConfigurationError):
             HoldoutSample(points=[], m=0)
@@ -227,6 +239,8 @@ class TestSubmitQuery:
         "dict vectorized": (10, vectorized(lambda points: {})),
         "ragged vectorized": (10, vectorized(lambda points: [0.5] * 9 + [[0.5]])),
         "a list per point": (10, lambda x: [x]),
+        "not callable": (10, 3),
+        "None for a query": (10, None),
     }
 
     @pytest.mark.parametrize("case", sorted(DOMAIN_ERRORS))
@@ -454,6 +468,15 @@ class TestSubmitBatch:
         before = guard_state(g)
         with pytest.raises(DomainError):
             g.submit_batch(batch(self.MALFORMED[case](good)))
+        assert_same_state(guard_state(g), before)
+
+    @pytest.mark.parametrize("query", [3, None])
+    def test_non_callable_batch_rejected_without_state_change(self, query):
+        g = self.make_guard()
+        g.submit_query(vectorized(lambda points: binary_rows(1, self.M, seed=1)[0]))
+        before = guard_state(g)
+        with pytest.raises(DomainError, match="callable"):
+            g.submit_batch(query)
         assert_same_state(guard_state(g), before)
 
     def test_rows_never_pulled_are_never_committed(self):

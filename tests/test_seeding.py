@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radabound.errors import ConfigurationError
-from radabound.guard import GuardConfig, HoldoutSample
+from radabound.bounds import compare_bounds_table
+from radabound.errors import ConfigurationError, DomainError
+from radabound.guard import Guard, GuardConfig, HoldoutSample
 from radabound.seeding import (
     SUBSTREAM_LABELS,
     is_kind,
@@ -14,8 +15,8 @@ from radabound.seeding import (
     validate_seed,
     validate_type,
 )
-from radabound.synthdata import DatasetSpec
-from radabound.thresholdout import ThresholdoutParams
+from radabound.synthdata import DatasetSpec, generate, standard_normals
+from radabound.thresholdout import ThresholdoutParams, comparison_report, min_holdout_size
 
 
 def test_labels_are_fixed():
@@ -125,3 +126,49 @@ def test_config_ints_accept_numpy_integers(cls, fields, name, value):
     for bad in (True, np.bool_(True), float(value), str(value)):
         with pytest.raises(ConfigurationError):
             cls(**{**fields, name: bad})
+
+
+WRONG_KINDS = {
+    "generate-dict-spec": (lambda: generate(SPEC), ConfigurationError, "spec must be"),
+    "generate-none-spec": (lambda: generate(None), ConfigurationError, "spec must be"),
+    "normals-none-rng": (lambda: standard_normals(None, 3), ConfigurationError, "rng must be"),
+    "holdout-size-dict-params": (
+        lambda: min_holdout_size(THRESHOLDOUT), ConfigurationError, "ThresholdoutParams"
+    ),
+    "report-dict-params": (
+        lambda: comparison_report(THRESHOLDOUT, 4000), ConfigurationError, "ThresholdoutParams"
+    ),
+    "table-int-l-values": (
+        lambda: compare_bounds_table(1000, 0.01, 5), DomainError, "l_values must be"
+    ),
+    "table-none-l-values": (
+        lambda: compare_bounds_table(1000, 0.01, None), DomainError, "l_values must be"
+    ),
+    # Not the counts 3 and 2.
+    "table-str-l-values": (
+        lambda: compare_bounds_table(1000, 0.01, "32"), DomainError, "l_values must be"
+    ),
+    # The guard's own checks write the same message as every other.
+    "guard-none-sample": (
+        lambda: Guard(None, GuardConfig(**GUARD)),
+        ConfigurationError,
+        "sample must be of type HoldoutSample",
+    ),
+    "guard-dict-config": (
+        lambda: Guard(HoldoutSample(None, 5), GUARD),
+        ConfigurationError,
+        "config must be of type GuardConfig",
+    ),
+    "config-str-method": (
+        lambda: GuardConfig(**GUARD, method="mclt"),
+        ConfigurationError,
+        "method must be of type BoundMethod",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KINDS))
+def test_public_functions_reject_wrong_argument_kinds(case):
+    call, error, match = WRONG_KINDS[case]
+    with pytest.raises(error, match=match):
+        call()
