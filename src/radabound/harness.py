@@ -42,7 +42,8 @@ from .seeding import validate_type
 from .synthdata import LabeledDataset
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: == over array fields would raise.
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
     """Sign-of-dot-product classifier with weights in {-1, 0, +1}.
 
@@ -94,7 +95,8 @@ class TraceRow:
         return 1.0 - self.holdout_loss
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: == over array fields would raise.
+@dataclass(frozen=True, eq=False)
 class ExperimentTrace:
     rows: list[TraceRow]
     halt_index: int | None

@@ -102,7 +102,8 @@ class DatasetSpec:
         return cls(**validate_fields("dataset spec", d, cls))
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: == over array fields would raise.
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     features: np.ndarray  # (n, d) real-valued
     labels: np.ndarray  # (n,) in {-1, +1}
@@ -140,7 +141,8 @@ class LabeledDataset:
             yield row, label
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: == over array fields would raise.
+@dataclass(frozen=True, eq=False)
 class SyntheticData:
     train: LabeledDataset
     holdout: LabeledDataset
@@ -156,32 +158,34 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
     Implemented on top of the generator's uniform stream so the sampling
     algorithm itself is pinned independently of the numpy version's ziggurat.
-    The values are those of ``_polar_chunks(rng, n, _sampler_buffers())``,
-    joined in order; ``rng`` must run on a PCG64 or PCG64DXSM bit generator,
-    and ``n`` be a non-negative integer (a numpy integer too, not a bool).
+    The values are those ``_polar_fill`` writes into an n-value buffer;
+    ``rng`` must run on a PCG64 or PCG64DXSM bit generator, and ``n`` be a
+    non-negative integer (a numpy integer too, not a bool).
     """
     validate_type("rng", rng, np.random.Generator)
     n = validate_int("n", n)
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     out = np.empty(n)
-    filled = 0
-    for chunk in _polar_chunks(rng, n, _sampler_buffers()):
-        out[filled : filled + chunk.size] = chunk
-        filled += chunk.size
+    for _ in _polar_fill(rng, n, out, _sampler_buffers()):
+        pass
     return out
 
 
 def _sampler_buffers() -> tuple[np.ndarray, np.ndarray]:
-    """The arrays one ``_polar_chunks`` run writes to, each one sampler block
-    long: eight float rows (s, u, v; the two squares, whose first row then
-    holds the factor; the accepted s, u and v) and the keep mask."""
+    """The arrays one ``_polar_fill`` run writes to besides ``out``, each one
+    sampler block long: eight float rows (s, u, v; the two squares, whose
+    first row then holds the factor; the accepted s, u and v) and the keep
+    mask."""
     return np.empty((8, _SAMPLER_BLOCK)), np.empty(_SAMPLER_BLOCK, dtype=bool)
 
 
-def _polar_chunks(rng: np.random.Generator, n: int, buffers):
-    """Yield the n polar-transform normals of ``standard_normals`` in order,
-    one array per sampler block.
+def _polar_fill(rng: np.random.Generator, n: int, out: np.ndarray, buffers):
+    """Write the n polar-transform normals of ``standard_normals`` in order
+    into the caller's flat array ``out``, and yield how many values ``out``
+    holds each time it is full or the n-th value is in.  The next values go
+    to the start of ``out``, so the caller reads ``out[:held]`` before
+    asking for more.
 
     Each batch of candidate pairs takes ``batch`` uniforms on [-1, 1) for u,
     then the next ``batch`` for v.  Accepted pairs give the values in order
@@ -192,15 +196,15 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
 
     A batch is walked in blocks of ``_SAMPLER_BLOCK`` pairs, so the
     temporaries stay in cache: u comes from ``rng`` and v from a copy of its
-    bit generator moved ``batch`` draws ahead.  Every block is written only
-    into ``buffers``, from ``_sampler_buffers()``; the sampler allocates
-    only each block's index of accepted pairs.  Each numpy call takes u and
-    v, or the accepted s, u and v, as the rows of one array: every call
-    releases and retakes the interpreter lock, so fewer calls trade it less
-    often between ``generate``'s workers.  A yielded block is a view of the
-    buffers, so the caller copies it before asking for the next one.
+    bit generator moved ``batch`` draws ahead.  Every block is computed only
+    in ``buffers``, from ``_sampler_buffers()``, and its accepted values are
+    then copied into ``out``; the sampler allocates only each block's index
+    of accepted pairs.  Each numpy call takes u and v, or the accepted s, u
+    and v, as the rows of one array: every call releases and retakes the
+    interpreter lock, so fewer calls trade it less often between
+    ``generate``'s workers.
 
-    Blocks stop once n values are out, and ``rng`` is then moved past the
+    Blocks stop once n values are in, and ``rng`` is then moved past the
     whole batch, so a caller that runs the generator to its end leaves
     ``rng`` where two full-length draws would.  This needs a bit generator
     whose ``advance(k)`` skips k 64-bit draws: PCG64, as every
@@ -219,7 +223,8 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
     suv_buf, squares_buf, accepted_buf = np.split(
         floats.reshape(-1), (3 * _SAMPLER_BLOCK, 5 * _SAMPLER_BLOCK)
     )
-    filled = 0
+    filled = 0  # values copied so far
+    held = 0  # of them, values in out since its last yield
     while filled < n:
         batch = int((n - filled) * _BATCH_PAIRS_PER_VALUE) + 32
         v_bits = type(bits)()
@@ -246,7 +251,7 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
             idx = np.flatnonzero(keep)[: (need + 1) // 2]
             k = idx.size
             accepted = accepted_buf[: 3 * k].reshape(3, k)
-            # mode="clip" writes straight into out; idx is always in range.
+            # mode="clip" writes straight into accepted; idx is always in range.
             np.take(suv, idx, axis=1, out=accepted, mode="clip")
             acc_s = accepted[0]
             factor = squares_buf[:k]
@@ -255,12 +260,19 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
             factor /= acc_s
             np.sqrt(factor, out=factor)
             # Interleaved (u * factor, v * factor) pairs.  When need is odd
-            # the last v value is computed but not yielded.
+            # the last v value is computed but not copied.
             values = suv_buf[: 2 * k]
             np.multiply(accepted[1:], factor, out=values.reshape(k, 2).T)
-            take = min(2 * k, need)
-            filled += take
-            yield values[:take]
+            values = values[: min(2 * k, need)]
+            while values.size:
+                take = min(values.size, out.size - held)
+                out[held : held + take] = values[:take]
+                values = values[take:]
+                held += take
+                filled += take
+                if held == out.size or filled == n:
+                    yield held
+                    held = 0
         # Skip the batch's unread u draws and all its v draws.  advance() also
         # clears the buffered half of a 32-bit draw, which uniforms never
         # touch, so put it back.
@@ -271,23 +283,17 @@ def _polar_chunks(rng: np.random.Generator, n: int, buffers):
         }
 
 
-def _set_buffers(n: int, d: int) -> tuple:
-    """The arrays one ``_set_steps`` run for an n x d set writes to besides
-    its result: the sampler's, and the row buffer of ``min(n,
-    _COPY_BLOCK_ROWS)`` rows."""
-    return _sampler_buffers(), np.empty(min(n, _COPY_BLOCK_ROWS) * d)
-
-
 def _set_steps(
     spec: DatasetSpec, name: str, labels: np.ndarray, features: np.ndarray,
-    inverse: np.ndarray, buffers: tuple,
+    inverse: np.ndarray, buf: np.ndarray, sampler: tuple,
 ):
     """Fill ``features`` with set ``name``'s points, one step a ``next``,
     and return the set as the generator's value.
 
-    ``buffers`` is ``_set_buffers(n, d)``, made by the caller, and
-    ``inverse`` the inverse column permutation.  The set's polar normals
-    stream through its row buffer, flushed at one site when it is full or
+    ``inverse`` is the inverse column permutation, ``buf`` the row buffer,
+    a flat array of whole rows, and ``sampler`` the sampler's arrays from
+    ``_sampler_buffers()``, all made by the caller.  The set's polar
+    normals fill the row buffer, which is flushed each time it is full or
     the last value has arrived.  A flush scales the rows, shifts their first
     ``n_biased`` columns by ``bias * label`` and writes column j to column
     ``inverse[j]`` of ``features``: element by element the float operations
@@ -298,25 +304,16 @@ def _set_steps(
     """
     n, d = features.shape
     scale = math.sqrt(spec.variance)
-    sampler, buf = buffers
-    filled = 0  # values in buf
     start = 0  # features row of buf's first row
-    for chunk in _polar_chunks(seed_substream(spec.seed, name), n * d, sampler):
-        pos = 0
-        while pos < chunk.size:
-            take = min(chunk.size - pos, buf.size - filled)
-            buf[filled : filled + take] = chunk[pos : pos + take]
-            filled += take
-            pos += take
-            stop = start + filled // d
-            if filled == buf.size or stop == n:
-                rows = buf[:filled].reshape(-1, d)
-                rows *= scale
-                if spec.n_biased > 0:
-                    rows[:, : spec.n_biased] += float(spec.bias) * labels[start:stop, None]
-                features[start:stop, inverse] = rows
-                start, filled = stop, 0
-                yield
+    for held in _polar_fill(seed_substream(spec.seed, name), n * d, buf, sampler):
+        stop = start + held // d
+        rows = buf[:held].reshape(-1, d)
+        rows *= scale
+        if spec.n_biased > 0:
+            rows[:, : spec.n_biased] += float(spec.bias) * labels[start:stop, None]
+        features[start:stop, inverse] = rows
+        start = stop
+        yield
     return LabeledDataset(features=features, labels=labels)
 
 
@@ -346,9 +343,9 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     thread starts: a third thread on two cores only trades the lock.
 
     The calling thread allocates every array the workers write to: the
-    results, and per set the sampler's block arrays and the row buffer
-    (``_set_buffers``, ``min(n, 128)`` rows of d doubles for a set of n
-    rows), all freed when the call returns.  A worker thread allocates only
+    results, and per set the sampler's block arrays and the row buffer of
+    ``min(n, 128)`` rows of d doubles for a set of n rows, all freed when
+    the call returns.  A worker thread allocates only
     the sampler's per-block index and the set's small result checks, about
     0.3 MB at paper scale.  What a worker thread frees stays in its own
     malloc arena, which the calling thread's later allocations do not
@@ -371,11 +368,11 @@ def generate(spec: DatasetSpec) -> SyntheticData:
     inverse = np.argsort(perm)
     label_rng = seed_substream(spec.seed, "labels")
     labels = [2 * label_rng.integers(0, 2, size=n) - 1 for n in sizes]
-    buffers = [_set_buffers(n, spec.d) for n in sizes]
-
+    # Built here, so the calling thread allocates every buffer.
     queue = collections.deque(
-        (i, _set_steps(spec, names[i], labels[i], features[i], inverse, buffers[i]))
-        for i in range(3)
+        (i, _set_steps(spec, names[i], labels[i], features[i], inverse,
+                       np.empty(min(n, _COPY_BLOCK_ROWS) * spec.d), _sampler_buffers()))
+        for i, n in enumerate(sizes)
     )
     results = [None] * 3
     errors = [None] * 3

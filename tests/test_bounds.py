@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from radabound import bounds
+from radabound import bounds, rademacher
 from radabound.bounds import (
     _TOLERANCE_CAP,
     COMPARE_TABLE_HEADER,
@@ -79,6 +79,32 @@ class TestEstErrorBounds:
             for bad in (0.0, -0.1, "0.1", None, True):
                 with pytest.raises(DomainError):
                     fn(bad)
+
+    def test_observed_tail_below_each_bound(self):
+        # The estimate r_tilde of l sign vectors over one fixed sample of k
+        # fair-coin 0/1 queries strays from R, the mean supremum, by more
+        # than eps on either side less often than each bound allows.  The
+        # estimate runs through the guard's estimator; 20,000 draws give
+        # each tail to about +-0.0011.
+        k, m, l, reps, eps = 50, 200, 2, 20_000, 0.04
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 2, size=(k, m)).astype(float)
+
+        def suprema(n_vectors):
+            # Each sign vector's running supremum after the k queries.
+            state = rademacher.init_state(m, n_vectors, rng=rng)
+            for corr in state.correlations(values)[1]:
+                state.commit(state.preview_corr(corr)[0])
+            return state.running_sup
+
+        r = np.mean([suprema(40_000).mean() for _ in range(5)])  # 200,000 vectors
+        r_tilde = suprema(reps * l).reshape(reps, l).mean(axis=1)
+        above = np.mean(r_tilde - r > eps)
+        below = np.mean(r - r_tilde > eps)
+        for bound in (est_error_mclt, est_error_bernstein, est_error_mcdiarmid):
+            assert max(above, below) < bound(m, l, eps), bound.__name__
+        # Control: the same data breaks MCLT with its variance divided by 16.
+        assert above > normal_sf(4 * 2 * eps * math.sqrt(l * m / 5))
 
 
 class TestNormalCdf:

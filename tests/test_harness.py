@@ -207,6 +207,21 @@ class TestRunExperiment:
             again.final_classifier.weights, trace.final_classifier.weights
         )
 
+    def test_array_holders_compare_by_identity(self, small_trace):
+        # Value equality over their numpy arrays would raise "truth value of
+        # an array ... is ambiguous", and hash() a TypeError.
+        spec, trace = small_trace
+        data = generate(spec)
+        classifier = trace.final_classifier
+        for a, b in [
+            (data, generate(spec)),
+            (data.train, generate(spec).train),
+            (trace, run_adaptive_analysis(*data, trace.guard_config)),
+            (classifier, LinearClassifier(classifier.weights)),
+        ]:
+            assert (a == a) is True and (a == b) is False and (a != b) is True
+            assert len({a, a, b}) == 2
+
     def test_no_signal_fresh_accuracy_near_half(self):
         spec = DatasetSpec(
             m_train=200, m_holdout=2000, m_fresh=4000, d=10, seed=29

@@ -153,21 +153,39 @@ class TestNormalSampler:
 
     # With 2 values a pair, a batch of int(f n) + 32 pairs gives at most
     # 2 f n + 64 values: fewer than n at f = 0.1 and 0.3 for n = 1000 and
-    # 50000, so those calls need later batches.
+    # 50000, so those calls need later batches.  Besides standard_normals,
+    # the sampler itself fills caller buffers of 7 values, of more than two
+    # sampler blocks and, but for the largest n, of 1 value.
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
     @pytest.mark.parametrize("factor", [0.1, 0.3, 0.7])
     @pytest.mark.parametrize("n", [1, 7, 1000, 50000])
     def test_equals_plain_reference(self, monkeypatch, bit_generator, factor, n):
         monkeypatch.setattr(synthdata, "_BATCH_PAIRS_PER_VALUE", factor)
-        got_rng, want_rng = (np.random.Generator(bit_generator(12345)) for _ in range(2))
-        for rng in (got_rng, want_rng):
+
+        def start():
+            rng = np.random.Generator(bit_generator(12345))
             rng.integers(2**31 - 1, dtype=np.int32)  # buffers the other half
-        got = standard_normals(got_rng, n)
-        assert got.tobytes() == plain_polar(want_rng, n).tobytes()
-        # The buffered half, then a half of the next 64-bit draw.
-        for _ in range(2):
-            got_next = int(got_rng.integers(2**31 - 1, dtype=np.int32))
-            assert got_next == int(want_rng.integers(2**31 - 1, dtype=np.int32))
+            return rng
+
+        def next_halves(rng):
+            # The buffered half, then a half of the next 64-bit draw.
+            return [int(rng.integers(2**31 - 1, dtype=np.int32)) for _ in range(2)]
+
+        want_rng = start()
+        want = plain_polar(want_rng, n).tobytes()
+        want_next = next_halves(want_rng)
+        rng = start()
+        assert standard_normals(rng, n).tobytes() == want
+        assert next_halves(rng) == want_next
+        sizes = [7, 2 * synthdata._SAMPLER_BLOCK + 1] + ([1] if n <= 1000 else [])
+        for size in sizes:
+            rng, out = start(), np.empty(size)
+            sampler = synthdata._polar_fill(rng, n, out, synthdata._sampler_buffers())
+            chunks = [out[:held].copy() for held in sampler]
+            assert len(chunks) == math.ceil(n / size), size
+            assert all(chunk.size == size for chunk in chunks[:-1]), size
+            assert np.concatenate(chunks).tobytes() == want, size
+            assert next_halves(rng) == want_next, size
 
 
 def plain_polar(rng, n):
@@ -497,7 +515,8 @@ class TestGenerateThreads:
         features = np.empty((n, d), order="F")
         inverse = np.argsort(np.random.default_rng(1).permutation(d))
         steps = synthdata._set_steps(
-            spec, "train", labels, features, inverse, synthdata._set_buffers(n, d)
+            spec, "train", labels, features, inverse,
+            np.empty(_COPY_BLOCK_ROWS * d), synthdata._sampler_buffers(),
         )
         done = []
         worker = threading.Thread(target=lambda: done.append(sum(1 for _ in steps)))
