@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable
 from enum import Enum
 
 import numpy as np
@@ -75,12 +74,12 @@ def normal_sf(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_counts(*counts) -> list[int]:
-    # m, then l if given, as Python ints.  numpy integers are counts.
-    for name, n in zip(("sample size", "sign-vector count"), counts):
+def _check_counts(m: int, n_vectors: int) -> tuple[int, int]:
+    # Both as Python ints.  numpy integers are counts.
+    for name, n in (("sample size", m), ("sign-vector count", n_vectors)):
         if not (is_kind(n, numbers.Integral) and 1 <= n <= MAX_COUNT):
             raise DomainError(f"{name} must be an int in [1, {MAX_COUNT}], got {n!r}")
-    return [int(n) for n in counts]
+    return int(m), int(n_vectors)
 
 
 def _check_eps(eps: float) -> float:
@@ -243,27 +242,3 @@ def overfit_bound(method: BoundMethod, m: int, n_vectors: int, slack: float) -> 
         names = ", ".join(choice.value for choice in BoundMethod)
         raise DomainError(f"method must be one of {names}, got {method!r}") from None
     return bound(m, n_vectors, slack)
-
-
-# ---------------------------------------------------------------------------
-# Bound comparison table
-# ---------------------------------------------------------------------------
-
-COMPARE_TABLE_HEADER = ("l", "mcdiarmid", "bernstein", "mclt")
-
-
-def compare_bounds_table(m: int, eps: float, l_values) -> list[tuple[int, float, float, float]]:
-    """One row per sign-vector count: McDiarmid, Bernstein and normal-limit
-    estimate-error bounds evaluated at the same (m, eps)."""
-    (m,) = _check_counts(m)
-    eps = _check_eps(eps)
-    # A string is iterable, but its characters are no counts.
-    if isinstance(l_values, str) or not isinstance(l_values, Iterable):
-        raise DomainError(f"l_values must be an iterable of counts, got {l_values!r}")
-    # Every l is checked, and read as a Python int, before any row is built.
-    l_values = [_check_counts(m, l)[1] for l in l_values]
-    return [
-        (l, est_error_mcdiarmid(m, l, eps), est_error_bernstein(m, l, eps),
-         est_error_mclt(m, l, eps))
-        for l in l_values
-    ]

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .bounds import COMPARE_TABLE_HEADER, compare_bounds_table
+from .bounds import est_error_bernstein, est_error_mcdiarmid, est_error_mclt
 from .errors import ConfigurationError, DomainError
 from .guard import GuardConfig
 from .harness import ExperimentTrace, run_epsilon_sweep
@@ -196,8 +196,17 @@ def cmd_run_experiment(config: RunConfig) -> int:
 
 
 def cmd_compare_bounds(m: int, eps: float, l_values, output=None) -> int:
-    rows = compare_bounds_table(m, eps, l_values)
-    write_csv(output, COMPARE_TABLE_HEADER, ("%d",) + (FLOAT,) * 3, rows)
+    """One row per sign-vector count in ``l_values``: the McDiarmid,
+    Bernstein and normal-limit estimate-error bounds at the same (m, eps).
+    Each bound checks m, eps and l; every row is built before the output
+    is opened, so a bad count writes nothing."""
+    rows = [
+        (l, est_error_mcdiarmid(m, l, eps), est_error_bernstein(m, l, eps),
+         est_error_mclt(m, l, eps))
+        for l in l_values
+    ]
+    header = ("l", "mcdiarmid", "bernstein", "mclt")
+    write_csv(output, header, ("%d",) + (FLOAT,) * 3, rows)
     return EXIT_OK
 
 

@@ -400,17 +400,16 @@ def generate(spec: DatasetSpec) -> SyntheticData:
         for thread in threads:
             thread.start()
         work()
-        for thread in threads:
-            thread.join()
     except BaseException:
         # Interrupted, or a thread did not start: the other workers stop
         # after their current step.
         stop.set()
         queue.clear()
+        raise
+    finally:
         for thread in threads:
             if thread.is_alive():
                 thread.join()
-        raise
     for error in errors:
         if error is not None:
             raise error

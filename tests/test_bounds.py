@@ -7,9 +7,7 @@ import pytest
 from radabound import bounds, rademacher
 from radabound.bounds import (
     _TOLERANCE_CAP,
-    COMPARE_TABLE_HEADER,
     BoundMethod,
-    compare_bounds_table,
     est_error_bernstein,
     est_error_mcdiarmid,
     est_error_mclt,
@@ -442,24 +440,32 @@ class TestTwoStepBounds:
         assert est_error_mclt(1000, 16, 0.01) < est_error_mclt(1000, 8, 0.01)
 
 
+def compare_table(capsys, m, eps, l_values):
+    """The rows of ``cmd_compare_bounds``'s CSV on stdout, each read back
+    as (l, mcdiarmid, bernstein, mclt)."""
+    assert cmd_compare_bounds(m, eps, l_values) == 0
+    _, *lines = capsys.readouterr().out.splitlines()
+    return [(int(l), *map(float, values)) for l, *values in (s.split(",") for s in lines)]
+
+
 class TestCompareTable:
-    def test_default_scale_ordering(self):
-        rows = compare_bounds_table(1000, 0.01, [2, 4, 8, 16, 32, 64])
+    def test_default_scale_ordering(self, capsys):
+        rows = compare_table(capsys, 1000, 0.01, [2, 4, 8, 16, 32, 64])
         assert len(rows) == 6
         for _, mcd, bern, mclt in rows:
             assert mclt <= bern <= mcd
         # numpy integers are counts too
         counts = np.array([2, 4, 8, 16, 32, 64])
-        assert compare_bounds_table(np.int64(1000), 0.01, counts) == rows
+        assert compare_table(capsys, np.int64(1000), 0.01, counts) == rows
 
-    def test_single_row_range(self):
-        ((l, mcd, bern, mclt),) = compare_bounds_table(1000, 0.01, [1])
+    def test_single_row_range(self, capsys):
+        ((l, mcd, bern, mclt),) = compare_table(capsys, 1000, 0.01, [1])
         assert l == 1
         for v in (mcd, bern, mclt):
             assert 0.0 < v <= 1.0
 
-    def test_doubling_l_decreases_every_column(self):
-        rows = compare_bounds_table(1000, 0.01, [2, 4, 8, 16, 32, 64])
+    def test_doubling_l_decreases_every_column(self, capsys):
+        rows = compare_table(capsys, 1000, 0.01, [2, 4, 8, 16, 32, 64])
         for prev, cur in zip(rows, rows[1:]):
             assert cur[1] < prev[1]
             assert cur[2] < prev[2]
@@ -468,16 +474,17 @@ class TestCompareTable:
     def test_csv_format(self, capsys):
         cmd_compare_bounds(1000, 0.01, [2, 4])
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == ",".join(COMPARE_TABLE_HEADER)
+        assert lines[0] == "l,mcdiarmid,bernstein,mclt"
         assert len(lines) == 3
         assert lines[1].startswith("2,")
 
-    def test_invalid_l_rejected(self):
+    def test_invalid_l_rejected(self, capsys):
         # zero, and counts that are not integers: a float, a bool, a string,
         # None and an object that is no number at all
         for bad in (0, 1.5, True, "8", None, object()):
             with pytest.raises(DomainError):
-                compare_bounds_table(1000, 0.01, [bad])
+                cmd_compare_bounds(1000, 0.01, [bad])
+            assert capsys.readouterr().out == ""
 
 
 def single_bound_excesses(split_bound, scale=1.0):

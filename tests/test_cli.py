@@ -396,7 +396,7 @@ class TestCompareBoundsCommand:
         assert main(["compare-bounds", *args]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1] == "2,0,0,0"
 
-    def test_bad_eps_exit_code(self, capsys):
+    def test_bad_eps_exit_code(self, capsys, tmp_path):
         cases = [
             ["--eps", "0"],
             ["--eps", "inf"],
@@ -408,7 +408,13 @@ class TestCompareBoundsCommand:
         ]
         for args in cases:
             assert main(["compare-bounds", *args]) == EXIT_BAD_CONFIG, args
-            assert "error" in capsys.readouterr().err, args
+            captured = capsys.readouterr()
+            assert "error" in captured.err, args
+            # No partial table: not even the header or the good rows.
+            assert captured.out == "", args
+        out = tmp_path / "t.csv"
+        assert main(["compare-bounds", "--l", "4", "0", "--output", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
 
     def test_output_in_missing_directory_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "table.csv"

@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radabound.bounds import compare_bounds_table
-from radabound.errors import ConfigurationError, DomainError
+from radabound.errors import ConfigurationError
 from radabound.guard import Guard, GuardConfig, HoldoutSample
 from radabound.seeding import (
     SUBSTREAM_LABELS,
@@ -137,16 +136,6 @@ WRONG_KINDS = {
     ),
     "report-dict-params": (
         lambda: comparison_report(THRESHOLDOUT, 4000), ConfigurationError, "ThresholdoutParams"
-    ),
-    "table-int-l-values": (
-        lambda: compare_bounds_table(1000, 0.01, 5), DomainError, "l_values must be"
-    ),
-    "table-none-l-values": (
-        lambda: compare_bounds_table(1000, 0.01, None), DomainError, "l_values must be"
-    ),
-    # Not the counts 3 and 2.
-    "table-str-l-values": (
-        lambda: compare_bounds_table(1000, 0.01, "32"), DomainError, "l_values must be"
     ),
     # The guard's own checks write the same message as every other.
     "guard-none-sample": (
