@@ -105,6 +105,20 @@ class ExperimentTrace:
     guard_config: GuardConfig
 
 
+def _trace_row(
+    query_index, fresh_acc, r_tilde, delta_prime, answered, accepted, feature,
+    candidate, loss,
+) -> TraceRow:
+    """The trace row of one query.  A row the guard does not answer halts
+    the trace: it is not accepted and its holdout loss is NaN."""
+    # Positional, in field order: about half the cost of keywords or
+    # dataclasses.replace per row.
+    return TraceRow(
+        query_index, fresh_acc, r_tilde, delta_prime, accepted and answered,
+        not answered, feature, candidate, loss if answered else math.nan,
+    )
+
+
 def feature_order(train: LabeledDataset) -> np.ndarray:
     """Feature indices sorted by |correlation with the label| descending,
     ties broken by ascending index."""
@@ -189,17 +203,11 @@ def run_adaptive_analysis(
         accepted = outcome.answered and outcome.empirical_mean < best_loss
         if accepted:
             best_loss = outcome.empirical_mean
+        fresh_acc = float(np.count_nonzero(pred_f == positive_f) / len(fresh))
         rows.append(
-            TraceRow(
-                query_index=len(rows) + 1,
-                fresh_acc=float(np.count_nonzero(pred_f == positive_f) / len(fresh)),
-                r_tilde=outcome.r_tilde,
-                delta_prime=outcome.delta_prime,
-                accepted=accepted,
-                halted=not outcome.answered,
-                feature=feature,
-                candidate=candidate,
-                holdout_loss=outcome.empirical_mean if outcome.answered else math.nan,
+            _trace_row(
+                len(rows) + 1, fresh_acc, outcome.r_tilde, outcome.delta_prime,
+                outcome.answered, accepted, feature, candidate, outcome.empirical_mean,
             )
         )
         return accepted
@@ -268,20 +276,10 @@ def _derive_trace(
         delta_prime, answered = certify(row.r_tilde)
         if answered and row.halted:
             return None
-        # Positional, in field order: about half the cost of
-        # dataclasses.replace per row.  A row this epsilon does not answer
-        # halts the trace, as in the guard's own run.
         rows.append(
-            TraceRow(
-                row.query_index,
-                row.fresh_acc,
-                row.r_tilde,
-                delta_prime,
-                row.accepted and answered,
-                not answered,
-                row.feature,
-                row.candidate,
-                row.holdout_loss if answered else math.nan,
+            _trace_row(
+                row.query_index, row.fresh_acc, row.r_tilde, delta_prime, answered,
+                row.accepted, row.feature, row.candidate, row.holdout_loss,
             )
         )
         if not answered:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .seeding import validate_count
 
 
@@ -54,15 +54,8 @@ class RademacherState:
     one running supremum per sign vector, and the count of committed queries."""
 
     def __init__(self, signs: np.ndarray):
-        # An empty matrix would average no suprema and divide by m = 0.
-        if not (isinstance(signs, np.ndarray) and signs.ndim == 2 and signs.size > 0):
-            raise ConfigurationError(
-                "sign matrix must be a two-dimensional numpy array with at least "
-                f"one row and one column, got {signs!r}"
-            )
-        # Two bool masks, not the float array np.abs would build.
-        if np.count_nonzero(signs == 1) + np.count_nonzero(signs == -1) != signs.size:
-            raise ConfigurationError("sign matrix entries must be -1 or +1")
+        """Keep ``signs``, a non-empty n_vectors x m numpy array of -1 and +1
+        as ``init_state`` draws it, as read-only float32; not checked here."""
         self.signs = signs.astype(np.float32, copy=False)
         self.signs.setflags(write=False)
         self.running_sup = np.zeros(signs.shape[0])
@@ -138,10 +131,11 @@ def init_state(m: int, n_vectors: int, *, rng: np.random.Generator) -> Rademache
 
     Signs are iid uniform on {-1, +1} from ``rng``; the same generator state
     always yields the same matrix.  The 0/1 draw is made in int64 row blocks
-    of about 64 KiB, each mapped straight into the float32 ±1 result: the
-    blocks take the stream's values in the order of one
-    ``rng.integers(0, 2, size=(n_vectors, m))`` and leave ``rng`` where it
-    would, and the peak stays near the 4·n_vectors·m bytes kept.
+    of about 64 KiB (past m = 8192, one row of 8·m bytes), each mapped
+    straight into the float32 ±1 result: the blocks take the stream's values
+    in the order of one ``rng.integers(0, 2, size=(n_vectors, m))`` and
+    leave ``rng`` where it would, and the peak stays near the 4·n_vectors·m
+    bytes kept.
     """
     m = validate_count("m", m)
     n_vectors = validate_count("n_vectors", n_vectors)

@@ -1,9 +1,13 @@
 """Reference paths for the Rademacher estimator's tests.
 
 ``exact_empirical_rademacher`` enumerates all 2^m sign vectors, so it refuses
-m > 20.  It checks its values as the estimator does.  ``update`` absorbs one
-query through the estimator's own steps, the ones ``Guard`` runs.
+m > 20.  It checks its values as the estimator does.  ``all_sign_matrix``
+lists the same vectors as one matrix, for a ``RademacherState`` of its own.
+``update`` absorbs one query through the estimator's own steps, the ones
+``Guard`` runs.
 """
+
+import itertools
 
 import numpy as np
 
@@ -11,6 +15,11 @@ from radabound.errors import DimensionError, DomainError
 from radabound.rademacher import _check_unit_interval, as_query_values
 
 _ENUMERATION_LIMIT = 20
+
+
+def all_sign_matrix(m):
+    """All 2^m sign vectors as a (2^m, m) matrix of -1.0 and +1.0."""
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
 
 
 def exact_empirical_rademacher(value_matrix) -> float:

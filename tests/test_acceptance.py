@@ -14,7 +14,6 @@ so the suite doubles as a checklist:
 """
 
 import functools
-import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -43,7 +42,7 @@ from radabound.rademacher import RademacherState, init_state
 from radabound.synthdata import DatasetSpec, generate
 from radabound.thresholdout import ThresholdoutParams, comparison_report, min_holdout_size
 
-from rademacher_oracle import exact_empirical_rademacher, update
+from rademacher_oracle import all_sign_matrix, exact_empirical_rademacher, update
 
 mp.mp.dps = 40
 
@@ -56,11 +55,6 @@ def criterion(number, name):
         print(f"[acceptance {number}/8] {name}: FAIL")
         raise
     print(f"[acceptance {number}/8] {name}: PASS")
-
-
-def all_sign_matrix(m):
-    """All 2^m sign vectors as a (2^m, m) matrix."""
-    return np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
 
 
 def test_1_oracle_equivalence():

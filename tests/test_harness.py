@@ -402,6 +402,12 @@ class TestEpsilonSweep:
         traces = run_epsilon_sweep(*data, cfg, epsilons)
         assert [t.guard_config.epsilon for t in traces] == list(epsilons)
         assert [t.halt_index for t in traces] == [None, 1, None, 9]
+        # Both halts are cut from the 0.28 run, which answers those rows.
+        for trace in (traces[1], traces[3]):
+            last = trace.rows[-1]
+            assert last.halted and not last.accepted
+            assert math.isnan(last.holdout_acc)
+            assert last.query_index == trace.halt_index
         assert run_epsilon_sweep(*data, cfg, ()) == []
 
     def test_non_monotone_bound_runs_directly(self, monkeypatch, count_runs):
