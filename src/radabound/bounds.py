@@ -1,9 +1,11 @@
 """Concentration bounds used to certify answers on a reused holdout sample.
 
-All functions here are pure and return probabilities in [0, 1].  They bound
-either the error of the Monte-Carlo Rademacher-complexity estimate
-(``est_error_*``) or the probability that the accumulated estimation error of
-the whole query family exceeds the remaining budget (``overfit_bound_*``).
+All functions here are pure, and all but ``min_passing_slack`` return
+probabilities in [0, 1].  They bound either the error of the Monte-Carlo
+Rademacher-complexity estimate (``est_error_*``) or the probability that the
+accumulated estimation error of the whole query family exceeds the remaining
+budget (``overfit_bound_*``).  ``min_passing_slack`` gives the one slack
+``s*`` against which the guard compares each slack.
 
 The ``slack`` argument is the remaining error budget after subtracting twice
 the current complexity estimate from the user's tolerance; it is always
@@ -19,8 +21,10 @@ arithmetic on ``x``; it sums the two ``exp`` terms and caps the result at 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import struct
 from enum import Enum
 
 import numpy as np
@@ -242,3 +246,34 @@ def overfit_bound(method: BoundMethod, m: int, n_vectors: int, slack: float) -> 
         names = ", ".join(choice.value for choice in BoundMethod)
         raise DomainError(f"method must be one of {names}, got {method!r}") from None
     return bound(m, n_vectors, slack)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def min_passing_slack(
+    method: BoundMethod, m: int, n_vectors: int, threshold: float
+) -> float:
+    """``s*``: the smallest float slack whose ``overfit_bound`` is at most
+    ``threshold``, a real in [0, 0.5).
+
+    Non-negative doubles order as their bit patterns do, so this bisects
+    over the patterns in [0, _TOLERANCE_CAP], about 62 bound calls.  The
+    bracket holds for every method: at slack 0 the bound is 1 or 0.5, above
+    ``threshold``, and at the cap it is 0.0.  The result passes and its
+    predecessor fails.  A tail probability never rises with the slack, so
+    ``s*`` certifies every larger slack, also where a bound's last bits are
+    not monotone.  Cached: ``s*`` depends on no epsilon.
+    """
+    if not (is_kind(threshold, numbers.Real) and 0.0 <= threshold < 0.5):
+        raise DomainError(f"threshold must be a real in [0, 0.5), got {threshold!r}")
+
+    def slack(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    fails, passes = 0, struct.unpack("<q", struct.pack("<d", _TOLERANCE_CAP))[0]
+    while passes - fails > 1:
+        mid = (fails + passes) // 2
+        if overfit_bound(method, m, n_vectors, slack(mid)) <= threshold:
+            passes = mid
+        else:
+            fails = mid
+    return slack(passes)

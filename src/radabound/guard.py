@@ -5,8 +5,11 @@ A guard owns a fixed holdout sample and answers adaptively chosen queries
 for as long as it can certify that the accumulated estimation error stays
 below ``epsilon`` with probability at least 1 - delta.  Certification uses
 the online Rademacher-complexity estimate together with one of the
-concentration bounds in :mod:`radabound.bounds`.  When the per-step bound
-exceeds delta * (1 - delta) the guard halts permanently: the triggering
+concentration bounds in :mod:`radabound.bounds`.  The guard answers while
+the slack ``epsilon - 2 r_tilde`` is at least ``s*``, the smallest slack
+whose bound is at most delta * (1 - delta): the bound is a tail
+probability, which never rises with the slack, so ``s*`` certifies every
+larger slack.  Otherwise the guard halts permanently: the triggering
 query's mean is withheld and every later submission raises
 GuardHaltedError.
 """
@@ -17,7 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import rademacher
-from .bounds import BoundMethod, overfit_bound
+from .bounds import BoundMethod, min_passing_slack, overfit_bound
 from .errors import ConfigurationError, DomainError, GuardHaltedError
 from .seeding import (
     seed_substream,
@@ -99,6 +102,11 @@ class Certifier:
     """The per-query certification test for one config and sample size:
     ``r_tilde -> (delta_prime, answered)``.
 
+    A query is answered when its slack is at least ``s_star``, the
+    ``bounds.min_passing_slack`` of the config's method, m, l and threshold,
+    so a smaller epsilon never answers a row that a larger one halts on.
+    ``delta_prime`` is the bound at the actual slack, a diagnostic.
+
     The guard and the one-run epsilon sweep both decide through this class,
     so a derived decision is bit-equal to a direct one.  It keeps the last
     (slack, delta_prime) pair: the bound is pure and r_tilde never decreases,
@@ -111,6 +119,9 @@ class Certifier:
         self.config = config
         self.m = m
         self.threshold = config.delta * (1.0 - config.delta)
+        self.s_star = min_passing_slack(
+            config.method, m, config.n_vectors, self.threshold
+        )
         self._slack = None
         self._delta_prime = None
 
@@ -121,7 +132,7 @@ class Certifier:
                 self.config.method, self.m, self.config.n_vectors, slack
             )
             self._slack = slack
-        return self._delta_prime, self._delta_prime <= self.threshold
+        return self._delta_prime, slack >= self.s_star
 
 
 def _check_callable(query) -> None:

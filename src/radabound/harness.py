@@ -10,7 +10,9 @@ guard as ground truth for the trace.
 
 For the same reason an epsilon sweep needs only one guard run, at the
 largest epsilon: a smaller epsilon's trace is a prefix of that run's rows,
-cut at the first row its own certification test rejects.
+cut at the first row its own certification test rejects.  The guard answers
+while ``epsilon - 2 r_tilde >= s*``, with one ``s*`` for every epsilon, so
+that cut comes at or before the run's own halting row.
 
 The candidates are fixed until one is accepted, since only an acceptance
 moves the scores.  So the learner submits them in blocks: the holdout losses
@@ -266,16 +268,14 @@ def _finish(
 
 def _derive_trace(
     largest: ExperimentTrace, guard_config: GuardConfig, m: int
-) -> ExperimentTrace | None:
+) -> ExperimentTrace:
     """``guard_config``'s trace cut from the rows of a run at a larger
-    epsilon, or None when this epsilon answers the run's halting row, whose
-    successors the run never saw."""
+    epsilon.  Its slack is never larger, so it halts on that run's halting
+    row at the latest."""
     certify = Certifier(guard_config, m)
     rows = []
     for row in largest.rows:
         delta_prime, answered = certify(row.r_tilde)
-        if answered and row.halted:
-            return None
         rows.append(
             _trace_row(
                 row.query_index, row.fresh_acc, row.r_tilde, delta_prime, answered,
@@ -298,11 +298,7 @@ def run_epsilon_sweep(
     ``run_adaptive_analysis`` with ``guard_config`` at that epsilon.
 
     The guard runs once, at the largest epsilon, and every smaller epsilon
-    is derived from its rows.  An epsilon that would still answer the run's
-    halting row is run directly.  That needs a bound that is not monotone in
-    slack, and ``overfit_bound_two_term`` is not, in its last bits: at
-    m=1000, l=64 and slack 0x1.ecbb7c91f9307p-4 the next smaller float gives
-    a bound 2 ulps smaller.  Keep the fallback.
+    is derived from its rows.
     """
     _validate_run(train, holdout, fresh, guard_config)
     # A string is iterable, but its characters are no epsilons.
@@ -313,10 +309,7 @@ def run_epsilon_sweep(
         return []
     top = max(configs, key=lambda c: c.epsilon)
     largest = run_adaptive_analysis(train, holdout, fresh, top)
-    traces = []
-    for config in configs:
-        trace = largest if config == top else _derive_trace(largest, config, len(holdout))
-        if trace is None:
-            trace = run_adaptive_analysis(train, holdout, fresh, config)
-        traces.append(trace)
-    return traces
+    return [
+        largest if config == top else _derive_trace(largest, config, len(holdout))
+        for config in configs
+    ]

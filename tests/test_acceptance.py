@@ -17,6 +17,7 @@ import functools
 import json
 import math
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -37,7 +38,7 @@ from radabound.bounds import (
 )
 from radabound.cli import main as cli_main
 from radabound.errors import GuardHaltedError
-from radabound.guard import Guard, GuardConfig, HoldoutSample
+from radabound.guard import Certifier, Guard, GuardConfig, HoldoutSample
 from radabound.rademacher import RademacherState, init_state
 from radabound.synthdata import DatasetSpec, generate
 from radabound.thresholdout import ThresholdoutParams, comparison_report, min_holdout_size
@@ -147,10 +148,17 @@ def no_signal_spec(seed):
 NO_SIGNAL_EPSILONS = (0.05, 0.1, 0.2, 0.99)
 
 
+class NoSignalRun(NamedTuple):
+    extremes: dict  # eps -> largest |holdout_acc - 0.5| over the answered rows
+    answered: dict  # eps -> number of answered rows
+    r_tilde: np.ndarray  # the eps-0.99 run's columns, one entry per row
+    deviation: np.ndarray  # |holdout_acc - 0.5|
+
+
 @functools.cache
-def no_signal_extremes(seed):
-    """The largest ``|holdout_acc - 0.5|`` over the answered rows of the
-    greedy learner's run at each of NO_SIGNAL_EPSILONS, on test_4's data.
+def no_signal_run(seed):
+    """The greedy learner's run on test_4's data at each of
+    NO_SIGNAL_EPSILONS, and the columns of the one at epsilon 0.99.
 
     The guard runs once per seed, at epsilon 0.99, where it answers every
     row; run_epsilon_sweep derives each smaller epsilon's trace from that
@@ -169,13 +177,25 @@ def no_signal_extremes(seed):
         data.train, data.holdout, data.fresh, cfg, NO_SIGNAL_EPSILONS
     )
     assert traces[-1].halt_index is None, seed
-    return {
-        eps: max(
-            (abs(row.holdout_acc - 0.5) for row in trace.rows if not row.halted),
-            default=0.0,
-        )
+    answered = {
+        eps: [row for row in trace.rows if not row.halted]
         for eps, trace in zip(NO_SIGNAL_EPSILONS, traces)
     }
+    return NoSignalRun(
+        extremes={
+            eps: max((abs(row.holdout_acc - 0.5) for row in rows), default=0.0)
+            for eps, rows in answered.items()
+        },
+        answered={eps: len(rows) for eps, rows in answered.items()},
+        r_tilde=np.array([row.r_tilde for row in traces[-1].rows]),
+        deviation=np.array([abs(row.holdout_acc - 0.5) for row in traces[-1].rows]),
+    )
+
+
+def no_signal_extremes(seed):
+    """The largest ``|holdout_acc - 0.5|`` over the answered rows of the
+    greedy learner's run at each of NO_SIGNAL_EPSILONS, on test_4's data."""
+    return no_signal_run(seed).extremes
 
 
 def test_4_guard_validity_monte_carlo():
@@ -196,6 +216,65 @@ def test_4_gate_fails_a_guard_that_never_halts():
     # overfits the holdout by more than 0.05 on more than 9 of test_4's seeds.
     violating_runs = sum(no_signal_extremes(seed)[0.99] > 0.05 for seed in range(50))
     assert violating_runs > 9, violating_runs
+
+
+# The ceiling band: every eps in [0.04, 0.10] in steps of 0.0025.
+BAND_EPSILONS = tuple(round(0.04 + 0.0025 * k, 4) for k in range(25))
+
+
+def interval_answered(run, eps, s_star):
+    """How many rows of the eps-0.99 run a guard at ``eps`` answers, by the
+    guard's own rule: it answers while ``max(0, eps - 2 r_tilde) >= s*``.
+    Below eps 0.99 the rows it answers are that run's rows."""
+    passes = np.maximum(0.0, eps - 2.0 * run.r_tilde) >= s_star
+    return int(np.logical_and.accumulate(passes).sum())
+
+
+def band_violations(s_star):
+    """eps -> how many of test_4's 50 seeds release an answer more than eps
+    from 0.5, for a guard that answers while ``slack >= s_star``."""
+    out = {}
+    for eps in BAND_EPSILONS:
+        out[eps] = 0
+        for seed in range(50):
+            run = no_signal_run(seed)
+            n = interval_answered(run, eps, s_star)
+            out[eps] += bool(run.deviation[:n].max(initial=0.0) > eps)
+    return out
+
+
+def method_s_star(method):
+    """The s* of test_4's guard config with ``method``, from the library."""
+    config = GuardConfig(epsilon=0.1, delta=0.1, n_vectors=32, method=method)
+    return Certifier(config, no_signal_spec(0).m_holdout).s_star
+
+
+def test_interval_verdicts_equal_the_derived_traces():
+    # The band test's shortcut is the guard's rule: on test_4's derived mclt
+    # traces at the two epsilons inside the band, the interval verdict
+    # answers the same rows and finds the same largest deviation.
+    s_star = method_s_star(rb.BoundMethod.MCLT)
+    for seed in range(50):
+        run = no_signal_run(seed)
+        for eps in (0.05, 0.1):
+            n = interval_answered(run, eps, s_star)
+            assert n == run.answered[eps], (seed, eps)
+            assert run.deviation[:n].max(initial=0.0) == run.extremes[eps], (seed, eps)
+
+
+@pytest.mark.parametrize("method", list(rb.BoundMethod))
+def test_validity_in_the_ceiling_band(method):
+    # test_4's cells sit far from where a weak guard shows.  In the band
+    # every cell gets test_4's tolerance of 9 violating runs of 50.
+    violating_runs = band_violations(method_s_star(method))
+    assert max(violating_runs.values()) <= 9, violating_runs
+
+
+def test_band_gate_fails_a_guard_with_half_the_concentration_term():
+    # With mclt's s* halved the guard still passes test_4's cells, but it
+    # overfits by more than eps on more than 9 seeds in some band cell.
+    violating_runs = band_violations(method_s_star(rb.BoundMethod.MCLT) / 2)
+    assert max(violating_runs.values()) > 9, violating_runs
 
 
 def aggregation_attack(data, config):

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radabound import bounds, rademacher
 from radabound.bounds import (
@@ -11,6 +13,7 @@ from radabound.bounds import (
     est_error_bernstein,
     est_error_mcdiarmid,
     est_error_mclt,
+    min_passing_slack,
     normal_sf,
     overfit_bound,
     overfit_bound_bernstein_single,
@@ -438,6 +441,59 @@ class TestTwoStepBounds:
 
     def test_decreasing_in_m_and_l(self):
         assert est_error_mclt(1000, 16, 0.01) < est_error_mclt(1000, 8, 0.01)
+
+
+# The (method, m, l, delta) of every guard config in use: the CLI goldens,
+# test_4 and the README's example, and the three benchmark workloads.
+CONFIGS_IN_USE = [
+    *((method, 300, 8, 0.1) for method in BoundMethod),
+    (BoundMethod.MCLT, 4000, 32, 0.1),
+    (BoundMethod.BERNSTEIN_TWO_TERM, 4000, 32, 0.1),
+    (BoundMethod.MCDIARMID_COMBINED, 4000, 64, 0.1),
+]
+
+
+class TestMinPassingSlack:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        method=st.sampled_from(list(BoundMethod)),
+        m=st.integers(1, 10**5),
+        l=st.integers(1, 512),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_passes_where_its_predecessor_fails(self, method, m, l, delta):
+        threshold = delta * (1.0 - delta)
+        s_star = min_passing_slack(method, m, l, threshold)
+        assert 0.0 < s_star <= _TOLERANCE_CAP
+        assert overfit_bound(method, m, l, s_star) <= threshold
+        assert overfit_bound(method, m, l, math.nextafter(s_star, 0.0)) > threshold
+
+    @pytest.mark.parametrize("method,m,l,delta", CONFIGS_IN_USE)
+    def test_equals_the_bound_rule_near_s_star(self, method, m, l, delta):
+        # Every float within 2000 ulps of s*: slack >= s* exactly where the
+        # bound at that slack is within the threshold.
+        threshold = delta * (1.0 - delta)
+        s_star = min_passing_slack(method, m, l, threshold)
+        bits = np.float64(s_star).view(np.int64) + np.arange(-2000, 2001)
+        for slack in bits.view(np.float64).tolist():
+            passes = overfit_bound(method, m, l, slack) <= threshold
+            assert passes == (slack >= s_star), slack.hex()
+
+    @pytest.mark.parametrize(
+        "method,expected",
+        [(BoundMethod.MCLT, 0.0162), (BoundMethod.BERNSTEIN_SINGLE, 0.0269),
+         (BoundMethod.BERNSTEIN_TWO_TERM, 0.0363),
+         (BoundMethod.MCDIARMID_COMBINED, 0.0607)],
+    )
+    def test_paper_scale_values(self, method, expected):
+        assert min_passing_slack(method, 4000, 32, 0.1 * 0.9) == pytest.approx(
+            expected, abs=5e-5
+        )
+
+    @pytest.mark.parametrize("threshold", [-0.01, 0.5, 1.0, math.nan, True, "0.09"])
+    def test_threshold_outside_the_bracket_rejected(self, threshold):
+        with pytest.raises(DomainError, match="threshold"):
+            min_passing_slack(BoundMethod.MCLT, 100, 8, threshold)
 
 
 def compare_table(capsys, m, eps, l_values):

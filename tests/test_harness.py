@@ -410,11 +410,13 @@ class TestEpsilonSweep:
             assert last.query_index == trace.halt_index
         assert run_epsilon_sweep(*data, cfg, ()) == []
 
-    def test_non_monotone_bound_runs_directly(self, monkeypatch, count_runs):
-        # A bound that rises again at large slack: eps 0.5 halts on row 1,
-        # while eps 0.28 answers that row, so its trace cannot be cut from the
-        # eps 0.5 run and must be run directly.  eps 0.01 halts on row 1 too,
-        # and is still derived.
+    def test_one_run_where_the_guard_sees_a_non_monotone_bound(
+        self, monkeypatch, count_runs
+    ):
+        # The guard's bound rises to 1.0 past slack 0.3, but the guard
+        # decides by s*, which the real bound sets.  So eps 0.5 answers rows
+        # whose delta_prime exceeds the threshold, and every smaller epsilon
+        # is still cut from its run.
         real = bounds.overfit_bound
 
         def non_monotone(method, m, l, slack):
@@ -424,13 +426,22 @@ class TestEpsilonSweep:
         spec = self.spec(True)
         data = generate(spec)
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, seed=2)
+        certifier = guard.Certifier(cfg, spec.m_holdout)
         epsilons = (0.01, 0.28, 0.5)
         traces = run_epsilon_sweep(*data, cfg, epsilons)
-        assert count_runs == [0.5, 0.28]
-        assert [t.halt_index for t in traces] == [1, None, 1]
+        assert count_runs == [0.5]
+        assert [t.halt_index for t in traces] == [1, None, None]
+        answered_above_threshold = 0
         for eps, trace in zip(epsilons, traces):
             direct = run_adaptive_analysis(*data, dataclasses.replace(cfg, epsilon=eps))
             assert_same_trace(trace, direct)
+            for row in trace.rows:
+                slack = max(0.0, eps - 2.0 * row.r_tilde)
+                assert (not row.halted) == (slack >= certifier.s_star)
+                answered_above_threshold += (
+                    not row.halted and row.delta_prime > certifier.threshold
+                )
+        assert answered_above_threshold > 0
 
 
 def reference_analysis(train, holdout, fresh, guard_config):
