@@ -180,7 +180,7 @@ class Guard:
         k x m value matrix.
 
         The whole matrix is validated and correlated with the sign vectors
-        (one matrix product) before this returns; a malformed matrix raises
+        (one product) before this returns; a malformed matrix raises
         DomainError without touching guard state, as does a ``query`` that
         is not callable.  The returned iterator answers one row per
         ``next()``, exactly as ``submit_query`` would at that moment: it
@@ -190,12 +190,12 @@ class Guard:
 
         ``submit_query`` is the one-row case of this path.  A bool matrix
         stays bool and any other dtype is read as float64.  When every value
-        is 0 or 1 and m < 2**24 the product runs exactly in float32 (see
-        ``RademacherState.correlations``), and the outcomes are bit-equal to
-        sequential ``submit_query`` calls.  Other values use the float64
-        product; for them r_tilde and delta_prime may differ from sequential
-        calls by a few ulps, because a k-row matrix product may sum in a
-        different order than k one-row products.
+        is 0 or 1 the product is an exact popcount over packed bits at any m
+        (see ``RademacherState.correlations``), and the outcomes are
+        bit-equal to sequential ``submit_query`` calls.  Other values use the
+        float64 product; for them r_tilde and delta_prime may differ from
+        sequential calls by a few ulps, because a k-row matrix product may
+        sum in a different order than k one-row products.
         """
         self._check_open()
         _check_callable(query)

@@ -17,13 +17,13 @@ that cut comes at or before the run's own halting row.
 The candidates are fixed until one is accepted, since only an acceptance
 moves the scores.  So the learner submits them in blocks: the holdout losses
 of the next features' candidates form one k x m bool matrix, in the order the
-learner tries them, and ``Guard.submit_batch`` answers it with one matrix
+learner tries them, and ``Guard.submit_batch`` answers it with one
 product.  Predictions come from comparing each feature with the current
 scores, so the candidates' float scores are never formed and the losses stay
-bool all the way to that product, which runs exactly in float32.  The learner
-reads the outcomes in order, scoring each recorded row's fresh accuracy from
-its feature's fresh column, and abandons the rest of the block after the
-first feature with an accepted candidate, or at a halt.  A block starts at
+bool all the way to that product, an exact popcount over packed bits.  The
+learner reads the outcomes in order and abandons the rest of the block after
+the first feature with an accepted candidate, or at a halt; the fresh
+accuracies of the rows it read are then scored together.  A block starts at
 one feature after an acceptance and doubles, up to 64 features, after each
 block without one.  The losses are 0/1, so every outcome is bit-equal to
 submitting the candidates one query at a time.
@@ -192,42 +192,50 @@ def run_adaptive_analysis(
 
     scores_h = np.zeros(len(holdout))
     scores_f = np.zeros(len(fresh))
-    rows: list[TraceRow] = []
-    best_loss = math.inf
 
-    def record(outcome, feature=None, candidate=0):
-        """Append the trace row, scoring its candidate's fresh accuracy under
-        the current scores; returns whether the candidate was accepted."""
-        nonlocal best_loss
-        # _candidate_predictions' comparisons; the baseline's column is all 0.
-        col = fresh.features[:, feature] if candidate else 0
-        pred_f = col >= -scores_f if candidate > 0 else col <= scores_f
-        accepted = outcome.answered and outcome.empirical_mean < best_loss
-        if accepted:
-            best_loss = outcome.empirical_mean
-        fresh_acc = float(np.count_nonzero(pred_f == positive_f) / len(fresh))
-        rows.append(
-            _trace_row(
-                len(rows) + 1, fresh_acc, outcome.r_tilde, outcome.delta_prime,
-                outcome.answered, accepted, feature, candidate, outcome.empirical_mean,
-            )
+    # Baseline query: the all-zero classifier (predicts +1 everywhere), which
+    # is accepted when answered.  After a halt the loop below never runs.
+    outcome = next(guard.submit_batch(lambda _points: ~positive_h[None]))
+    best_loss = outcome.empirical_mean
+    rows = [
+        _trace_row(
+            1, np.count_nonzero(positive_f) / len(fresh), outcome.r_tilde,
+            outcome.delta_prime, outcome.answered, True, None, 0, best_loss,
         )
-        return accepted
-
-    # Baseline query: the all-zero classifier (predicts +1 everywhere).
-    record(next(guard.submit_batch(lambda _points: ~positive_h[None])))
+    ]
     start, size = 0, 1
     while start < d and not rows[-1].halted:
         block = order[start : start + size]
-        pred_h = _candidate_predictions(holdout.features, scores_h, block)
-        answers = guard.submit_batch(lambda _points: pred_h != positive_h)
+        losses = _candidate_predictions(holdout.features, scores_h, block)
+        np.not_equal(losses, positive_h, out=losses)
         # The rows in _candidate_predictions' order: feature-major, -1 then +1.
+        read = []
         chosen = 0
-        for (i, cand), outcome in zip(product(block.tolist(), (-1, 1)), answers):
-            if record(outcome, i, cand):
-                chosen = cand
-            if rows[-1].halted or (chosen and cand > 0):
+        for (i, cand), outcome in zip(
+            product(block.tolist(), (-1, 1)), guard.submit_batch(lambda _points: losses)
+        ):
+            accepted = outcome.answered and outcome.empirical_mean < best_loss
+            if accepted:
+                best_loss, chosen = outcome.empirical_mean, cand
+            read.append((i, cand, outcome, accepted))
+            if not outcome.answered or (chosen and cand > 0):
                 break
+        # The fresh accuracies of the rows read, under the scores the block
+        # was built on; a feature whose -1 row halted gets its +1 row too.
+        right_f = _candidate_predictions(
+            fresh.features, scores_f, block[: (len(read) + 1) // 2]
+        )
+        np.equal(right_f, positive_f, out=right_f)
+        for (i, cand, outcome, accepted), right in zip(
+            read, np.count_nonzero(right_f[: len(read)], axis=1).tolist()
+        ):
+            rows.append(
+                _trace_row(
+                    len(rows) + 1, right / len(fresh), outcome.r_tilde,
+                    outcome.delta_prime, outcome.answered, accepted, i, cand,
+                    outcome.empirical_mean,
+                )
+            )
         # The baseline row, then two rows for each feature read (one, if
         # its -1 row halted).
         start = len(rows) // 2

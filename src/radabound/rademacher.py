@@ -43,23 +43,80 @@ def _check_unit_interval(values: np.ndarray) -> None:
         raise DomainError("query values must lie in [0, 1]")
 
 
-# Below this many columns a row of 0/1 values correlates exactly in float32:
-# every partial sum of 0/1 values times signs is an integer of magnitude at
-# most m, and float32 holds every integer up to 2**24.
-_EXACT_FLOAT32_COLUMNS = 2**24
+def _packed_rows(rows: np.ndarray) -> np.ndarray:
+    """A k x m array as k x ceil(m/64) uint64 words holding one bit per entry,
+    set where the entry is nonzero: column j is bit j % 8 of byte j // 8 of
+    its row, and the bits past m are zero."""
+    k, m = rows.shape
+    words = np.zeros((k, -(-m // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:, : -(-m // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return words
+
+
+def _table_bit_counts(words: np.ndarray) -> np.ndarray:
+    """The set bits of each byte of ``words``, from a 256-entry table:
+    numpy < 2.0 has no ``np.bitwise_count``."""
+    return _BYTE_BIT_COUNTS[words.view(np.uint8)]
+
+
+_BYTE_BIT_COUNTS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+_bit_counts = getattr(np, "bitwise_count", _table_bit_counts)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits along the last axis of C-ordered uint64 ``words``."""
+    # The narrowest unsigned type that holds 64 bits a word sums fastest
+    # and exactly.
+    total = np.min_scalar_type(64 * words.shape[-1])
+    return np.add.reduce(_bit_counts(words), axis=-1, dtype=total)
+
+
+# Bytes of each rows x n_vectors x words temporary of a 0/1 product; one row
+# at least.
+_PRODUCT_CHUNK_BYTES = 1 << 18
 
 
 class RademacherState:
-    """A fixed n_vectors x m matrix of signs in {-1, +1}, held once as float32,
-    one running supremum per sign vector, and the count of committed queries."""
+    """A fixed n_vectors x m matrix of signs in {-1, +1}, one running supremum
+    per sign vector, and the count of committed queries.
+
+    The signs are held only as packed bits, n_vectors·m/8 bytes: ``bits``
+    is n_vectors x ceil(m/64) read-only uint64 words laid out by
+    ``_packed_rows``, a set bit for +1 and zeros past column ``m``.
+    ``signs`` unpacks them.
+    """
 
     def __init__(self, signs: np.ndarray):
-        """Keep ``signs``, a non-empty n_vectors x m numpy array of -1 and +1
-        as ``init_state`` draws it, as read-only float32; not checked here."""
-        self.signs = signs.astype(np.float32, copy=False)
-        self.signs.setflags(write=False)
-        self.running_sup = np.zeros(signs.shape[0])
+        """Pack ``signs``, a non-empty n_vectors x m numpy array of -1 and +1;
+        not checked here.  ``init_state`` packs its draw without this."""
+        self._start(_packed_rows(signs > 0), signs.shape[1])
+
+    @classmethod
+    def _from_bits(cls, bits: np.ndarray, m: int) -> "RademacherState":
+        state = cls.__new__(cls)
+        state._start(bits, m)
+        return state
+
+    def _start(self, bits: np.ndarray, m: int) -> None:
+        bits.setflags(write=False)
+        self.bits = bits
+        self.m = m
+        self.running_sup = np.zeros(bits.shape[0])
         self.query_count = 0
+
+    @property
+    def signs(self) -> np.ndarray:
+        """The n_vectors x m sign matrix, unpacked into a new read-only
+        C-ordered float64 array of -1.0 and +1.0."""
+        signs = np.unpackbits(
+            self.bits.view(np.uint8), axis=1, count=self.m, bitorder="little"
+        ).view(np.int8)
+        # ±1 in int8 first: one pass over the float64 result.
+        signs *= 2
+        signs -= 1
+        signs = signs.astype(np.float64)
+        signs.setflags(write=False)
+        return signs
 
     def estimate(self) -> float:
         """Current complexity estimate: mean of the per-vector suprema."""
@@ -74,24 +131,26 @@ class RademacherState:
 
     def correlations(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Check a k x m value matrix and correlate every row with every sign
-        vector in one matrix product.  Returns each row's mean and the
-        k x n_vectors absolute correlations; the state is not touched.  A
-        single query is the one-row case: Guard.submit_query comes through
-        here too.
+        vector.  Returns each row's mean and the k x n_vectors absolute
+        correlations; the state is not touched.  A single query is the
+        one-row case: Guard.submit_query comes through here too.
 
         The shape is checked first (DimensionError), then the range [0, 1]
         (DomainError; NaN fails).  One scan asks whether every value is 0 or
         1; only a block that is not gets the range scan.
 
-        When every value is 0 or 1 and m < 2**24, the product and the row
-        sums run in float32.  Every partial sum is then an integer below
-        2**24, which float32 holds exactly, so the result has the bits of the
-        float64 product and mean whatever k is or the summation order.  Other
-        values use a float64 copy of the signs made per call; for them a k-row
-        product may round a few ulps differently from k one-row products.
+        A block whose every value is 0 or 1 is packed into bits like the
+        signs.  A row's sum is the popcount of its words q, and its sum
+        against a sign vector s is ``2·popcount(q & s) - popcount(q)``.  Both
+        are exact integers at every m, so the means and correlations have the
+        bits of the float64 product and mean, whatever k is.  The rows go
+        through in chunks, so the q & s temporary stays near 256 KiB.  Other
+        values are multiplied in float64 against ``signs``, unpacked per
+        call; for them a k-row product may round a few ulps differently from
+        k one-row products.
         """
         values = as_query_values(values)
-        m = self.signs.shape[1]
+        m = self.m
         if values.ndim != 2 or values.shape[1] != m:
             raise DimensionError(
                 f"expected rows of {m} query values, got shape {values.shape}"
@@ -99,15 +158,19 @@ class RademacherState:
         zero_one = values.dtype == bool or ((values == 0) | (values == 1)).all()
         if not zero_one:
             _check_unit_interval(values)
-        if zero_one and m < _EXACT_FLOAT32_COLUMNS:
-            values = values.astype(np.float32)
-            sums = (values @ self.signs.T).astype(float)
-            means = values.sum(axis=1).astype(float) / m
-        else:
-            # Cast after transposing: a column-major copy keeps the product's bits.
-            sums = values @ self.signs.T.astype(float)
-            means = values.mean(axis=1)
-        return means, np.abs(sums / m)
+            # A column-major float64 matrix keeps the product's bits.
+            return values.mean(axis=1), np.abs(values @ self.signs.T / m)
+        query = _packed_rows(values.astype(bool, copy=False))
+        ones = _popcount(query)
+        sums = np.empty((len(query), len(self.bits)), dtype=np.int64)
+        rows = max(1, _PRODUCT_CHUNK_BYTES // self.bits.nbytes)
+        for start in range(0, len(query), rows):
+            both = query[start : start + rows, None] & self.bits
+            sums[start : start + rows] = _popcount(both)
+        sums *= 2
+        sums -= ones[:, None]
+        corr = sums / m
+        return ones / m, np.abs(corr, out=corr)
 
     def preview_corr(self, corr: np.ndarray) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate after absorbing one query's
@@ -131,20 +194,18 @@ def init_state(m: int, n_vectors: int, *, rng: np.random.Generator) -> Rademache
 
     Signs are iid uniform on {-1, +1} from ``rng``; the same generator state
     always yields the same matrix.  The 0/1 draw is made in int64 row blocks
-    of about 64 KiB (past m = 8192, one row of 8·m bytes), each mapped
-    straight into the float32 ±1 result: the blocks take the stream's values
-    in the order of one ``rng.integers(0, 2, size=(n_vectors, m))`` and
-    leave ``rng`` where it would, and the peak stays near the 4·n_vectors·m
-    bytes kept.
+    of about 64 KiB (past m = 8192, one row of 8·m bytes), each packed
+    straight into the state's bits, a 1 becoming +1: the blocks take the
+    stream's values in the order of one ``rng.integers(0, 2, size=(n_vectors,
+    m))`` and leave ``rng`` where it would, and the peak stays near the
+    n_vectors·m/8 bytes kept plus a block.
     """
     m = validate_count("m", m)
     n_vectors = validate_count("n_vectors", n_vectors)
     validate_count("int64 bytes of the n_vectors x m sign draw", 8 * n_vectors * m)
-    signs = np.empty((n_vectors, m), dtype=np.float32)
+    bits = np.empty((n_vectors, -(-m // 64)), dtype=np.uint64)
     rows = max(1, _SIGN_DRAW_BLOCK_BYTES // (8 * m))
     for start in range(0, n_vectors, rows):
-        block = signs[start : start + rows]
-        np.multiply(rng.integers(0, 2, size=block.shape), 2, out=block, casting="unsafe")
-        block -= 1
-    return RademacherState(signs=signs)
-
+        block = bits[start : start + rows]
+        block[:] = _packed_rows(rng.integers(0, 2, size=(len(block), m)))
+    return RademacherState._from_bits(bits, m)

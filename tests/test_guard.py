@@ -82,8 +82,8 @@ class TestGuardConstruction:
         with pytest.raises(ConfigurationError, match="int64 bytes"):
             Guard(HoldoutSample(None, 4000), GuardConfig(0.1, 0.1, 2**62))
 
-    def test_holds_one_float32_sign_matrix(self):
-        # 4 bytes a sign, and no second copy of the matrix.
+    def test_holds_the_signs_as_packed_bits(self):
+        # One bit a sign, and no unpacked copy of the matrix.
         l, m = 512, 4000
         tracemalloc.start()
         try:
@@ -94,8 +94,8 @@ class TestGuardConstruction:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert g.rad.signs.shape == (l, m)
-        assert retained <= 4 * l * m + 2**20, f"{retained / 2**20:.2f} MiB retained"
+        assert g.rad.bits.shape == (l, -(-m // 64))
+        assert retained <= l * m / 8 + 2**16, f"{retained / 2**10:.1f} KiB retained"
 
     def test_fresh_guard_state(self):
         g = Guard(

@@ -58,8 +58,11 @@ class TestInitState:
             r.integers(2**31 - 1, dtype=np.int32)  # buffers the other half
         state = init_state(m, n_vectors, rng=rng)
         bits = want_rng.integers(0, 2, size=(n_vectors, m))
-        assert state.signs.dtype == np.float32
+        assert state.bits.dtype == np.uint64
+        assert state.bits.shape == (n_vectors, -(-m // 64))
         assert np.array_equal(state.signs, 2.0 * bits - 1.0)
+        unpacked = np.unpackbits(state.bits.view(np.uint8), axis=1, bitorder="little")
+        assert not unpacked[:, m:].any()  # the tail past m is zero
         for dtype in (np.int32, np.int64):
             assert int(rng.integers(2**31 - 1, dtype=dtype)) == int(
                 want_rng.integers(2**31 - 1, dtype=dtype)
@@ -68,7 +71,7 @@ class TestInitState:
     # Two rows a block at m = 4000; one row, 512 KiB, at m = 2**16 + 3.
     @pytest.mark.parametrize("m, n_vectors", [(4000, 512), (2**16 + 3, 40)])
     def test_peak_stays_near_the_signs_kept(self, m, n_vectors):
-        # 4·l·m bytes of float32 signs and a few int64 blocks in flight; one
+        # l·m/8 bytes of packed signs and a few int64 blocks in flight; one
         # whole int64 draw alone is 8·l·m.
         block = max(1, rademacher._SIGN_DRAW_BLOCK_BYTES // (8 * m)) * 8 * m
         tracemalloc.start()
@@ -77,7 +80,7 @@ class TestInitState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n_vectors * m + 3 * block
+        assert peak <= n_vectors * m / 8 + 3 * block
 
 
 class TestUpdate:
@@ -196,31 +199,45 @@ class TestExactOracle:
         assert abs(est - oracle) <= 4 * se
 
 
+def float64_product(state, values):
+    """The means and absolute correlations of ``values`` by the float64 mean
+    and product against the unpacked signs."""
+    values = np.asarray(values, dtype=float)
+    return values.mean(axis=1), np.abs(values @ state.signs.T / state.m)
+
+
+def chunk_rows(state):
+    """Rows of each chunk of the 0/1 product."""
+    return max(1, rademacher._PRODUCT_CHUNK_BYTES // state.bits.nbytes)
+
+
 class TestCorrelationPaths:
     def test_zero_one_values_match_the_float64_product(self):
-        # 0/1 rows take the float32 product, which must keep every bit.
-        for k, m, n_vectors in itertools.product((1, 3, 64), (1, 7, 4000), (1, 32, 64)):
+        # m = 63, 64 and 65 end one bit short of a word, on a word and one
+        # bit into a word; k reaches past the first chunk of rows.
+        for m, n_vectors in itertools.product((1, 7, 63, 64, 65, 4000), (1, 32, 64)):
             state = init_state(m, n_vectors, rng=np.random.default_rng(m + n_vectors))
-            bits = np.random.default_rng(k * m).integers(0, 2, size=(k, m))
-            want = np.abs(bits.astype(float) @ state.signs.astype(float).T / m)
-            signed_zeros = np.where(bits == 1, 1.0, -0.0)
-            for values in (bits.astype(bool), bits, bits.astype(float), signed_zeros):
-                means, corr = state.correlations(values)
-                want_means = values.astype(float).mean(axis=1)
-                assert means.tobytes() == want_means.tobytes(), (k, m, values.dtype)
-                assert np.array_equal(corr, want), (k, m, n_vectors, values.dtype)
+            for k in (1, 3, chunk_rows(state) + 1):
+                bits = np.random.default_rng(k * m).integers(0, 2, size=(k, m))
+                signed_zeros = np.where(bits == 1, 1.0, -0.0)
+                for values in (bits.astype(bool), bits, bits.astype(float), signed_zeros):
+                    means, corr = state.correlations(values)
+                    want_means, want_corr = float64_product(state, values)
+                    assert means.tobytes() == want_means.tobytes(), (k, m, values.dtype)
+                    assert corr.tobytes() == want_corr.tobytes(), (k, m, n_vectors)
 
     def test_one_fractional_entry_takes_the_float64_product(self):
-        # 1/3 has no exact float32 form, so a float32 product would differ.
+        # A popcount cannot weigh 0.5 or 1/3: the whole block takes the
+        # float64 product.
         m = 4000
         state = init_state(m, 32, rng=np.random.default_rng(2))
         for fraction in (0.5, 1 / 3):
             values = np.random.default_rng(3).integers(0, 2, size=(3, m)).astype(float)
             values[1, 17] = fraction
             means, corr = state.correlations(values)
-            assert means.tobytes() == values.mean(axis=1).tobytes()
-            want = np.abs(values @ state.signs.astype(float).T / m)
-            assert np.array_equal(corr, want)
+            want_means, want_corr = float64_product(state, values)
+            assert means.tobytes() == want_means.tobytes()
+            assert corr.tobytes() == want_corr.tobytes()
 
     def test_zero_one_block_skips_the_range_scan(self, monkeypatch):
         # The 0/1 test already puts a block in [0, 1]; only a block with
@@ -244,22 +261,45 @@ class TestCorrelationPaths:
         with pytest.raises(AssertionError, match="range scan ran"):
             state.correlations(fractional)
 
-    def test_zero_one_values_at_the_float32_limit_take_the_float64_product(
-        self, monkeypatch
-    ):
-        # From m = 2**24 columns a 0/1 block takes the float64 product; a
-        # lower limit reaches that path at a small m.
-        m = 4000
-        bits = np.random.default_rng(6).integers(0, 2, size=(3, m))
-        for limit in (1, m):
-            monkeypatch.setattr(rademacher, "_EXACT_FLOAT32_COLUMNS", limit)
-            state = init_state(m, 32, rng=np.random.default_rng(5))
-            for values in (bits.astype(bool), bits, bits.astype(float)):
+    @pytest.mark.skipif(
+        not hasattr(np, "bitwise_count"), reason="np.bitwise_count needs numpy 2.0"
+    )
+    def test_byte_table_counts_as_bitwise_count(self):
+        words = np.random.default_rng(12).integers(
+            0, 2**64, size=(5, 70), dtype=np.uint64, endpoint=False
+        )
+        words[0] = 0
+        words[1] = np.iinfo(np.uint64).max
+        by_byte = rademacher._table_bit_counts(words).reshape(5, 70, 8).sum(axis=-1)
+        assert np.array_equal(by_byte, np.bitwise_count(words))
+
+    def test_byte_table_popcount_matches_the_float64_product(self, monkeypatch):
+        # numpy < 2.0 counts bits by the byte table; numpy 2 takes it here.
+        monkeypatch.setattr(rademacher, "_bit_counts", rademacher._table_bit_counts)
+        for m in (65, 4000):
+            state = init_state(m, 64, rng=np.random.default_rng(5))
+            bits = np.random.default_rng(6).integers(0, 2, size=(chunk_rows(state) + 1, m))
+            for values in (bits.astype(bool), bits.astype(float)):
                 means, corr = state.correlations(values)
-                want = values.astype(float)
-                assert means.tobytes() == want.mean(axis=1).tobytes(), values.dtype
-                want_corr = np.abs(want @ state.signs.astype(float).T / m)
-                assert corr.tobytes() == want_corr.tobytes(), values.dtype
+                want_means, want_corr = float64_product(state, values)
+                assert means.tobytes() == want_means.tobytes(), (m, values.dtype)
+                assert corr.tobytes() == want_corr.tobytes(), (m, values.dtype)
+
+    def test_zero_one_product_works_in_row_chunks(self):
+        # At l = 512 and m = 4000 one row's q & s temporary is 252 KiB; the
+        # whole 128-row block's would be 31.5 MiB.  The result and a few
+        # k x l arrays stay.
+        m, n_vectors, k = 4000, 512, 128
+        state = init_state(m, n_vectors, rng=np.random.default_rng(4))
+        values = np.random.default_rng(5).integers(0, 2, size=(k, m)).astype(bool)
+        assert chunk_rows(state) == 1
+        tracemalloc.start()
+        try:
+            state.correlations(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * k * n_vectors + 2 * rademacher._PRODUCT_CHUNK_BYTES, peak
 
     def test_guard_answers_alike_on_either_product(self, monkeypatch):
         m = 4000
@@ -267,11 +307,17 @@ class TestCorrelationPaths:
         sample = HoldoutSample(points=None, m=m)
         # Answers 18 rows, then halts on the 19th.
         config = GuardConfig(epsilon=0.06, delta=0.1, n_vectors=32, seed=3)
-        float32_rows = list(Guard(sample, config).submit_batch(lambda points: bits))
-        assert [row.answered for row in float32_rows] == [True] * 18 + [False]
-        monkeypatch.setattr(rademacher, "_EXACT_FLOAT32_COLUMNS", m)
         guard = Guard(sample, config)
-        assert list(guard.submit_batch(lambda points: bits)) == float32_rows
+        rows = list(guard.submit_batch(lambda points: bits))
+        assert [row.answered for row in rows] == [True] * 18 + [False]
+        # The float64 product's running suprema give the same r_tilde, and
+        # the byte table's popcount the same outcomes.
+        corr = float64_product(guard.rad, bits[:19])[1]
+        suprema = np.maximum.accumulate(corr, axis=0)
+        assert [row.r_tilde for row in rows] == [float(s.mean()) for s in suprema]
+        monkeypatch.setattr(rademacher, "_bit_counts", rademacher._table_bit_counts)
+        guard = Guard(sample, config)
+        assert list(guard.submit_batch(lambda points: bits)) == rows
 
 
 class TestSignChecks:
@@ -279,3 +325,5 @@ class TestSignChecks:
         state = RademacherState(signs=np.ones((2, 3)))
         with pytest.raises(ValueError):
             state.signs[0, 0] = -1.0
+        with pytest.raises(ValueError):
+            state.bits[0, 0] = 0
