@@ -81,23 +81,12 @@ class RademacherState:
     per sign vector, and the count of committed queries.
 
     The signs are held only as packed bits, n_vectors·m/8 bytes: ``bits``
-    is n_vectors x ceil(m/64) read-only uint64 words laid out by
-    ``_packed_rows``, a set bit for +1 and zeros past column ``m``.
-    ``signs`` unpacks them.
+    is n_vectors x ceil(m/64) uint64 words laid out by ``_packed_rows``, a
+    set bit for +1 and zeros past column ``m``, adopted without a copy or a
+    check and made read-only.  ``init_state`` draws them; ``signs`` unpacks them.
     """
 
-    def __init__(self, signs: np.ndarray):
-        """Pack ``signs``, a non-empty n_vectors x m numpy array of -1 and +1;
-        not checked here.  ``init_state`` packs its draw without this."""
-        self._start(_packed_rows(signs > 0), signs.shape[1])
-
-    @classmethod
-    def _from_bits(cls, bits: np.ndarray, m: int) -> "RademacherState":
-        state = cls.__new__(cls)
-        state._start(bits, m)
-        return state
-
-    def _start(self, bits: np.ndarray, m: int) -> None:
+    def __init__(self, bits: np.ndarray, m: int):
         bits.setflags(write=False)
         self.bits = bits
         self.m = m
@@ -147,7 +136,9 @@ class RademacherState:
         through in chunks, so the q & s temporary stays near 256 KiB.  Other
         values are multiplied in float64 against ``signs``, unpacked per
         call; for them a k-row product may round a few ulps differently from
-        k one-row products.
+        k one-row products.  That unpack makes n_vectors·m int8 and
+        8·n_vectors·m float64 bytes on each call with any fractional value:
+        send bool or 0/1 values at large m.
         """
         values = as_query_values(values)
         m = self.m
@@ -190,7 +181,7 @@ _SIGN_DRAW_BLOCK_BYTES = 1 << 16
 
 
 def init_state(m: int, n_vectors: int, *, rng: np.random.Generator) -> RademacherState:
-    """Draw the fixed sign matrix and start with all suprema at zero.
+    """Draw the signs and zero the suprema: the library's only maker of a state.
 
     Signs are iid uniform on {-1, +1} from ``rng``; the same generator state
     always yields the same matrix.  The 0/1 draw is made in int64 row blocks
@@ -202,10 +193,10 @@ def init_state(m: int, n_vectors: int, *, rng: np.random.Generator) -> Rademache
     """
     m = validate_count("m", m)
     n_vectors = validate_count("n_vectors", n_vectors)
-    validate_count("int64 bytes of the n_vectors x m sign draw", 8 * n_vectors * m)
+    validate_count("float64 bytes of the n_vectors x m unpacked signs", 8 * n_vectors * m)
     bits = np.empty((n_vectors, -(-m // 64)), dtype=np.uint64)
     rows = max(1, _SIGN_DRAW_BLOCK_BYTES // (8 * m))
     for start in range(0, n_vectors, rows):
         block = bits[start : start + rows]
         block[:] = _packed_rows(rng.integers(0, 2, size=(len(block), m)))
-    return RademacherState._from_bits(bits, m)
+    return RademacherState(bits, m)

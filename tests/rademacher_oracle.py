@@ -2,7 +2,8 @@
 
 ``exact_empirical_rademacher`` enumerates all 2^m sign vectors, so it refuses
 m > 20.  It checks its values as the estimator does.  ``all_sign_matrix``
-lists the same vectors as one matrix, for a ``RademacherState`` of its own.
+lists the same vectors as one matrix, and ``state_of`` packs a chosen ±1
+matrix into a ``RademacherState`` as ``init_state`` packs its draw.
 ``update`` absorbs one query through the estimator's own steps, the ones
 ``Guard`` runs.
 """
@@ -12,7 +13,12 @@ import itertools
 import numpy as np
 
 from radabound.errors import DimensionError, DomainError
-from radabound.rademacher import _check_unit_interval, as_query_values
+from radabound.rademacher import (
+    RademacherState,
+    _check_unit_interval,
+    _packed_rows,
+    as_query_values,
+)
 
 _ENUMERATION_LIMIT = 20
 
@@ -20,6 +26,11 @@ _ENUMERATION_LIMIT = 20
 def all_sign_matrix(m):
     """All 2^m sign vectors as a (2^m, m) matrix of -1.0 and +1.0."""
     return np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+
+
+def state_of(signs):
+    """A fresh state over ``signs``, an n_vectors x m array of -1 and +1."""
+    return RademacherState(_packed_rows(signs > 0), signs.shape[1])
 
 
 def exact_empirical_rademacher(value_matrix) -> float:

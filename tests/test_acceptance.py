@@ -39,11 +39,11 @@ from radabound.bounds import (
 from radabound.cli import main as cli_main
 from radabound.errors import GuardHaltedError
 from radabound.guard import Certifier, Guard, GuardConfig, HoldoutSample
-from radabound.rademacher import RademacherState, init_state
+from radabound.rademacher import init_state
 from radabound.synthdata import DatasetSpec, generate
 from radabound.thresholdout import ThresholdoutParams, comparison_report, min_holdout_size
 
-from rademacher_oracle import all_sign_matrix, exact_empirical_rademacher, update
+from rademacher_oracle import all_sign_matrix, exact_empirical_rademacher, state_of, update
 
 mp.mp.dps = 40
 
@@ -70,7 +70,7 @@ def test_1_oracle_equivalence():
 
             # exhaustive average of incremental update-path estimates over
             # every sign vector, fed one function at a time
-            state = RademacherState(signs=all_sign_matrix(m))
+            state = state_of(all_sign_matrix(m))
             for row in values:
                 exhaustive = update(state, row)
             assert exhaustive == pytest.approx(oracle, abs=1e-12)

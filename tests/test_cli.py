@@ -97,10 +97,10 @@ class TestRunConfig:
         assert main(["run-experiment", "--config", str(path)]) == EXIT_OK
         assert {f.name: f.read_bytes() for f in out.iterdir()} == first
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
+    def test_seed_env_var_is_ignored(self, tmp_path, monkeypatch):
         self.check_seed_env_var_ignored(tmp_path, monkeypatch, "42")
 
-    def test_seed_env_override_must_be_int(self, tmp_path, monkeypatch):
+    def test_non_integer_seed_env_var_is_ignored(self, tmp_path, monkeypatch):
         # A non-integer value is ignored too, not rejected.
         self.check_seed_env_var_ignored(tmp_path, monkeypatch, "not-a-number")
 
@@ -196,8 +196,8 @@ class TestRunExperimentCommand:
             ("experiment", "d", 10**30),
             ("experiment", "m_holdout", 10**30),
             ("experiment", "m_train", 2**70),
-            # valid counts whose float64 arrays numpy cannot size: the sign
-            # matrix (n_vectors x m_holdout) and a sample set (m_train x d)
+            # valid counts whose float64 arrays numpy cannot size: the unpacked
+            # signs (n_vectors x m_holdout) and a sample set (m_train x d)
             ("guard", "n_vectors", 2**62),
             ("experiment", "m_train", 2**60),
         ]

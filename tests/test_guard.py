@@ -78,8 +78,9 @@ class TestStoppingThreshold:
 
 class TestGuardConstruction:
     def test_sign_matrix_too_big_for_numpy(self):
-        # Each count is valid alone; the l x m int64 draw is not.
-        with pytest.raises(ConfigurationError, match="int64 bytes"):
+        # Each count is valid alone; the l x m float64 unpack of the signs
+        # is not.
+        with pytest.raises(ConfigurationError, match="float64 bytes of .* unpacked signs"):
             Guard(HoldoutSample(None, 4000), GuardConfig(0.1, 0.1, 2**62))
 
     def test_holds_the_signs_as_packed_bits(self):

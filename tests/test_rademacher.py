@@ -9,12 +9,12 @@ from radabound.errors import ConfigurationError, DimensionError, DomainError
 from radabound.guard import Guard, GuardConfig, HoldoutSample
 from radabound.rademacher import RademacherState, init_state
 
-from rademacher_oracle import all_sign_matrix, exact_empirical_rademacher, update
+from rademacher_oracle import all_sign_matrix, exact_empirical_rademacher, state_of, update
 
 
 def update_path_estimate(value_matrix, sigma):
     """Feed the functions one at a time through a single-vector state."""
-    state = RademacherState(signs=sigma.reshape(1, -1).copy())
+    state = state_of(sigma.reshape(1, -1))
     est = 0.0
     for row in value_matrix:
         est = update(state, row)
@@ -68,6 +68,15 @@ class TestInitState:
                 want_rng.integers(2**31 - 1, dtype=dtype)
             )
 
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 4000])
+    @pytest.mark.parametrize("n_vectors", [1, 37])
+    def test_state_of_its_signs_has_its_words(self, m, n_vectors):
+        # The tests' hand-built states pack their signs as the guard's are.
+        state = init_state(m, n_vectors, rng=np.random.default_rng(m * n_vectors))
+        bits = state_of(state.signs).bits
+        assert bits.dtype == np.uint64
+        assert np.array_equal(bits, state.bits)  # tail words included
+
     # Two rows a block at m = 4000; one row, 512 KiB, at m = 2**16 + 3.
     @pytest.mark.parametrize("m, n_vectors", [(4000, 512), (2**16 + 3, 40)])
     def test_peak_stays_near_the_signs_kept(self, m, n_vectors):
@@ -101,13 +110,13 @@ class TestUpdate:
 
     def test_hand_computed_dot_product(self):
         # sigma = (+1, -1, +1), values = (1, 1, 0): c = (1 - 1 + 0)/3 = 0
-        state = RademacherState(signs=np.array([[1.0, -1.0, 1.0]]))
+        state = state_of(np.array([[1.0, -1.0, 1.0]]))
         assert update(state, [1.0, 1.0, 0.0]) == 0.0
 
     def test_raw_vs_absolute_update(self):
         sigma = np.array([[1.0, -1.0, -1.0, -1.0]])
         values = np.array([1.0, 1.0, 1.0, 1.0])  # c = -2/4 = -0.5
-        closed = RademacherState(signs=sigma.copy())
+        closed = state_of(sigma)
         assert update(closed, values) == 0.5  # |-0.5|
 
     def test_length_mismatch(self):
@@ -138,8 +147,8 @@ class TestUpdate:
         signs = 2.0 * rng.integers(0, 2, size=(3, 10)).astype(float) - 1.0
         values = rng.uniform(size=(5, 10))
         perm = rng.permutation(10)
-        a = RademacherState(signs=signs.copy())
-        b = RademacherState(signs=signs[:, perm].copy())
+        a = state_of(signs)
+        b = state_of(signs[:, perm])
         for row in values:
             ea = update(a, row)
             eb = update(b, row[perm])
@@ -322,8 +331,14 @@ class TestCorrelationPaths:
 
 class TestSignChecks:
     def test_immutable_after_creation(self):
-        state = RademacherState(signs=np.ones((2, 3)))
+        state = state_of(np.ones((2, 3)))
         with pytest.raises(ValueError):
             state.signs[0, 0] = -1.0
         with pytest.raises(ValueError):
             state.bits[0, 0] = 0
+        # The constructor adopts the caller's words, not a copy of them.
+        words = np.zeros((2, 1), dtype=np.uint64)
+        state = RademacherState(words, 3)
+        assert state.bits is words
+        with pytest.raises(ValueError):
+            words[0, 0] = 1
