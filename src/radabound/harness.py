@@ -22,11 +22,15 @@ product.  Predictions come from comparing each feature with the current
 scores, so the candidates' float scores are never formed and the losses stay
 bool all the way to that product, an exact popcount over packed bits.  The
 learner reads the outcomes in order and abandons the rest of the block after
-the first feature with an accepted candidate, or at a halt; the fresh
-accuracies of the rows it read are then scored together.  A block starts at
-one feature after an acceptance and doubles, up to 64 features, after each
+the first feature with an accepted candidate, or at a halt.  A block starts
+at one feature after an acceptance and doubles, up to 64 features, after each
 block without one.  The losses are 0/1, so every outcome is bit-equal to
 submitting the candidates one query at a time.
+
+The loop reads nothing but the guard's released outcomes.  The trace's truth
+column, the fresh-set accuracy of each row, is scored after the run: the
+learner's score moves are replayed on the fresh set, and the features tried
+between two moves are compared once, at most 64 features a call.
 """
 
 from __future__ import annotations
@@ -188,28 +192,21 @@ def run_adaptive_analysis(
     guard = Guard(HoldoutSample(points=holdout, m=len(holdout)), guard_config)
     order = feature_order(train)
     positive_h = holdout.labels == 1
-    positive_f = fresh.labels == 1
-
     scores_h = np.zeros(len(holdout))
-    scores_f = np.zeros(len(fresh))
 
     # Baseline query: the all-zero classifier (predicts +1 everywhere), which
     # is accepted when answered.  After a halt the loop below never runs.
     outcome = next(guard.submit_batch(lambda _points: ~positive_h[None]))
     best_loss = outcome.empirical_mean
-    rows = [
-        _trace_row(
-            1, np.count_nonzero(positive_f) / len(fresh), outcome.r_tilde,
-            outcome.delta_prime, outcome.answered, True, None, 0, best_loss,
-        )
-    ]
+    # (feature, candidate, outcome, accepted) for each row read, and
+    # (features tried so far, feature, weight) for each move of the scores.
+    read, moves = [(None, 0, outcome, True)], []
     start, size = 0, 1
-    while start < d and not rows[-1].halted:
+    while start < d and outcome.answered:
         block = order[start : start + size]
         losses = _candidate_predictions(holdout.features, scores_h, block)
         np.not_equal(losses, positive_h, out=losses)
         # The rows in _candidate_predictions' order: feature-major, -1 then +1.
-        read = []
         chosen = 0
         for (i, cand), outcome in zip(
             product(block.tolist(), (-1, 1)), guard.submit_batch(lambda _points: losses)
@@ -220,36 +217,50 @@ def run_adaptive_analysis(
             read.append((i, cand, outcome, accepted))
             if not outcome.answered or (chosen and cand > 0):
                 break
-        # The fresh accuracies of the rows read, under the scores the block
-        # was built on; a feature whose -1 row halted gets its +1 row too.
-        right_f = _candidate_predictions(
-            fresh.features, scores_f, block[: (len(read) + 1) // 2]
-        )
-        np.equal(right_f, positive_f, out=right_f)
-        for (i, cand, outcome, accepted), right in zip(
-            read, np.count_nonzero(right_f[: len(read)], axis=1).tolist()
-        ):
-            rows.append(
-                _trace_row(
-                    len(rows) + 1, right / len(fresh), outcome.r_tilde,
-                    outcome.delta_prime, outcome.answered, accepted, i, cand,
-                    outcome.empirical_mean,
-                )
-            )
         # The baseline row, then two rows for each feature read (one, if
         # its -1 row halted).
-        start = len(rows) // 2
+        start = len(read) // 2
         if chosen:
             # Not ``+ chosen * column``: numpy will not negate an unsigned
             # column, and for floats s - x is the same operation as s + -x.
             step = np.add if chosen > 0 else np.subtract
             scores_h = step(scores_h, holdout.features[:, i])
-            scores_f = step(scores_f, fresh.features[:, i])
+            moves.append((start, i, chosen))
         # An acceptance moves the scores and leaves the rest of the block
         # stale: it is abandoned, and the next block starts at one feature.
         size = 1 if chosen else min(2 * size, _MAX_BLOCK)
 
+    fresh_accs = _fresh_accuracies(fresh, order[:start], moves)
+    # A feature whose -1 row halted has its +1 row scored too; zip drops it.
+    rows = [
+        _trace_row(n, fresh_acc, out.r_tilde, out.delta_prime, out.answered, accepted,
+                   i, cand, out.empirical_mean)
+        for n, ((i, cand, out, accepted), fresh_acc) in enumerate(zip(read, fresh_accs), 1)
+    ]
     return _finish(rows, d, guard_config)
+
+
+def _fresh_accuracies(fresh: LabeledDataset, tried, moves) -> list[float]:
+    """The fresh-set accuracy of the baseline, then of the -1 and +1
+    candidates of each feature in ``tried``, under the scores the learner
+    held: a move ``(n, feature, weight)`` applies after the first ``n``
+    features tried, in the same order and with the same operation as on the
+    holdout.  The features between two moves are compared at most
+    ``_MAX_BLOCK`` at a time."""
+    positive = fresh.labels == 1
+    scores = np.zeros(len(fresh))
+    right = [np.count_nonzero(positive)]
+    start = 0
+    for stop, i, weight in [*moves, (len(tried), None, 0)]:
+        for lo in range(start, stop, _MAX_BLOCK):
+            block = tried[lo : min(lo + _MAX_BLOCK, stop)]
+            hits = _candidate_predictions(fresh.features, scores, block)
+            np.equal(hits, positive, out=hits)
+            right += np.count_nonzero(hits, axis=1).tolist()
+        if weight:
+            scores = (np.add if weight > 0 else np.subtract)(scores, fresh.features[:, i])
+        start = stop
+    return [n / len(fresh) for n in right]
 
 
 def _finish(

@@ -6,6 +6,8 @@ of them never perturbs the others.  Streams are numpy PCG64 generators keyed
 by ``SeedSequence(master_seed, spawn_key=(label_index,))``.
 """
 
+from __future__ import annotations
+
 import dataclasses
 import numbers
 

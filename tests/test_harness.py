@@ -550,7 +550,7 @@ def ranked_data(d, live=(), m=100):
     train = make_dataset(labels[:, None] * (d - np.arange(d)), labels)
     features = np.ones((m, d))
     features[:, list(live)] = labels[:, None]
-    return train, make_dataset(features, labels), make_dataset(features, labels)
+    return train, make_dataset(features, labels), make_dataset(features.copy(), labels)
 
 
 class TestBlockedAnalysis:
@@ -579,24 +579,59 @@ class TestBlockedAnalysis:
         # each method halts on some epsilon and runs to the end on another
         assert ran_to_end == {True, False}
 
-    def test_halt_inside_a_block(self, batches):
-        data = generate(
-            DatasetSpec(m_train=200, m_holdout=200, m_fresh=200, d=40, seed=2)
-        )
-        cfg = GuardConfig(epsilon=0.25, delta=0.1, n_vectors=16, seed=2)
+    @pytest.mark.parametrize(
+        "spec, cfg, candidate",
+        [
+            (
+                DatasetSpec(m_train=200, m_holdout=200, m_fresh=200, d=40, seed=2),
+                GuardConfig(epsilon=0.25, delta=0.1, n_vectors=16, seed=2),
+                1,
+            ),
+            # Halts on row 6, the -1 row that opens a two-feature block: the
+            # truth pass scores that feature's +1 row too and must drop it.
+            (
+                DatasetSpec(
+                    m_train=200, m_holdout=200, m_fresh=200, d=40, n_biased=3,
+                    bias=0.4, seed=0,
+                ),
+                GuardConfig(epsilon=0.2, delta=0.1, n_vectors=16, seed=0),
+                -1,
+            ),
+        ],
+        ids=["halts_on_plus_row", "halts_on_minus_row"],
+    )
+    def test_halt_inside_a_block(self, batches, spec, cfg, candidate):
+        data = generate(spec)
         trace = run_adaptive_analysis(*data, cfg)
         assert_same_trace(trace, reference_analysis(*data, cfg))
         submitted, read = batches[-1]
-        assert trace.rows[-1].halted and 1 < read < submitted
+        assert trace.rows[-1].halted and trace.rows[-1].candidate == candidate
+        assert read < submitted
+        if candidate > 0:
+            assert 1 < read
 
-    def test_acceptance_on_last_feature_of_a_capped_block(self, batches):
+    def test_acceptance_on_last_feature_of_a_capped_block(self, batches, monkeypatch):
         cap = harness._MAX_BLOCK
         # blocks of 1, 2, 4, ... features end at feature 2 * cap - 2
         live = 2 * cap - 2
         data = ranked_data(d=live + 4, live=[live])
+        # [submit_batch calls made so far, features compared] per fresh call
+        fresh_calls = []
+        compare = harness._candidate_predictions
+
+        def spy(features, scores, block):
+            if features is data[2].features:
+                fresh_calls.append([len(batches), len(block)])
+            return compare(features, scores, block)
+
+        monkeypatch.setattr(harness, "_candidate_predictions", spy)
         cfg = GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=1)
         trace = run_adaptive_analysis(*data, cfg)
         assert_same_trace(trace, reference_analysis(*data, cfg))
+        # The fresh set is compared after the guard's last block: the
+        # 2 * cap - 1 features before the acceptance in blocks of at most
+        # cap features, then the 3 after it.
+        assert fresh_calls == [[len(batches), n] for n in (cap, cap - 1, 3)]
         capped = [i for i, (submitted, _) in enumerate(batches) if submitted == 2 * cap]
         assert len(capped) == 1
         assert batches[capped[0]] == [2 * cap, 2 * cap]

@@ -504,6 +504,30 @@ class TestGenerateThreads:
         ).stdout
         assert set(out.split()) == {f"radabound.{name}" for name in loaded}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare-bounds"],
+            ["thresholdout-size", "--k", "10", "--b", "1", "--eps", "0.5", "--delta", "0.1"],
+        ],
+    )
+    def test_bound_commands_do_not_load_numpy_random(self, argv):
+        # These commands draw nothing, so they skip numpy.random's import
+        # and the secrets, hmac and _hashlib modules it pulls in.
+        package_parent = str(Path(synthdata.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {package_parent!r}); import numpy; "
+            "print('numpy.random' in sys.modules); "
+            f"from radabound import cli; assert cli.main({argv!r}) == 0; "
+            "print('numpy.random' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True
+        ).stdout.split("\n")
+        if out[0] == "True":
+            pytest.skip("this numpy loads numpy.random on import")
+        assert out[-2] == "False"
+
     def test_pool_thread_allocates_little(self):
         # A thread's malloc arena keeps what the thread frees, so a set drawn
         # off the calling thread writes into buffers the caller made, and
