@@ -29,7 +29,6 @@ _EXPORTS = {
     "QueryOutcome": "guard",
     "ExperimentTrace": "harness",
     "LinearClassifier": "harness",
-    "evaluate_on": "harness",
     "run_adaptive_analysis": "harness",
     "run_epsilon_sweep": "harness",
     "DatasetSpec": "synthdata",

@@ -189,13 +189,11 @@ class Guard:
         raises GuardHaltedError if the guard was halted in between.
 
         ``submit_query`` is the one-row case of this path.  A bool matrix
-        stays bool and any other dtype is read as float64.  When every value
-        is 0 or 1 the product is an exact popcount over packed bits at any m
-        (see ``RademacherState.correlations``), and the outcomes are
-        bit-equal to sequential ``submit_query`` calls.  Other values use the
-        float64 product; for them r_tilde and delta_prime may differ from
-        sequential calls by a few ulps, because a k-row matrix product may
-        sum in a different order than k one-row products.
+        stays bool and any other dtype is read as float64.  Every row's sums
+        are exact integers, a popcount over packed bits when every value is
+        0 or 1 and a sum on a grid otherwise (see
+        ``RademacherState.correlations``), so the outcomes are bit-equal to
+        sequential ``submit_query`` calls.
         """
         self._check_open()
         _check_callable(query)

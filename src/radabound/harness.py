@@ -51,10 +51,8 @@ from .synthdata import LabeledDataset
 # Compared and hashed by identity: == over array fields would raise.
 @dataclass(frozen=True, eq=False)
 class LinearClassifier:
-    """Sign-of-dot-product classifier with weights in {-1, 0, +1}.
-
-    Prediction is sign(w . x) with sign(0) = +1.
-    """
+    """The weights in {-1, 0, +1} of a sign-of-dot-product classifier, as
+    ``ExperimentTrace.final_classifier`` holds them."""
 
     weights: np.ndarray
 
@@ -72,15 +70,6 @@ class LinearClassifier:
             raise ConfigurationError("weights must be numbers, not bools")
         # Keep the array that was checked, also for list or tuple weights.
         object.__setattr__(self, "weights", w)
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if features.shape[-1] != self.weights.shape[0]:
-            raise DimensionError(
-                f"classifier has {self.weights.shape[0]} weights, features have "
-                f"{features.shape[-1]} columns"
-            )
-        scores = features @ self.weights
-        return np.where(scores >= 0, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -135,15 +124,6 @@ def feature_order(train: LabeledDataset) -> np.ndarray:
     return np.argsort(-np.abs(corr), kind="stable")
 
 
-def evaluate_on(dataset: LabeledDataset, w: LinearClassifier) -> float:
-    """Accuracy (1 - mean 0-1 loss) of ``w`` over ``dataset``."""
-    validate_type("dataset", dataset, LabeledDataset)
-    validate_type("w", w, LinearClassifier)
-    if len(dataset) < 1:
-        raise ConfigurationError("dataset must be non-empty")
-    return float(np.mean(w.predict(dataset.features) == dataset.labels))
-
-
 # Blocks start at one feature and double, up to this many, while no
 # candidate is accepted.
 _MAX_BLOCK = 64
@@ -154,7 +134,8 @@ def _candidate_predictions(
 ) -> np.ndarray:
     """Whether each of the block's candidates predicts +1 at each point, one
     row per candidate, in the order the learner tries them: feature-major,
-    then weight -1 and +1.
+    then weight -1 and +1.  A classifier w predicts sign(w . x), with
+    sign(0) = +1.
 
     For finite features, ``scores - x >= 0`` is ``x <= scores`` and
     ``scores + x >= 0`` is ``x >= -scores``, also where the scores overflow

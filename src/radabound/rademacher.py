@@ -74,6 +74,9 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 # Bytes of each rows x n_vectors x words temporary of a 0/1 product; one row
 # at least.
 _PRODUCT_CHUNK_BYTES = 1 << 18
+# Bytes of each float64 temporary of a fractional product: a column block of
+# the values on the grid, or of the unpacked signs; 64 columns at least.
+_GRID_CHUNK_BYTES = 1 << 19
 
 
 class RademacherState:
@@ -83,7 +86,8 @@ class RademacherState:
     The signs are held only as packed bits, n_vectors·m/8 bytes: ``bits``
     is n_vectors x ceil(m/64) uint64 words laid out by ``_packed_rows``, a
     set bit for +1 and zeros past column ``m``, adopted without a copy or a
-    check and made read-only.  ``init_state`` draws them; ``signs`` unpacks them.
+    check and made read-only.  ``init_state`` draws them, and a fractional
+    product unpacks them a column block at a time.
     """
 
     def __init__(self, bits: np.ndarray, m: int):
@@ -92,20 +96,6 @@ class RademacherState:
         self.m = m
         self.running_sup = np.zeros(bits.shape[0])
         self.query_count = 0
-
-    @property
-    def signs(self) -> np.ndarray:
-        """The n_vectors x m sign matrix, unpacked into a new read-only
-        C-ordered float64 array of -1.0 and +1.0."""
-        signs = np.unpackbits(
-            self.bits.view(np.uint8), axis=1, count=self.m, bitorder="little"
-        ).view(np.int8)
-        # ±1 in int8 first: one pass over the float64 result.
-        signs *= 2
-        signs -= 1
-        signs = signs.astype(np.float64)
-        signs.setflags(write=False)
-        return signs
 
     def estimate(self) -> float:
         """Current complexity estimate: mean of the per-vector suprema."""
@@ -130,15 +120,12 @@ class RademacherState:
 
         A block whose every value is 0 or 1 is packed into bits like the
         signs.  A row's sum is the popcount of its words q, and its sum
-        against a sign vector s is ``2·popcount(q & s) - popcount(q)``.  Both
-        are exact integers at every m, so the means and correlations have the
-        bits of the float64 product and mean, whatever k is.  The rows go
-        through in chunks, so the q & s temporary stays near 256 KiB.  Other
-        values are multiplied in float64 against ``signs``, unpacked per
-        call; for them a k-row product may round a few ulps differently from
-        k one-row products.  That unpack makes n_vectors·m int8 and
-        8·n_vectors·m float64 bytes on each call with any fractional value:
-        send bool or 0/1 values at large m.
+        against a sign vector s is ``2·popcount(q & s) - popcount(q)``.  The
+        rows go through in chunks, so the q & s temporary stays near
+        256 KiB.  Any other block takes ``_grid_correlations``.  Both paths
+        sum exact integers, so every row's correlations have the same bits
+        whatever k, the chunking or the BLAS build; on 0/1 values the two
+        paths agree bit for bit.
         """
         values = as_query_values(values)
         m = self.m
@@ -149,8 +136,7 @@ class RademacherState:
         zero_one = values.dtype == bool or ((values == 0) | (values == 1)).all()
         if not zero_one:
             _check_unit_interval(values)
-            # A column-major float64 matrix keeps the product's bits.
-            return values.mean(axis=1), np.abs(values @ self.signs.T / m)
+            return values.mean(axis=1), self._grid_correlations(values)
         query = _packed_rows(values.astype(bool, copy=False))
         ones = _popcount(query)
         sums = np.empty((len(query), len(self.bits)), dtype=np.int64)
@@ -162,6 +148,39 @@ class RademacherState:
         sums -= ones[:, None]
         corr = sums / m
         return ones / m, np.abs(corr, out=corr)
+
+    def _grid_correlations(self, values: np.ndarray) -> np.ndarray:
+        """The k x n_vectors absolute correlations of a float64 block with
+        values in [0, 1], summed exactly on a grid that depends only on m.
+
+        With ``g = 53 - m.bit_length()``, a value x counts as the integer
+        ``rint(x·2**g) <= 2**g``, so every partial sum of a row is an
+        integer below 2**53, which float64 adds exactly in any order.  A
+        row's sum against a sign vector is twice its sum on the vector's +1
+        entries less its total, and ``|sum| / (m·2**g)`` rounds once.  The
+        grid moves each correlation by at most 2**-(g+1), about 2.3e-13 at
+        m = 4000; a float64 product in BLAS order rounds by up to about
+        m·2**-53, 4.4e-13 there.
+
+        The columns go in blocks of a multiple of 64, within
+        ``_GRID_CHUNK_BYTES`` for the rows on the grid and for the unpacked
+        signs, so each value and sign is read once.
+        """
+        m = self.m
+        scale = 2.0 ** (53 - m.bit_length())
+        plus = np.zeros((len(values), len(self.bits)))
+        totals = np.zeros(len(values))
+        cols = 64 * max(1, _GRID_CHUNK_BYTES // (8 * 64 * max(plus.shape)))
+        for start in range(0, m, cols):
+            grid = values[:, start : start + cols] * scale
+            np.rint(grid, out=grid)
+            chunk = np.unpackbits(
+                self.bits.view(np.uint8)[:, start // 8 : (start + cols) // 8],
+                axis=1, count=grid.shape[1], bitorder="little",
+            )
+            plus += grid @ chunk.T.astype(np.float64)
+            totals += grid.sum(axis=1)
+        return np.abs(2 * plus - totals[:, None]) / (m * scale)
 
     def preview_corr(self, corr: np.ndarray) -> tuple[np.ndarray, float]:
         """Per-vector suprema and estimate after absorbing one query's
@@ -189,11 +208,12 @@ def init_state(m: int, n_vectors: int, *, rng: np.random.Generator) -> Rademache
     straight into the state's bits, a 1 becoming +1: the blocks take the
     stream's values in the order of one ``rng.integers(0, 2, size=(n_vectors,
     m))`` and leave ``rng`` where it would, and the peak stays near the
-    n_vectors·m/8 bytes kept plus a block.
+    n_vectors·m/8 bytes kept plus a block.  Counts whose packed words would
+    not fit in an array raise ConfigurationError.
     """
     m = validate_count("m", m)
     n_vectors = validate_count("n_vectors", n_vectors)
-    validate_count("float64 bytes of the n_vectors x m unpacked signs", 8 * n_vectors * m)
+    validate_count("bytes of the n_vectors x m packed signs", 8 * n_vectors * -(-m // 64))
     bits = np.empty((n_vectors, -(-m // 64)), dtype=np.uint64)
     rows = max(1, _SIGN_DRAW_BLOCK_BYTES // (8 * m))
     for start in range(0, n_vectors, rows):

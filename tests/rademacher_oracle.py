@@ -3,12 +3,14 @@
 ``exact_empirical_rademacher`` enumerates all 2^m sign vectors, so it refuses
 m > 20.  It checks its values as the estimator does.  ``all_sign_matrix``
 lists the same vectors as one matrix, and ``state_of`` packs a chosen ±1
-matrix into a ``RademacherState`` as ``init_state`` packs its draw.
-``update`` absorbs one query through the estimator's own steps, the ones
-``Guard`` runs.
+matrix into a ``RademacherState`` as ``init_state`` packs its draw;
+``signs_of`` unpacks a state's.  ``grid_correlations`` computes the
+estimator's fractional correlations in exact integers.  ``update`` absorbs
+one query through the estimator's own steps, the ones ``Guard`` runs.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +33,29 @@ def all_sign_matrix(m):
 def state_of(signs):
     """A fresh state over ``signs``, an n_vectors x m array of -1 and +1."""
     return RademacherState(_packed_rows(signs > 0), signs.shape[1])
+
+
+def signs_of(state):
+    """The state's n_vectors x m signs as a new float64 array of -1.0 and +1.0."""
+    bits = np.unpackbits(state.bits.view(np.uint8), axis=1, count=state.m, bitorder="little")
+    return 2.0 * bits - 1.0
+
+
+def grid_correlations(state, values):
+    """The k x n_vectors absolute correlations of ``values`` by the grid rule,
+    with no float arithmetic but the final rounding: each value x becomes the
+    Python int nearest ``x·2**g`` (ties to even), ``g = 53 - m.bit_length()``;
+    the sums against the ±1 signs are exact int64 products, far below 2**63;
+    and ``|sum| / (m·2**g)`` is a correctly rounded int division."""
+    m = state.m
+    g = 53 - m.bit_length()
+    grid = np.array(
+        [[round(Fraction(x) * 2**g) for x in row] for row in np.asarray(values, float).tolist()],
+        dtype=np.int64,
+    ).reshape(-1, m)
+    sums = grid @ signs_of(state).astype(np.int64).T
+    quotients = [[abs(s) / (m << g) for s in row] for row in sums.tolist()]
+    return np.array(quotients).reshape(sums.shape)
 
 
 def exact_empirical_rademacher(value_matrix) -> float:

@@ -343,8 +343,9 @@ def test_5_signal_detection_and_method_comparison():
                 )
                 halts[method] = trace.halt_index
                 if method is rb.BoundMethod.MCLT:
+                    # The last accepted row's candidate is the final classifier.
                     accuracies.append(
-                        rb.evaluate_on(data.fresh, trace.final_classifier)
+                        [row.fresh_acc for row in trace.rows if row.accepted][-1]
                     )
             # never halting counts as halting later than any finite index
             mclt_h = halts[rb.BoundMethod.MCLT]

@@ -1,11 +1,11 @@
 """Stateful property test of the guard's contract.
 
 Hypothesis drives a small guard (m = 50, each bound method in turn) with valid,
-out-of-range, NaN and wrong-length queries, and with batches of binary queries
-that it reads only in part.  After every step it checks that halting is
-absorbing, that a rejected query leaves the state untouched, that r_tilde
-never decreases, and that each decision follows from the bound evaluated
-afresh at the recorded r_tilde.
+out-of-range, NaN and wrong-length queries, and with batches of queries that
+it reads only in part.  After every step it checks that halting is absorbing,
+that a rejected query leaves the state untouched, that r_tilde never
+decreases, that each decision is ``slack >= s*`` at the recorded r_tilde, and
+that delta_prime is the bound evaluated afresh there.
 """
 
 import numpy as np
@@ -14,18 +14,17 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from radabound.bounds import BoundMethod, overfit_bound
+from radabound.bounds import BoundMethod, min_passing_slack, overfit_bound
 from radabound.errors import DomainError, GuardHaltedError
 from radabound.guard import Guard, GuardConfig, HoldoutSample
+
+from rademacher_oracle import grid_correlations
 
 M = 50
 
 # Value patterns for a query: spread-out values move r_tilde, flat ones
 # mostly leave it where it is, so both memo hits and misses occur.
 PATTERNS = ("uniform", "binary", "constant", "sparse")
-# Batches draw only {0, 1} patterns, whose correlations are exact in any
-# summation order, so the recomputation below can compare with ==.
-BATCH_PATTERNS = ("binary", "sparse")
 
 
 def query_values(pattern: str, seed: int) -> np.ndarray:
@@ -64,7 +63,7 @@ class GuardMachine(RuleBasedStateMachine):
             epsilon=epsilon, delta=delta, n_vectors=n_vectors, method=self.method, seed=seed
         )
         self.guard = Guard(HoldoutSample(points=list(range(M)), m=M), self.config)
-        self.threshold = delta * (1.0 - delta)
+        self.s_star = min_passing_slack(self.method, M, n_vectors, delta * (1.0 - delta))
         self.committed_rows = []
         self.outcomes = []
         self.was_halted = False
@@ -90,7 +89,7 @@ class GuardMachine(RuleBasedStateMachine):
         slack = max(0.0, self.config.epsilon - 2.0 * outcome.r_tilde)
         fresh = overfit_bound(self.config.method, M, self.config.n_vectors, slack)
         assert outcome.delta_prime == fresh
-        assert outcome.answered == (outcome.delta_prime <= self.threshold)
+        assert outcome.answered == (slack >= self.s_star)
         self.outcomes.append(outcome)
         if outcome.answered:
             assert outcome.empirical_mean == float(values.mean())
@@ -117,7 +116,7 @@ class GuardMachine(RuleBasedStateMachine):
     @rule(
         rows=st.lists(
             st.tuples(
-                st.sampled_from(BATCH_PATTERNS),
+                st.sampled_from(PATTERNS),
                 st.integers(min_value=0, max_value=2**32 - 1),
             ),
             max_size=4,
@@ -177,8 +176,7 @@ class GuardMachine(RuleBasedStateMachine):
         if not self.committed_rows:
             assert not rad.running_sup.any()
             return
-        signs = rad.signs.astype(float)
-        corr = np.abs([signs @ row / M for row in self.committed_rows])
+        corr = grid_correlations(rad, self.committed_rows)
         assert np.array_equal(rad.running_sup, corr.max(axis=0))
         assert rad.estimate() == self.last_r_tilde
 

@@ -16,7 +16,6 @@ PUBLIC = {
     "QueryOutcome": "guard",
     "ExperimentTrace": "harness",
     "LinearClassifier": "harness",
-    "evaluate_on": "harness",
     "run_adaptive_analysis": "harness",
     "run_epsilon_sweep": "harness",
     "DatasetSpec": "synthdata",

@@ -9,7 +9,15 @@ from radabound.errors import ConfigurationError, DimensionError, DomainError
 from radabound.guard import Guard, GuardConfig, HoldoutSample
 from radabound.rademacher import RademacherState, init_state
 
-from rademacher_oracle import all_sign_matrix, exact_empirical_rademacher, state_of, update
+from child_process import run_in_child
+from rademacher_oracle import (
+    all_sign_matrix,
+    exact_empirical_rademacher,
+    grid_correlations,
+    signs_of,
+    state_of,
+    update,
+)
 
 
 def update_path_estimate(value_matrix, sigma):
@@ -24,23 +32,23 @@ def update_path_estimate(value_matrix, sigma):
 class TestInitState:
     def test_initial_shape_and_zeros(self):
         state = init_state(4, 2, rng=np.random.default_rng(11))
-        assert state.signs.shape == (2, 4)
+        assert signs_of(state).shape == (2, 4)
         assert state.query_count == 0
         assert np.all(state.running_sup == 0.0)
         assert state.estimate() == 0.0
 
     def test_experiment_scale_dimensions(self):
         state = init_state(4000, 32, rng=np.random.default_rng(11))
-        assert state.signs.shape == (32, 4000)
+        assert signs_of(state).shape == (32, 4000)
 
     def test_signs_are_plus_minus_one(self):
         state = init_state(50, 3, rng=np.random.default_rng(5))
-        assert set(np.unique(state.signs)) == {-1.0, 1.0}
+        assert set(np.unique(signs_of(state))) == {-1.0, 1.0}
 
     def test_deterministic_from_seed(self):
         a = init_state(64, 4, rng=np.random.default_rng(99))
         b = init_state(64, 4, rng=np.random.default_rng(99))
-        assert np.array_equal(a.signs, b.signs)
+        assert np.array_equal(signs_of(a), signs_of(b))
 
     def test_rejects_empty_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -60,7 +68,7 @@ class TestInitState:
         bits = want_rng.integers(0, 2, size=(n_vectors, m))
         assert state.bits.dtype == np.uint64
         assert state.bits.shape == (n_vectors, -(-m // 64))
-        assert np.array_equal(state.signs, 2.0 * bits - 1.0)
+        assert np.array_equal(signs_of(state), 2.0 * bits - 1.0)
         unpacked = np.unpackbits(state.bits.view(np.uint8), axis=1, bitorder="little")
         assert not unpacked[:, m:].any()  # the tail past m is zero
         for dtype in (np.int32, np.int64):
@@ -73,7 +81,7 @@ class TestInitState:
     def test_state_of_its_signs_has_its_words(self, m, n_vectors):
         # The tests' hand-built states pack their signs as the guard's are.
         state = init_state(m, n_vectors, rng=np.random.default_rng(m * n_vectors))
-        bits = state_of(state.signs).bits
+        bits = state_of(signs_of(state)).bits
         assert bits.dtype == np.uint64
         assert np.array_equal(bits, state.bits)  # tail words included
 
@@ -97,7 +105,7 @@ class TestUpdate:
         state = init_state(8, 4, rng=np.random.default_rng(3))
         c = 0.7
         got = update(state, np.full(8, c))
-        column_sums = state.signs.sum(axis=1)
+        column_sums = signs_of(state).sum(axis=1)
         expected = np.abs(c * column_sums / 8).mean()
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -204,7 +212,7 @@ class TestExactOracle:
         state = init_state(8, 4000, rng=rng)
         for row in values:
             est = update(state, row)
-        se = state.running_sup.std(ddof=1) / np.sqrt(state.signs.shape[0])
+        se = state.running_sup.std(ddof=1) / np.sqrt(signs_of(state).shape[0])
         assert abs(est - oracle) <= 4 * se
 
 
@@ -212,7 +220,7 @@ def float64_product(state, values):
     """The means and absolute correlations of ``values`` by the float64 mean
     and product against the unpacked signs."""
     values = np.asarray(values, dtype=float)
-    return values.mean(axis=1), np.abs(values @ state.signs.T / state.m)
+    return values.mean(axis=1), np.abs(values @ signs_of(state).T / state.m)
 
 
 def chunk_rows(state):
@@ -237,16 +245,15 @@ class TestCorrelationPaths:
 
     def test_one_fractional_entry_takes_the_float64_product(self):
         # A popcount cannot weigh 0.5 or 1/3: the whole block takes the
-        # float64 product.
+        # float64 product on the grid, which the integer oracle gives.
         m = 4000
         state = init_state(m, 32, rng=np.random.default_rng(2))
         for fraction in (0.5, 1 / 3):
             values = np.random.default_rng(3).integers(0, 2, size=(3, m)).astype(float)
             values[1, 17] = fraction
             means, corr = state.correlations(values)
-            want_means, want_corr = float64_product(state, values)
-            assert means.tobytes() == want_means.tobytes()
-            assert corr.tobytes() == want_corr.tobytes()
+            assert means.tobytes() == values.mean(axis=1).tobytes()
+            assert corr.tobytes() == grid_correlations(state, values).tobytes()
 
     def test_zero_one_block_skips_the_range_scan(self, monkeypatch):
         # The 0/1 test already puts a block in [0, 1]; only a block with
@@ -329,11 +336,81 @@ class TestCorrelationPaths:
         assert list(guard.submit_batch(lambda points: bits)) == rows
 
 
+def grid_blocks(m):
+    """Fractional k x m blocks with the values where rounding to the grid
+    can go wrong: grid ties, which round to even, the smallest subnormal
+    and the largest float below 1, all alongside 0 and 1."""
+    step = 2.0 ** -(53 - m.bit_length())
+    special = [0.0, 1.0, step / 2, 3 * step / 2, 5e-324, 1 - 2.0**-53, np.nextafter(step / 2, 1)]
+    rng = np.random.default_rng(m)
+    yield np.resize(special, (2, m))
+    yield rng.uniform(size=(3, m))
+    yield np.where(rng.uniform(size=(2, m)) < 0.5, rng.uniform(size=(2, m)), 1.0)
+
+
+class TestGridProduct:
+    @pytest.mark.parametrize("one_word", [False, True], ids=["committed-chunk", "one-word"])
+    @pytest.mark.parametrize("n_vectors", [1, 33, 512])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 4000])
+    def test_fractional_values_equal_the_integer_oracle(self, monkeypatch, m, n_vectors, one_word):
+        # Forced to its floor, a block is one 64-column word: every column
+        # block's sums are added to the last ones.
+        if one_word:
+            monkeypatch.setattr(rademacher, "_GRID_CHUNK_BYTES", 1)
+        state = init_state(m, n_vectors, rng=np.random.default_rng(m + n_vectors))
+        for values in grid_blocks(m):
+            means, corr = state.correlations(values)
+            assert means.tobytes() == values.mean(axis=1).tobytes()
+            assert corr.tobytes() == grid_correlations(state, values).tobytes(), values[:, :3]
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 4000])
+    def test_zero_one_values_on_the_grid_equal_the_popcount(self, m):
+        # On 0/1 values each grid sum is 2**g times the popcount sum, so the
+        # two paths round the same quotient.
+        for n_vectors in (1, 33, 512):
+            state = init_state(m, n_vectors, rng=np.random.default_rng(m * n_vectors))
+            bits = np.random.default_rng(m).integers(0, 2, size=(5, m)).astype(float)
+            want = state.correlations(bits)[1]
+            assert state._grid_correlations(bits).tobytes() == want.tobytes()
+
+    def test_fractional_row_at_large_m_peaks_small(self):
+        # l = 64, m = 250,000: unpacking the whole sign matrix to float64
+        # would take 122 MiB.
+        state = init_state(250_000, 64, rng=np.random.default_rng(1))
+        values = np.random.default_rng(2).uniform(size=(1, 250_000))
+        tracemalloc.start()
+        try:
+            state.correlations(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # Each child pins BLAS before numpy loads; a float64 product in
+        # BLAS order would give other bits on one and two threads.
+        code = (
+            "import os\n"
+            "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+            "    os.environ[name] = '{threads}'\n"
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from radabound.rademacher import init_state\n"
+            "digest = hashlib.sha256()\n"
+            "for m, n_vectors, k in ((4000, 64, 64), (4000, 512, 16), (65_537, 64, 8)):\n"
+            "    state = init_state(m, n_vectors, rng=np.random.default_rng(m + k))\n"
+            "    for seed in range(4):\n"
+            "        values = np.random.default_rng(seed).uniform(size=(k, m))\n"
+            "        digest.update(state.correlations(values)[1].tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = [run_in_child(code.format(threads=n), timeout=60).strip() for n in (1, 2)]
+        assert digests[0] == digests[1]
+
+
 class TestSignChecks:
     def test_immutable_after_creation(self):
         state = state_of(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            state.signs[0, 0] = -1.0
         with pytest.raises(ValueError):
             state.bits[0, 0] = 0
         # The constructor adopts the caller's words, not a copy of them.
