@@ -30,7 +30,7 @@ _EXPORTS = {
     "ExperimentTrace": "harness",
     "LinearClassifier": "harness",
     "run_adaptive_analysis": "harness",
-    "run_epsilon_sweep": "harness",
+    "run_sweep": "harness",
     "DatasetSpec": "synthdata",
     "generate": "synthdata",
     "ThresholdoutParams": "thresholdout",

@@ -17,14 +17,14 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .bounds import est_error_bernstein, est_error_mcdiarmid, est_error_mclt
 from .errors import ConfigurationError, DomainError
 from .guard import GuardConfig
-from .harness import ExperimentTrace, run_epsilon_sweep
+from .harness import ExperimentTrace, run_sweep
 from .seeding import (
     GENERATOR_IDENTITY,
     SUBSTREAM_LABELS,
@@ -141,11 +141,11 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
 
 
 def cmd_run_experiment(config: RunConfig) -> int:
-    # Every epsilon sees the same data and sign vectors, so one guard run at
-    # the largest epsilon serves the whole sweep: the smaller epsilons'
+    # Every epsilon sees the same data, sign vectors and s*, so one guard run
+    # at the largest epsilon serves the whole sweep: the smaller epsilons'
     # traces are prefixes of it that differ only in delta_prime and halt row.
     data = generate(config.experiment)
-    traces = run_epsilon_sweep(*data, config.guard, config.epsilons)
+    traces = run_sweep(*data, [replace(config.guard, epsilon=e) for e in config.epsilons])
     # Only now: a config that fails in the guard leaves no directory behind.
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -104,11 +104,12 @@ class Certifier:
 
     A query is answered when its slack is at least ``s_star``, the
     ``bounds.min_passing_slack`` of the config's method, m, l and threshold,
-    so a smaller epsilon never answers a row that a larger one halts on.
-    ``delta_prime`` is the bound at the actual slack, a diagnostic.
+    so a config never answers a row that one with no smaller epsilon and no
+    larger ``s_star`` halts on.  ``delta_prime`` is the bound at the actual
+    slack, a diagnostic.
 
-    The guard and the one-run epsilon sweep both decide through this class,
-    so a derived decision is bit-equal to a direct one.  It keeps the last
+    The guard and ``harness.run_sweep`` both decide through this class, so a
+    derived decision is bit-equal to a direct one.  It keeps the last
     (slack, delta_prime) pair: the bound is pure and r_tilde never decreases,
     so slack never increases and equal slacks come in runs, and one pair is
     an exact memo.  The config holds Python floats, so slack and threshold

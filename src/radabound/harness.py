@@ -8,11 +8,12 @@ released holdout loss strictly improves on the current best.  The learner
 sees nothing but released means; fresh-set accuracy is computed outside the
 guard as ground truth for the trace.
 
-For the same reason an epsilon sweep needs only one guard run, at the
-largest epsilon: a smaller epsilon's trace is a prefix of that run's rows,
-cut at the first row its own certification test rejects.  The guard answers
-while ``epsilon - 2 r_tilde >= s*``, with one ``s*`` for every epsilon, so
-that cut comes at or before the run's own halting row.
+For the same reason configs that share the sign vectors (``seed`` and
+``n_vectors``) need one guard run, at their largest epsilon and smallest
+``s*``: a config answers a row while ``max(0, epsilon - 2 r_tilde) >= s*``,
+and float rounding is monotone, so that run answers every row that any of
+them answers.  Each config's trace is a prefix of its rows, cut at the first
+row that config's own test rejects.
 
 The candidates are fixed until one is accepted, since only an acceptance
 moves the scores.  So the learner submits them in blocks: the holdout losses
@@ -148,14 +149,6 @@ def _candidate_predictions(
     return out.reshape(-1, len(scores))
 
 
-def _validate_run(train, holdout, fresh, guard_config) -> None:
-    """Raise ConfigurationError unless the sets are ``LabeledDataset``s and
-    ``guard_config`` a ``GuardConfig``."""
-    for name, dataset in (("train", train), ("holdout", holdout), ("fresh", fresh)):
-        validate_type(name, dataset, LabeledDataset)
-    validate_type("guard_config", guard_config, GuardConfig)
-
-
 def run_adaptive_analysis(
     train: LabeledDataset,
     holdout: LabeledDataset,
@@ -163,7 +156,9 @@ def run_adaptive_analysis(
     guard_config: GuardConfig,
 ) -> ExperimentTrace:
     """Run the greedy classifier search on pre-generated data."""
-    _validate_run(train, holdout, fresh, guard_config)
+    for name, dataset in (("train", train), ("holdout", holdout), ("fresh", fresh)):
+        validate_type(name, dataset, LabeledDataset)
+    validate_type("guard_config", guard_config, GuardConfig)
     d = train.features.shape[1]
     if holdout.features.shape[1] != d or fresh.features.shape[1] != d:
         raise DimensionError("train/holdout/fresh feature counts disagree")
@@ -267,14 +262,14 @@ def _finish(
 
 
 def _derive_trace(
-    largest: ExperimentTrace, guard_config: GuardConfig, m: int
+    run: ExperimentTrace, guard_config: GuardConfig, m: int
 ) -> ExperimentTrace:
-    """``guard_config``'s trace cut from the rows of a run at a larger
-    epsilon.  Its slack is never larger, so it halts on that run's halting
-    row at the latest."""
+    """``guard_config``'s trace cut from the rows of a sweep's run, which
+    answers every row that ``guard_config`` answers: so it halts on that
+    run's halting row at the latest."""
     certify = Certifier(guard_config, m)
     rows = []
-    for row in largest.rows:
+    for row in run.rows:
         delta_prime, answered = certify(row.r_tilde)
         rows.append(
             _trace_row(
@@ -284,32 +279,35 @@ def _derive_trace(
         )
         if not answered:
             break
-    return _finish(rows, len(largest.final_classifier.weights), guard_config)
+    return _finish(rows, len(run.final_classifier.weights), guard_config)
 
 
-def run_epsilon_sweep(
+def run_sweep(
     train: LabeledDataset,
     holdout: LabeledDataset,
     fresh: LabeledDataset,
-    guard_config: GuardConfig,
-    epsilons: Iterable[float],
+    configs: Iterable[GuardConfig],
 ) -> list[ExperimentTrace]:
-    """One trace per entry of ``epsilons``, equal field for field to
-    ``run_adaptive_analysis`` with ``guard_config`` at that epsilon.
+    """One trace per entry of ``configs``, equal field for field to
+    ``run_adaptive_analysis`` with that config, from one guard run.
 
-    The guard runs once, at the largest epsilon, and every smaller epsilon
-    is derived from its rows.
+    The configs must share ``seed`` and ``n_vectors``, which fix the sign
+    vectors.  The guard runs at the largest epsilon, with a config of the
+    smallest ``s*``.  A config equal to that one gets the run's own trace,
+    and every other trace is cut from its rows.
     """
-    _validate_run(train, holdout, fresh, guard_config)
-    # A string is iterable, but its characters are no epsilons.
-    if isinstance(epsilons, str) or not isinstance(epsilons, Iterable):
-        raise ConfigurationError(f"epsilons must be an iterable of numbers, got {epsilons!r}")
-    configs = [replace(guard_config, epsilon=eps) for eps in epsilons]
+    # A string is iterable, but its characters are no configs.
+    if isinstance(configs, str) or not isinstance(configs, Iterable):
+        raise ConfigurationError(f"configs must be an iterable of GuardConfigs, got {configs!r}")
+    configs = [validate_type("configs entry", c, GuardConfig) for c in configs]
+    if len({(c.seed, c.n_vectors) for c in configs}) > 1:
+        raise ConfigurationError("configs must share seed and n_vectors: they fix the signs")
     if not configs:
         return []
-    top = max(configs, key=lambda c: c.epsilon)
-    largest = run_adaptive_analysis(train, holdout, fresh, top)
-    return [
-        largest if config == top else _derive_trace(largest, config, len(holdout))
-        for config in configs
-    ]
+    # The run validates the datasets.  A holdout that fails there fails at
+    # every config, so only a valid one's s* picks the config to run.
+    m = len(holdout) if isinstance(holdout, LabeledDataset) else 0
+    lowest = min(configs, key=lambda c: Certifier(c, m).s_star) if m else configs[0]
+    master = replace(lowest, epsilon=max(c.epsilon for c in configs))
+    run = run_adaptive_analysis(train, holdout, fresh, master)
+    return [run if c == master else _derive_trace(run, c, m) for c in configs]

@@ -97,10 +97,6 @@ class RademacherState:
         self.running_sup = np.zeros(bits.shape[0])
         self.query_count = 0
 
-    def estimate(self) -> float:
-        """Current complexity estimate: mean of the per-vector suprema."""
-        return float(self.running_sup.mean())
-
     # Only the trace shim calls preview(); it goes once the shim traces
     # correlations() instead (ROADMAP item 7).
     def preview(self, values) -> tuple[np.ndarray, float]:

@@ -161,21 +161,17 @@ def no_signal_run(seed):
     NO_SIGNAL_EPSILONS, and the columns of the one at epsilon 0.99.
 
     The guard runs once per seed, at epsilon 0.99, where it answers every
-    row; run_epsilon_sweep derives each smaller epsilon's trace from that
-    run, equal field for field to a run at that epsilon.  Labels are
-    independent of features, so the true mean of every 0-1 loss query is
-    exactly 0.5."""
+    row; run_sweep derives each smaller epsilon's trace from that run, equal
+    field for field to a run at that epsilon.  Labels are independent of
+    features, so the true mean of every 0-1 loss query is exactly 0.5."""
     data = generate(no_signal_spec(seed))
-    cfg = GuardConfig(
-        epsilon=max(NO_SIGNAL_EPSILONS),
-        delta=0.1,
-        n_vectors=32,
-        method=rb.BoundMethod.MCLT,
-        seed=seed,
-    )
-    traces = rb.run_epsilon_sweep(
-        data.train, data.holdout, data.fresh, cfg, NO_SIGNAL_EPSILONS
-    )
+    configs = [
+        GuardConfig(
+            epsilon=eps, delta=0.1, n_vectors=32, method=rb.BoundMethod.MCLT, seed=seed
+        )
+        for eps in NO_SIGNAL_EPSILONS
+    ]
+    traces = rb.run_sweep(data.train, data.holdout, data.fresh, configs)
     assert traces[-1].halt_index is None, seed
     answered = {
         eps: [row for row in trace.rows if not row.halted]
@@ -333,23 +329,15 @@ def test_5_signal_detection_and_method_comparison():
                 variance=4.0, n_biased=50, bias=0.5, seed=seed,
             )
             data = generate(spec)
-            halts = {}
-            for method in (rb.BoundMethod.MCLT, rb.BoundMethod.BERNSTEIN_SINGLE):
-                cfg = GuardConfig(
-                    epsilon=eps, delta=0.1, n_vectors=32, method=method, seed=seed
-                )
-                trace = rb.run_adaptive_analysis(
-                    data.train, data.holdout, data.fresh, cfg
-                )
-                halts[method] = trace.halt_index
-                if method is rb.BoundMethod.MCLT:
-                    # The last accepted row's candidate is the final classifier.
-                    accuracies.append(
-                        [row.fresh_acc for row in trace.rows if row.accepted][-1]
-                    )
+            # One guard run serves both methods: mclt has the smaller s*.
+            mclt, bern = rb.run_sweep(data.train, data.holdout, data.fresh, [
+                GuardConfig(epsilon=eps, delta=0.1, n_vectors=32, method=method, seed=seed)
+                for method in (rb.BoundMethod.MCLT, rb.BoundMethod.BERNSTEIN_SINGLE)
+            ])
+            # The last accepted row's candidate is the final classifier.
+            accuracies.append([row.fresh_acc for row in mclt.rows if row.accepted][-1])
             # never halting counts as halting later than any finite index
-            mclt_h = halts[rb.BoundMethod.MCLT]
-            bern_h = halts[rb.BoundMethod.BERNSTEIN_SINGLE]
+            mclt_h, bern_h = mclt.halt_index, bern.halt_index
             if bern_h is not None and (mclt_h is None or mclt_h > bern_h):
                 mclt_later += 1
         assert float(np.median(accuracies)) >= 0.75, accuracies

@@ -105,7 +105,7 @@ class TestGuardConstruction:
         )
         assert not g.halted
         assert g.rad.query_count == 0
-        assert g.rad.estimate() == 0.0
+        assert float(g.rad.running_sup.mean()) == 0.0
         assert signs_of(g.rad).shape == (32, 16)
 
     def test_deterministic_signs_and_outcomes(self):
@@ -223,7 +223,7 @@ class TestSubmitQuery:
         assert all(o.answered for o in outcomes)
         r_tildes = [o.r_tilde for o in outcomes]
         assert r_tildes == sorted(r_tildes)
-        assert r_tildes[-1] == g.rad.estimate()
+        assert r_tildes[-1] == float(g.rad.running_sup.mean())
 
     DOMAIN_ERRORS = {
         "out of range": (10, lambda x: 2.0),

@@ -178,7 +178,7 @@ class GuardMachine(RuleBasedStateMachine):
             return
         corr = grid_correlations(rad, self.committed_rows)
         assert np.array_equal(rad.running_sup, corr.max(axis=0))
-        assert rad.estimate() == self.last_r_tilde
+        assert float(rad.running_sup.mean()) == self.last_r_tilde
 
 
 def machine_test_case(method: BoundMethod):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from radabound.harness import (
     TraceRow,
     feature_order,
     run_adaptive_analysis,
-    run_epsilon_sweep,
+    run_sweep,
 )
 from radabound.synthdata import DatasetSpec, LabeledDataset, generate
 
@@ -222,12 +223,18 @@ class TestRunExperiment:
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda s, c: run_epsilon_sweep(*s, c, epsilons=0.2), "epsilons must be an iterable"),
-        (lambda s, c: run_epsilon_sweep(*s, c, epsilons=None), "epsilons must be an iterable"),
+        (lambda s, c: run_sweep(*s, configs=0.2), "configs must be an iterable"),
+        (lambda s, c: run_sweep(*s, configs=None), "configs must be an iterable"),
         # Not the characters '0', '.' and '2'.
-        (lambda s, c: run_epsilon_sweep(*s, c, epsilons="0.2"), "epsilons must be an iterable"),
-        (lambda s, c: run_epsilon_sweep(*s, {"epsilon": 0.2}, [0.2]), "guard_config must be"),
-        (lambda s, c: run_epsilon_sweep(s[0].features, *s[1:], c, [0.2]), "train must be"),
+        (lambda s, c: run_sweep(*s, configs="0.2"), "configs must be an iterable"),
+        (lambda s, c: run_sweep(*s, configs=c), "configs must be an iterable"),
+        (lambda s, c: run_sweep(*s, [c, dataclasses.asdict(c)]), "configs entry must be"),
+        # Different sign vectors: no one run serves both.
+        (lambda s, c: run_sweep(*s, [c, dataclasses.replace(c, seed=2)]), "share seed"),
+        (lambda s, c: run_sweep(*s, [c, dataclasses.replace(c, n_vectors=8)]), "share seed"),
+        (lambda s, c: run_sweep(s[0].features, *s[1:], [c]), "train must be"),
+        # No size to rank the configs by: the run rejects it.
+        (lambda s, c: run_sweep(s[0], None, s[2], [c]), "holdout must be"),
         (lambda s, c: run_adaptive_analysis(s[0].features, *s[1:], c), "train must be"),
         (lambda s, c: run_adaptive_analysis(s[0], s[1].features, s[2], c), "holdout must be"),
         (lambda s, c: run_adaptive_analysis(*s[:2], s[2].features, c), "fresh must be"),
@@ -235,8 +242,10 @@ class TestRunExperiment:
         (lambda s, c: feature_order(s[0].features), "train must be"),
     ],
     ids=[
-        "sweep-float-epsilons", "sweep-none-epsilons", "sweep-str-epsilons",
-        "sweep-dict-config", "sweep-array-train", "run-array-train",
+        "sweep-float-configs", "sweep-none-configs", "sweep-str-configs",
+        "sweep-lone-config", "sweep-dict-config", "sweep-mixed-seeds",
+        "sweep-mixed-n-vectors", "sweep-array-train", "sweep-none-holdout",
+        "run-array-train",
         "run-array-holdout", "run-array-fresh", "run-dict-config",
         "order-array-train",
     ],
@@ -267,19 +276,31 @@ def assert_same_trace(got, want):
 
 @pytest.fixture
 def count_runs(monkeypatch):
-    """Counts run_adaptive_analysis calls made through the harness module."""
+    """The config of each run_adaptive_analysis call made through the
+    harness module."""
     calls = []
     original = harness.run_adaptive_analysis
 
     def counted(*args, **kwargs):
-        calls.append(args[3].epsilon)
+        calls.append(args[3])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_adaptive_analysis", counted)
     return calls
 
 
-class TestEpsilonSweep:
+def at_epsilons(cfg, epsilons):
+    return [dataclasses.replace(cfg, epsilon=eps) for eps in epsilons]
+
+
+def halt_kind(trace):
+    """Where a trace halts: on query 1, on a later query, or never."""
+    if trace.halt_index is None:
+        return "never"
+    return "first" if trace.halt_index == 1 else "later"
+
+
+class TestSweep:
     # At seed 2 with signal, the third epsilon of each sweep halts on row 9:
     # the +1 candidate of a feature whose -1 candidate row 8 accepted.
     SWEEPS = {
@@ -290,42 +311,62 @@ class TestEpsilonSweep:
     }
 
     @staticmethod
-    def spec(signal):
+    def spec(signal, m=200, d=12):
         bias = {"n_biased": 3, "bias": 0.4} if signal else {}
-        return DatasetSpec(m_train=200, m_holdout=200, m_fresh=200, d=12, seed=2, **bias)
+        return DatasetSpec(m_train=m, m_holdout=m, m_fresh=m, d=d, seed=2, **bias)
+
+    @classmethod
+    def sweeps(cls, case, signal):
+        """The data of a ``test_equals_direct_runs`` case, and its sweeps:
+        the configs of each and where their traces halt."""
+        if isinstance(case, BoundMethod):
+            cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, method=case, seed=2)
+            eps = cls.SWEEPS[case]
+            # The full sweep's largest epsilon never halts; the head's does.
+            return generate(cls.spec(signal)), [
+                (at_epsilons(cfg, eps), {"first", "later", "never"}),
+                (at_epsilons(cfg, eps[:3]), {"first", "later"}),
+            ]
+        if case == "every_cell":
+            cells = product(BoundMethod, (0.03, 0.05, 0.1, 0.2), (0.05, 0.1))
+            halts = {"first", "later", "never"}
+        else:  # the one run, at eps 0.06 and delta 0.1, halts on query 1
+            cells = product([BoundMethod.MCDIARMID_COMBINED], (0.03, 0.05, 0.06), (0.05, 0.1))
+            halts = {"first"}
+        configs = [
+            GuardConfig(epsilon=eps, delta=delta, n_vectors=16, method=method, seed=2)
+            for method, eps, delta in cells
+        ]
+        return generate(cls.spec(signal, m=1000, d=30)), [(configs, halts)]
 
     @pytest.mark.parametrize("signal", [True, False])
-    @pytest.mark.parametrize("method", list(BoundMethod))
-    def test_equals_direct_runs(self, method, signal, count_runs):
-        spec = self.spec(signal)
-        data = generate(spec)
-        cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, method=method, seed=2)
-        all_eps = self.SWEEPS[method]
-        full, head = (
-            self.sweep_equals_direct_runs(data, cfg, epsilons, count_runs)
-            for epsilons in (all_eps, all_eps[:3])
-        )
-        # The full sweep's largest epsilon never halts; the head's does.
-        assert full[-1].halt_index is None
-        assert head[0].halt_index < head[-1].halt_index
-        if signal:
+    @pytest.mark.parametrize("case", [*BoundMethod, "every_cell", "halts_on_query_1"])
+    def test_equals_direct_runs(self, case, signal, count_runs):
+        data, sweeps = self.sweeps(case, signal)
+        m = len(data.holdout)
+        results = []
+        for configs, halts in sweeps:
+            count_runs.clear()
+            traces = run_sweep(*data, configs)
+            # One guard run, at the largest epsilon and the smallest s*.
+            (run,) = count_runs
+            assert run.epsilon == max(c.epsilon for c in configs)
+            assert guard.Certifier(run, m).s_star == min(
+                guard.Certifier(c, m).s_star for c in configs
+            )
+            assert len(traces) == len(configs)
+            for config, trace in zip(configs, traces):
+                assert_same_trace(trace, run_adaptive_analysis(*data, config))
+            assert {halt_kind(t) for t in traces} == halts
+            results.append(traces)
+        if signal and isinstance(case, BoundMethod):
             # derived from the full sweep's run
+            full = results[0]
             halt_row, prev = full[2].rows[-1], full[2].rows[-2]
             assert halt_row.halted and halt_row.candidate == 1
             assert prev.feature == halt_row.feature and prev.accepted
             assert prev.candidate == -1
             assert full[2].final_classifier.weights[halt_row.feature] == -1
-
-    @staticmethod
-    def sweep_equals_direct_runs(data, cfg, epsilons, count_runs):
-        count_runs.clear()
-        traces = run_epsilon_sweep(*data, cfg, epsilons)
-        assert count_runs == [max(epsilons)]
-        assert len(traces) == len(epsilons)
-        for eps, trace in zip(epsilons, traces):
-            direct = run_adaptive_analysis(*data, dataclasses.replace(cfg, epsilon=eps))
-            assert_same_trace(trace, direct)
-        return traces
 
     def test_later_acceptance_overrides_earlier(self, count_runs):
         # At seed 9, rows 10 and 11 accept -1 and then +1 for one feature,
@@ -333,8 +374,8 @@ class TestEpsilonSweep:
         spec = dataclasses.replace(self.spec(True), seed=9)
         data = generate(spec)
         cfg = GuardConfig(epsilon=0.3, delta=0.1, n_vectors=16, seed=9)
-        derived, _ = run_epsilon_sweep(*data, cfg, (0.23, 0.3))
-        assert count_runs == [0.3]
+        derived, _ = run_sweep(*data, at_epsilons(cfg, (0.23, 0.3)))
+        assert count_runs == [cfg]
         direct = run_adaptive_analysis(*data, dataclasses.replace(cfg, epsilon=0.23))
         assert_same_trace(derived, direct)
         first, second = derived.rows[9:11]
@@ -348,7 +389,7 @@ class TestEpsilonSweep:
         data = generate(spec)
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, seed=2)
         epsilons = (0.28, 0.05, 0.28, 0.25)
-        traces = run_epsilon_sweep(*data, cfg, epsilons)
+        traces = run_sweep(*data, at_epsilons(cfg, epsilons))
         assert [t.guard_config.epsilon for t in traces] == list(epsilons)
         assert [t.halt_index for t in traces] == [None, 1, None, 9]
         # Both halts are cut from the 0.28 run, which answers those rows.
@@ -357,7 +398,8 @@ class TestEpsilonSweep:
             assert last.halted and not last.accepted
             assert math.isnan(last.holdout_acc)
             assert last.query_index == trace.halt_index
-        assert run_epsilon_sweep(*data, cfg, ()) == []
+        assert run_sweep(*data, []) == []
+        assert run_sweep(*data, iter(())) == []
 
     def test_one_run_where_the_guard_sees_a_non_monotone_bound(
         self, monkeypatch, count_runs
@@ -377,8 +419,8 @@ class TestEpsilonSweep:
         cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, seed=2)
         certifier = guard.Certifier(cfg, spec.m_holdout)
         epsilons = (0.01, 0.28, 0.5)
-        traces = run_epsilon_sweep(*data, cfg, epsilons)
-        assert count_runs == [0.5]
+        traces = run_sweep(*data, at_epsilons(cfg, epsilons))
+        assert count_runs == [cfg]
         assert [t.halt_index for t in traces] == [1, None, None]
         answered_above_threshold = 0
         for eps, trace in zip(epsilons, traces):

@@ -17,7 +17,7 @@ PUBLIC = {
     "ExperimentTrace": "harness",
     "LinearClassifier": "harness",
     "run_adaptive_analysis": "harness",
-    "run_epsilon_sweep": "harness",
+    "run_sweep": "harness",
     "DatasetSpec": "synthdata",
     "generate": "synthdata",
     "ThresholdoutParams": "thresholdout",

@@ -15,7 +15,7 @@ def blocks(language):
 
 def test_python_examples_run_in_order():
     examples = blocks("python")
-    assert len(examples) == 3
+    assert len(examples) == 4
     namespace = {}
     for source in examples:
         exec(compile(source, "README.md", "exec"), namespace)
