@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "BoundMethod": "bounds",
     "ConfigurationError": "errors",
-    "DimensionError": "errors",
     "DomainError": "errors",
     "GuardHaltedError": "errors",
     "Guard": "guard",
@@ -28,7 +27,6 @@ _EXPORTS = {
     "HoldoutSample": "guard",
     "QueryOutcome": "guard",
     "ExperimentTrace": "harness",
-    "LinearClassifier": "harness",
     "run_adaptive_analysis": "harness",
     "run_sweep": "harness",
     "DatasetSpec": "synthdata",

@@ -60,7 +60,8 @@ class HoldoutSample:
 @dataclass(frozen=True)
 class GuardConfig:
     """``epsilon`` and ``delta`` are stored as Python floats, ``n_vectors``
-    and ``seed`` as Python ints."""
+    and ``seed`` as Python ints.  ``method`` is a ``BoundMethod`` or its
+    value, stored as the ``BoundMethod``."""
 
     epsilon: float
     delta: float
@@ -72,18 +73,18 @@ class GuardConfig:
         for name in ("epsilon", "delta"):
             object.__setattr__(self, name, validate_fraction(name, getattr(self, name)))
         object.__setattr__(self, "n_vectors", validate_count("n_vectors", self.n_vectors))
-        validate_type("method", self.method, BoundMethod)
+        try:
+            object.__setattr__(self, "method", BoundMethod(self.method))
+        except ValueError:
+            names = ", ".join(choice.value for choice in BoundMethod)
+            raise ConfigurationError(
+                f"method must be one of {names}, got {self.method!r}"
+            ) from None
         object.__setattr__(self, "seed", validate_seed(self.seed))
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuardConfig":
-        validate_fields("guard config", d, cls)
-        if "method" in d:
-            try:
-                d = {**d, "method": BoundMethod(d["method"])}
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
-        return cls(**d)
+        return cls(**validate_fields("guard config", d, cls))
 
 
 @dataclass(frozen=True)

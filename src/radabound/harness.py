@@ -32,6 +32,12 @@ The loop reads nothing but the guard's released outcomes.  The trace's truth
 column, the fresh-set accuracy of each row, is scored after the run: the
 learner's score moves are replayed on the fresh set, and the features tried
 between two moves are compared once, at most 64 features a call.
+
+``run_adaptive_analysis`` checks its inputs once, before it builds the guard:
+a set that is not a non-empty ``LabeledDataset``, sets whose feature counts
+disagree, or a config that is not a ``GuardConfig`` is a bad run input and
+raises ConfigurationError.  The helpers it calls, ``feature_order`` among
+them, take the checked inputs as given.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 from .guard import Certifier, Guard, GuardConfig, HoldoutSample
 from .seeding import validate_type
 from .synthdata import LabeledDataset
@@ -56,21 +62,6 @@ class LinearClassifier:
     ``ExperimentTrace.final_classifier`` holds them."""
 
     weights: np.ndarray
-
-    def __post_init__(self):
-        try:
-            w = np.asarray(self.weights)
-        except ValueError:
-            raise ConfigurationError("weights must not be ragged") from None
-        if w.ndim != 1 or not np.all(np.isin(w, (-1, 0, 1))):
-            raise ConfigurationError("weights must be a 1-d vector over {-1, 0, +1}")
-        # A bool is a flag, never a number: True must not read as weight 1.
-        # np.asarray turns a list mixing bools and ints into ints.
-        elements = w.tolist() if isinstance(self.weights, np.ndarray) else self.weights
-        if any(isinstance(x, (bool, np.bool_)) for x in elements):
-            raise ConfigurationError("weights must be numbers, not bools")
-        # Keep the array that was checked, also for list or tuple weights.
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -118,9 +109,6 @@ def _trace_row(
 def feature_order(train: LabeledDataset) -> np.ndarray:
     """Feature indices sorted by |correlation with the label| descending,
     ties broken by ascending index."""
-    validate_type("train", train, LabeledDataset)
-    if len(train) < 1:
-        raise ConfigurationError("training set must be non-empty")
     corr = train.features.T @ train.labels / len(train)
     return np.argsort(-np.abs(corr), kind="stable")
 
@@ -158,12 +146,12 @@ def run_adaptive_analysis(
     """Run the greedy classifier search on pre-generated data."""
     for name, dataset in (("train", train), ("holdout", holdout), ("fresh", fresh)):
         validate_type(name, dataset, LabeledDataset)
+        if len(dataset) < 1:
+            raise ConfigurationError(f"{name} set must be non-empty")
     validate_type("guard_config", guard_config, GuardConfig)
     d = train.features.shape[1]
     if holdout.features.shape[1] != d or fresh.features.shape[1] != d:
-        raise DimensionError("train/holdout/fresh feature counts disagree")
-    if len(fresh) < 1:
-        raise ConfigurationError("fresh set must be non-empty")
+        raise ConfigurationError("train/holdout/fresh feature counts disagree")
 
     guard = Guard(HoldoutSample(points=holdout, m=len(holdout)), guard_config)
     order = feature_order(train)

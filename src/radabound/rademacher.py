@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .seeding import validate_count
 
 
@@ -110,8 +110,8 @@ class RademacherState:
         correlations; the state is not touched.  A single query is the
         one-row case: Guard.submit_query comes through here too.
 
-        The shape is checked first (DimensionError), then the range [0, 1]
-        (DomainError; NaN fails).  One scan asks whether every value is 0 or
+        The shape is checked first, then the range [0, 1] (NaN fails); either
+        fault raises DomainError.  One scan asks whether every value is 0 or
         1; only a block that is not gets the range scan.
 
         A block whose every value is 0 or 1 is packed into bits like the
@@ -126,7 +126,7 @@ class RademacherState:
         values = as_query_values(values)
         m = self.m
         if values.ndim != 2 or values.shape[1] != m:
-            raise DimensionError(
+            raise DomainError(
                 f"expected rows of {m} query values, got shape {values.shape}"
             )
         zero_one = values.dtype == bool or ((values == 0) | (values == 1)).all()

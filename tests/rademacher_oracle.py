@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from radabound.errors import DimensionError, DomainError
+from radabound.errors import DomainError
 from radabound.rademacher import (
     RademacherState,
     _check_unit_interval,
@@ -67,10 +67,10 @@ def exact_empirical_rademacher(value_matrix) -> float:
     """
     values = as_query_values(value_matrix)
     if values.ndim != 2:
-        raise DimensionError("value matrix must be two-dimensional (k x m)")
+        raise DomainError("value matrix must be two-dimensional (k x m)")
     k, m = values.shape
     if k < 1 or m < 1:
-        raise DimensionError("value matrix must be non-empty")
+        raise DomainError("value matrix must be non-empty")
     if m > _ENUMERATION_LIMIT:
         raise DomainError(
             f"enumeration limited to m <= {_ENUMERATION_LIMIT}, got m={m}"

@@ -156,9 +156,12 @@ class TestGuardConstruction:
             GuardConfig.from_dict(
                 {"epsilon": 0.1, "delta": 0.1, "n_vectors": 8, "negation_closure": True}
             )
-        # the method's name is not a BoundMethod; only from_dict converts it
-        with pytest.raises(ConfigurationError, match="BoundMethod"):
-            GuardConfig(0.1, 0.1, 4, method="mclt")
+        # a method is a BoundMethod or its value, nothing else
+        assert GuardConfig(0.1, 0.1, 4, method="mclt").method is BoundMethod.MCLT
+        for method in ("MCLT", None, 0):
+            with pytest.raises(ConfigurationError, match="method must be one of") as excinfo:
+                GuardConfig(0.1, 0.1, 4, method=method)
+            assert type(excinfo.value) is ConfigurationError
 
 
 class TestSubmitQuery:
@@ -255,8 +258,9 @@ class TestSubmitQuery:
         first = vectorized(lambda points: np.linspace(0.0, 1.0, 10))
         assert g.submit_query(first) == reference.submit_query(first)
         before = guard_state(g)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as excinfo:
             g.submit_query(query)
+        assert type(excinfo.value) is DomainError
         assert g.rad.query_count == 1
         assert_same_state(guard_state(g), before)
         second = vectorized(lambda points: np.linspace(1.0, 0.0, 10) ** 2)
@@ -345,6 +349,16 @@ class TestGuardConfigSerialization:
             seed=987654321,
         )
         assert GuardConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
+    def test_method_value_builds_the_same_config_as_the_member(self, method):
+        by_member = GuardConfig(0.1, 0.1, 8, method=method)
+        by_value = GuardConfig(0.1, 0.1, 8, method=method.value)
+        assert by_value == by_member and by_value.method is method
+        loaded = GuardConfig.from_dict(
+            {"epsilon": 0.1, "delta": 0.1, "n_vectors": 8, "method": method.value}
+        )
+        assert loaded == by_member
 
     def test_method_defaults_to_the_field_default(self):
         cfg = GuardConfig.from_dict({"epsilon": 0.1, "delta": 0.1, "n_vectors": 8})
@@ -467,8 +481,9 @@ class TestSubmitBatch:
         g = self.make_guard()
         g.submit_query(vectorized(lambda points: good[0]))
         before = guard_state(g)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as excinfo:
             g.submit_batch(batch(self.MALFORMED[case](good)))
+        assert type(excinfo.value) is DomainError
         assert_same_state(guard_state(g), before)
 
     @pytest.mark.parametrize("query", [3, None])
@@ -476,8 +491,9 @@ class TestSubmitBatch:
         g = self.make_guard()
         g.submit_query(vectorized(lambda points: binary_rows(1, self.M, seed=1)[0]))
         before = guard_state(g)
-        with pytest.raises(DomainError, match="callable"):
+        with pytest.raises(DomainError, match="callable") as excinfo:
             g.submit_batch(query)
+        assert type(excinfo.value) is DomainError
         assert_same_state(guard_state(g), before)
 
     def test_rows_never_pulled_are_never_committed(self):

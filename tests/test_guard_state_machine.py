@@ -3,7 +3,8 @@
 Hypothesis drives a small guard (m = 50, each bound method in turn) with valid,
 out-of-range, NaN and wrong-length queries, and with batches of queries that
 it reads only in part.  After every step it checks that halting is absorbing,
-that a rejected query leaves the state untouched, that r_tilde never
+that a rejected query raises exactly DomainError (or GuardHaltedError once
+halted) and leaves the state untouched, that r_tilde never
 decreases, that each decision is ``slack >= s*`` at the recorded r_tilde, and
 that delta_prime is the bound evaluated afresh there.
 """
@@ -79,9 +80,12 @@ class GuardMachine(RuleBasedStateMachine):
         assert self.guard.rad.query_count == count
 
     def _submit_rejected(self, query, expected, submit=None):
+        # Exactly the expected class: a subclass is a second error type.
+        expected = GuardHaltedError if self.was_halted else expected
         before = self._snapshot()
-        with pytest.raises(GuardHaltedError if self.was_halted else expected):
+        with pytest.raises(expected) as excinfo:
             (submit or self.guard.submit_query)(query)
+        assert type(excinfo.value) is expected
         self._assert_unchanged(before)
 
     def _check_outcome(self, values, outcome):

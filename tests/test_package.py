@@ -7,7 +7,6 @@ import radabound
 PUBLIC = {
     "BoundMethod": "bounds",
     "ConfigurationError": "errors",
-    "DimensionError": "errors",
     "DomainError": "errors",
     "GuardHaltedError": "errors",
     "Guard": "guard",
@@ -15,7 +14,6 @@ PUBLIC = {
     "HoldoutSample": "guard",
     "QueryOutcome": "guard",
     "ExperimentTrace": "harness",
-    "LinearClassifier": "harness",
     "run_adaptive_analysis": "harness",
     "run_sweep": "harness",
     "DatasetSpec": "synthdata",
@@ -34,6 +32,16 @@ def test_all_lists_the_public_names():
 def test_name_is_its_defining_modules_object(name, module):
     defining = importlib.import_module(f"radabound.{module}")
     assert getattr(radabound, name) is getattr(defining, name)
+
+
+def test_errors_module_defines_one_type_per_contract():
+    errors = importlib.import_module("radabound.errors")
+    defined = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    assert defined == {"ConfigurationError", "DomainError", "GuardHaltedError"}
 
 
 def test_star_import_binds_exactly_the_public_names():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radabound import rademacher
-from radabound.errors import ConfigurationError, DimensionError, DomainError
+from radabound.errors import ConfigurationError, DomainError
 from radabound.guard import Guard, GuardConfig, HoldoutSample
 from radabound.rademacher import RademacherState, init_state
 
@@ -129,8 +129,9 @@ class TestUpdate:
 
     def test_length_mismatch(self):
         state = init_state(5, 2, rng=np.random.default_rng(0))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError) as excinfo:
             update(state, np.zeros(4))
+        assert type(excinfo.value) is DomainError
 
     def test_out_of_range_values(self):
         state = init_state(5, 2, rng=np.random.default_rng(0))

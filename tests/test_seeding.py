@@ -148,10 +148,11 @@ WRONG_KINDS = {
         ConfigurationError,
         "config must be of type GuardConfig",
     ),
+    # A method is a BoundMethod or its value; the member's name is neither.
     "config-str-method": (
-        lambda: GuardConfig(**GUARD, method="mclt"),
+        lambda: GuardConfig(**GUARD, method="MCLT"),
         ConfigurationError,
-        "method must be of type BoundMethod",
+        "method must be one of",
     ),
 }
 
