@@ -165,16 +165,21 @@ class Guard:
 
     def submit_query(self, query) -> QueryOutcome:
         """Answer one query, or halt permanently if validity cannot be
-        certified.  A malformed query (not callable, a value count other
-        than m, a NaN, a value outside [0, 1], or a value that is not a
-        bool, int or float) raises DomainError without touching guard state.
-        The query is answered as a one-row batch."""
+        certified.  A malformed query (not callable, per-point on points
+        that are not iterable, a value count other than m, a NaN, a value
+        outside [0, 1] or not a bool, int or float) raises DomainError
+        without touching guard state.  It is answered as a one-row batch."""
         self._check_open()
         _check_callable(query)
         if getattr(query, "vectorized", False):
             values = [query(self.sample.points)]
         else:
-            values = [[query(x) for x in self.sample.points]]
+            try:
+                points = iter(self.sample.points)
+            except TypeError:
+                raise DomainError("a per-point query needs iterable points; "
+                                  "this sample serves vectorized queries only") from None
+            values = [[query(x) for x in points]]
         return next(self._answer_rows(*self.rad.correlations(values)))
 
     def submit_batch(self, query) -> Iterator[QueryOutcome]:

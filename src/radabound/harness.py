@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .guard import Certifier, Guard, GuardConfig, HoldoutSample
+from .rademacher import _packed_rows, _popcount
 from .seeding import validate_type
 from .synthdata import LabeledDataset
 
@@ -210,17 +211,18 @@ def _fresh_accuracies(fresh: LabeledDataset, tried, moves) -> list[float]:
     held: a move ``(n, feature, weight)`` applies after the first ``n``
     features tried, in the same order and with the same operation as on the
     holdout.  The features between two moves are compared at most
-    ``_MAX_BLOCK`` at a time."""
+    ``_MAX_BLOCK`` at a time.  Hits are counted as the guard counts 0/1
+    rows, by ``_popcount``; the baseline predicts +1, so hits the positives."""
     positive = fresh.labels == 1
     scores = np.zeros(len(fresh))
-    right = [np.count_nonzero(positive)]
+    right = _popcount(_packed_rows(positive[None])).tolist()
     start = 0
     for stop, i, weight in [*moves, (len(tried), None, 0)]:
         for lo in range(start, stop, _MAX_BLOCK):
             block = tried[lo : min(lo + _MAX_BLOCK, stop)]
             hits = _candidate_predictions(fresh.features, scores, block)
             np.equal(hits, positive, out=hits)
-            right += np.count_nonzero(hits, axis=1).tolist()
+            right += _popcount(_packed_rows(hits)).tolist()
         if weight:
             scores = (np.add if weight > 0 else np.subtract)(scores, fresh.features[:, i])
         start = stop

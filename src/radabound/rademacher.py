@@ -5,7 +5,9 @@ The estimator fixes a matrix of random sign vectors once, then maintains one
 running supremum per sign vector: each new query contributes its correlation
 with every sign vector, and the estimate is the mean of the per-vector
 suprema.  Correlations enter through their absolute value: the family is
-closed under negation, matching the guard's two-sided answers.
+closed under negation, matching the guard's two-sided answers.  Ones are
+counted one way, by ``_popcount`` on ``np.bitwise_count`` (numpy 2.0 or
+later): in the 0/1 products here and in the harness's truth column.
 """
 
 from __future__ import annotations
@@ -53,22 +55,12 @@ def _packed_rows(rows: np.ndarray) -> np.ndarray:
     return words
 
 
-def _table_bit_counts(words: np.ndarray) -> np.ndarray:
-    """The set bits of each byte of ``words``, from a 256-entry table:
-    numpy < 2.0 has no ``np.bitwise_count``."""
-    return _BYTE_BIT_COUNTS[words.view(np.uint8)]
-
-
-_BYTE_BIT_COUNTS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
-_bit_counts = getattr(np, "bitwise_count", _table_bit_counts)
-
-
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """The set bits along the last axis of C-ordered uint64 ``words``."""
+    """The set bits along the last axis of uint64 ``words``: the one bit count."""
     # The narrowest unsigned type that holds 64 bits a word sums fastest
     # and exactly.
     total = np.min_scalar_type(64 * words.shape[-1])
-    return np.add.reduce(_bit_counts(words), axis=-1, dtype=total)
+    return np.add.reduce(np.bitwise_count(words), axis=-1, dtype=total)
 
 
 # Bytes of each rows x n_vectors x words temporary of a 0/1 product; one row

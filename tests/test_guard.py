@@ -267,6 +267,22 @@ class TestSubmitQuery:
         assert g.submit_query(second) == reference.submit_query(second)
         assert_same_state(guard_state(g), guard_state(reference))
 
+    def test_per_point_query_on_points_that_are_not_iterable(self):
+        # Such a sample serves vectorized queries only.
+        g = Guard(
+            HoldoutSample(points=None, m=1000),
+            GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5),
+        )
+        with pytest.raises(DomainError, match="per-point query needs iterable points") as excinfo:
+            g.submit_query(lambda x: 0.5)
+        assert type(excinfo.value) is DomainError
+        assert g.rad.query_count == 0 and not g.halted
+        assert not g.rad.running_sup.any()
+        assert g.submit_query(vectorized(lambda points: np.full(1000, 0.5))).answered
+        # A TypeError that the query itself raises on iterable points is its own.
+        with pytest.raises(TypeError):
+            Guard(make_sample(5), g.config).submit_query(lambda x: x + "a")
+
     def test_numeric_value_types_answer_alike(self):
         sample = make_sample(10, seed=4)
         cfg = GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5)

@@ -54,6 +54,30 @@ def test_candidate_predictions_match_the_sign_of_candidate_scores():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("m", [1, 64, 65, 4000, 2**16 + 3])
+def test_truth_column_counts_as_count_nonzero(m):
+    # The popcount sums each row's words in uint8 up to m = 192 (here
+    # m = 1, 64, 65), uint16 at m = 4000 and uint32 at 2**16 + 3; the golden
+    # traces cover m = 4000 only.  Feature 0 equals the labels, so its
+    # candidates hit no point and every point: a count of m overflows uint16.
+    rng = np.random.default_rng(m)
+    labels = rng.choice([-1, 1], size=m)
+    features = np.column_stack([labels, rng.normal(size=(m, 4))])
+    fresh = make_dataset(features, labels)
+    tried, moves = np.array([0, 2, 1, 4, 3]), [(2, 2, -1), (4, 4, 1)]
+    scores = np.zeros(m)
+    want = [np.count_nonzero(labels == 1)]
+    for n, i in enumerate(tried.tolist()):
+        for start, j, weight in moves:
+            if start == n:
+                scores = scores + weight * features[:, j]
+        for cand in (-1, 1):
+            predicted = np.where(scores + cand * features[:, i] >= 0, 1, -1)
+            want.append(np.count_nonzero(predicted == labels))
+    assert want[1:3] == [0, m]
+    assert harness._fresh_accuracies(fresh, tried, moves) == [n / m for n in want]
+
+
 class TestFeatureOrder:
     def test_biased_feature_comes_first(self):
         rng = np.random.default_rng(3)

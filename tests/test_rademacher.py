@@ -278,30 +278,6 @@ class TestCorrelationPaths:
         with pytest.raises(AssertionError, match="range scan ran"):
             state.correlations(fractional)
 
-    @pytest.mark.skipif(
-        not hasattr(np, "bitwise_count"), reason="np.bitwise_count needs numpy 2.0"
-    )
-    def test_byte_table_counts_as_bitwise_count(self):
-        words = np.random.default_rng(12).integers(
-            0, 2**64, size=(5, 70), dtype=np.uint64, endpoint=False
-        )
-        words[0] = 0
-        words[1] = np.iinfo(np.uint64).max
-        by_byte = rademacher._table_bit_counts(words).reshape(5, 70, 8).sum(axis=-1)
-        assert np.array_equal(by_byte, np.bitwise_count(words))
-
-    def test_byte_table_popcount_matches_the_float64_product(self, monkeypatch):
-        # numpy < 2.0 counts bits by the byte table; numpy 2 takes it here.
-        monkeypatch.setattr(rademacher, "_bit_counts", rademacher._table_bit_counts)
-        for m in (65, 4000):
-            state = init_state(m, 64, rng=np.random.default_rng(5))
-            bits = np.random.default_rng(6).integers(0, 2, size=(chunk_rows(state) + 1, m))
-            for values in (bits.astype(bool), bits.astype(float)):
-                means, corr = state.correlations(values)
-                want_means, want_corr = float64_product(state, values)
-                assert means.tobytes() == want_means.tobytes(), (m, values.dtype)
-                assert corr.tobytes() == want_corr.tobytes(), (m, values.dtype)
-
     def test_zero_one_product_works_in_row_chunks(self):
         # At l = 512 and m = 4000 one row's q & s temporary is 252 KiB; the
         # whole 128-row block's would be 31.5 MiB.  The result and a few
@@ -318,7 +294,7 @@ class TestCorrelationPaths:
             tracemalloc.stop()
         assert peak <= 3 * 8 * k * n_vectors + 2 * rademacher._PRODUCT_CHUNK_BYTES, peak
 
-    def test_guard_answers_alike_on_either_product(self, monkeypatch):
+    def test_guard_answers_alike_on_either_product(self):
         m = 4000
         bits = np.random.default_rng(7).integers(0, 2, size=(40, m)).astype(bool)
         sample = HoldoutSample(points=None, m=m)
@@ -327,14 +303,10 @@ class TestCorrelationPaths:
         guard = Guard(sample, config)
         rows = list(guard.submit_batch(lambda points: bits))
         assert [row.answered for row in rows] == [True] * 18 + [False]
-        # The float64 product's running suprema give the same r_tilde, and
-        # the byte table's popcount the same outcomes.
+        # The float64 product's running suprema give the same r_tilde.
         corr = float64_product(guard.rad, bits[:19])[1]
         suprema = np.maximum.accumulate(corr, axis=0)
         assert [row.r_tilde for row in rows] == [float(s.mean()) for s in suprema]
-        monkeypatch.setattr(rademacher, "_bit_counts", rademacher._table_bit_counts)
-        guard = Guard(sample, config)
-        assert list(guard.submit_batch(lambda points: bits)) == rows
 
 
 def grid_blocks(m):
