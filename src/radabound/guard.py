@@ -137,11 +137,6 @@ class Certifier:
         return self._delta_prime, slack >= self.s_star
 
 
-def _check_callable(query) -> None:
-    if not callable(query):
-        raise DomainError(f"a query must be callable, got {query!r}")
-
-
 class Guard:
     """Single-writer state machine answering queries on a fixed sample."""
 
@@ -168,9 +163,11 @@ class Guard:
         certified.  A malformed query (not callable, per-point on points
         that are not iterable, a value count other than m, a NaN, a value
         outside [0, 1] or not a bool, int or float) raises DomainError
-        without touching guard state.  It is answered as a one-row batch."""
+        without touching guard state.  Its m values are answered as a
+        one-row ``submit_batch`` block."""
         self._check_open()
-        _check_callable(query)
+        if not callable(query):
+            raise DomainError(f"a query must be callable, got {query!r}")
         if getattr(query, "vectorized", False):
             values = [query(self.sample.points)]
         else:
@@ -182,29 +179,28 @@ class Guard:
             values = [[query(x) for x in points]]
         return next(self._answer_rows(*self.rad.correlations(values)))
 
-    def submit_batch(self, query) -> Iterator[QueryOutcome]:
-        """Answer a block of k queries, one per row of ``query(points)``, a
-        k x m value matrix.
+    def submit_batch(self, values) -> Iterator[QueryOutcome]:
+        """Answer a block of k queries, one per row of ``values``, a k x m
+        value matrix.
 
         The whole matrix is validated and correlated with the sign vectors
-        (one product) before this returns; a malformed matrix raises
-        DomainError without touching guard state, as does a ``query`` that
-        is not callable.  The returned iterator answers one row per
-        ``next()``, exactly as ``submit_query`` would at that moment: it
-        certifies and commits that row only, so rows never pulled are never
-        committed.  Iteration ends after a halting row, and ``next()``
-        raises GuardHaltedError if the guard was halted in between.
+        (one product) before this returns, so changing it afterwards changes
+        no outcome.  A malformed matrix raises DomainError without touching
+        guard state, and so does anything that is not numbers, such as a
+        callable.  The returned iterator answers one row per ``next()``,
+        exactly as ``submit_query`` would at that moment: it certifies and
+        commits that row only, so rows never pulled are never committed.
+        Iteration ends after a halting row, and ``next()`` raises
+        GuardHaltedError if the guard was halted in between.
 
-        ``submit_query`` is the one-row case of this path.  A bool matrix
-        stays bool and any other dtype is read as float64.  Every row's sums
-        are exact integers, a popcount over packed bits when every value is
-        0 or 1 and a sum on a grid otherwise (see
+        A bool matrix stays bool and any other dtype is read as float64.
+        Every row's sums are exact integers, a popcount over packed bits
+        when every value is 0 or 1 and a sum on a grid otherwise (see
         ``RademacherState.correlations``), so the outcomes are bit-equal to
         sequential ``submit_query`` calls.
         """
         self._check_open()
-        _check_callable(query)
-        return self._answer_rows(*self.rad.correlations(query(self.sample.points)))
+        return self._answer_rows(*self.rad.correlations(values))
 
     def _answer_rows(self, means, corr) -> Iterator[QueryOutcome]:
         """Certify each row in turn, given the row means and correlations that

@@ -161,7 +161,7 @@ def run_adaptive_analysis(
 
     # Baseline query: the all-zero classifier (predicts +1 everywhere), which
     # is accepted when answered.  After a halt the loop below never runs.
-    outcome = next(guard.submit_batch(lambda _points: ~positive_h[None]))
+    outcome = next(guard.submit_batch(~positive_h[None]))
     best_loss = outcome.empirical_mean
     # (feature, candidate, outcome, accepted) for each row read, and
     # (features tried so far, feature, weight) for each move of the scores.
@@ -174,7 +174,7 @@ def run_adaptive_analysis(
         # The rows in _candidate_predictions' order: feature-major, -1 then +1.
         chosen = 0
         for (i, cand), outcome in zip(
-            product(block.tolist(), (-1, 1)), guard.submit_batch(lambda _points: losses)
+            product(block.tolist(), (-1, 1)), guard.submit_batch(losses)
         ):
             accepted = outcome.answered and outcome.empirical_mean < best_loss
             if accepted:

@@ -282,7 +282,7 @@ def aggregation_attack(data, config):
     holdout, m = data.holdout, len(data.holdout)
     guard = Guard(HoldoutSample(points=holdout, m=m), config)
     losses = (holdout.features.T >= 0) != (holdout.labels == 1)
-    means = [o.empirical_mean for o in guard.submit_batch(lambda _: losses) if o.answered]
+    means = [o.empirical_mean for o in guard.submit_batch(losses) if o.answered]
     if guard.halted:
         return means, None
     deviation = 0.5 - np.array(means)  # accuracy - 0.5

@@ -300,7 +300,7 @@ class TestSubmitQuery:
         rows = np.asarray(sample.points) > np.array([[0.2], [0.5], [0.8]])
         want_rows = submit_rows(Guard(sample, cfg), rows.astype(float))
         for dtype in (bool, int, np.float32, np.float64):
-            got = list(Guard(sample, cfg).submit_batch(batch(rows.astype(dtype))))
+            got = list(Guard(sample, cfg).submit_batch(rows.astype(dtype)))
             assert got == want_rows, dtype
 
     def test_delta_prime_non_decreasing(self):
@@ -397,10 +397,6 @@ def binary_rows(k, m, seed):
     return np.random.default_rng(seed).integers(0, 2, size=(k, m)).astype(float)
 
 
-def batch(values):
-    return lambda points: values
-
-
 def submit_rows(g, rows):
     """Sequential submit_query per row, up to and including a halt."""
     outcomes = []
@@ -436,7 +432,7 @@ class TestSubmitBatch:
     def test_binary_batch_equals_sequential_queries(self, method, epsilon):
         rows = binary_rows(12, self.M, seed=3)
         batched, sequential = (self.make_guard(epsilon, method) for _ in range(2))
-        outcomes = list(batched.submit_batch(batch(rows)))
+        outcomes = list(batched.submit_batch(rows))
         assert outcomes == submit_rows(sequential, rows)
         assert_same_state(guard_state(batched), guard_state(sequential))
 
@@ -456,7 +452,7 @@ class TestSubmitBatch:
                 query = vectorized(lambda points, row=row: row)
             else:
                 query = mean_query(lambda x, row=row: row[x])
-            want = next(batched.submit_batch(lambda points, row=row: row[None]))
+            want = next(batched.submit_batch(row[None]))
             answers.append(single.submit_query(query))
             assert answers[-1] == want
             assert_same_state(guard_state(single), guard_state(batched))
@@ -469,7 +465,7 @@ class TestSubmitBatch:
         # answers as k one-row queries do, field for field.
         rows = np.random.default_rng(5).uniform(size=(12, self.M))
         batched, sequential = (self.make_guard(epsilon, method) for _ in range(2))
-        outcomes = list(batched.submit_batch(batch(rows)))
+        outcomes = list(batched.submit_batch(rows))
         assert outcomes == submit_rows(sequential, rows)
         assert_same_state(guard_state(batched), guard_state(sequential))
 
@@ -489,6 +485,10 @@ class TestSubmitBatch:
         "complex": lambda good: good + 0j,
         "ragged": lambda good: [good[0], good[1, :-1]],
         "dict": lambda good: {},
+        "int": lambda good: 3,
+        "None": lambda good: None,
+        # A query callable is not a value block: it is never called.
+        "callable": lambda good: (lambda points: good),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -498,24 +498,14 @@ class TestSubmitBatch:
         g.submit_query(vectorized(lambda points: good[0]))
         before = guard_state(g)
         with pytest.raises(DomainError) as excinfo:
-            g.submit_batch(batch(self.MALFORMED[case](good)))
-        assert type(excinfo.value) is DomainError
-        assert_same_state(guard_state(g), before)
-
-    @pytest.mark.parametrize("query", [3, None])
-    def test_non_callable_batch_rejected_without_state_change(self, query):
-        g = self.make_guard()
-        g.submit_query(vectorized(lambda points: binary_rows(1, self.M, seed=1)[0]))
-        before = guard_state(g)
-        with pytest.raises(DomainError, match="callable") as excinfo:
-            g.submit_batch(query)
+            g.submit_batch(self.MALFORMED[case](good))
         assert type(excinfo.value) is DomainError
         assert_same_state(guard_state(g), before)
 
     def test_rows_never_pulled_are_never_committed(self):
         rows = binary_rows(5, self.M, seed=2)
         g = self.make_guard()
-        outcomes = g.submit_batch(batch(rows))
+        outcomes = g.submit_batch(rows)
         assert g.rad.query_count == 0 and not g.rad.running_sup.any()
         pulled = [next(outcomes), next(outcomes)]
         del outcomes
@@ -527,10 +517,27 @@ class TestSubmitBatch:
         assert g.submit_query(extra) == reference.submit_query(extra)
         assert_same_state(guard_state(g), guard_state(reference))
 
+    @pytest.mark.parametrize("kind", ["bool", "binary float", "fractional"])
+    def test_block_is_read_once_on_submission(self, kind):
+        # The caller keeps its array: overwriting it before any row is
+        # pulled changes no outcome.
+        rows = {
+            "bool": binary_rows(6, self.M, seed=12).astype(bool),
+            "binary float": binary_rows(6, self.M, seed=12),
+            "fractional": np.random.default_rng(12).uniform(size=(6, self.M)),
+        }[kind]
+        want = submit_rows(self.make_guard(), rows.copy())
+        outcomes = self.make_guard().submit_batch(rows)
+        if rows.dtype == bool:
+            np.logical_not(rows, out=rows)
+        else:
+            rows.fill(0.5)
+        assert list(outcomes) == want
+
     def test_mid_batch_halt_ends_iteration(self):
         rows = binary_rows(8, self.M, seed=3)
         g = self.make_guard(epsilon=0.5)
-        outcomes = g.submit_batch(batch(rows))
+        outcomes = g.submit_batch(rows)
         pulled = list(outcomes)
         assert 1 < len(pulled) < len(rows)
         assert all(o.answered for o in pulled[:-1])
@@ -539,7 +546,7 @@ class TestSubmitBatch:
         assert next(outcomes, None) is None
         before = guard_state(g)
         with pytest.raises(GuardHaltedError):
-            g.submit_batch(batch(rows))
+            g.submit_batch(rows)
         with pytest.raises(GuardHaltedError):
             g.submit_query(vectorized(lambda points: rows[0]))
         assert_same_state(guard_state(g), before)
@@ -548,7 +555,7 @@ class TestSubmitBatch:
         rows = binary_rows(3, self.M, seed=6)
         extra = binary_rows(2, self.M, seed=7)
         g, reference = self.make_guard(), self.make_guard()
-        outcomes = g.submit_batch(batch(rows))
+        outcomes = g.submit_batch(rows)
         got = [
             next(outcomes),
             g.submit_query(vectorized(lambda points: extra[0])),
@@ -565,7 +572,7 @@ class TestSubmitBatch:
         # at epsilon 0.3 the first query already halts
         rows = binary_rows(2, self.M, seed=8)
         g = self.make_guard(epsilon=0.3)
-        outcomes = g.submit_batch(batch(rows))
+        outcomes = g.submit_batch(rows)
         assert not g.submit_query(vectorized(lambda points: rows[0])).answered
         before = guard_state(g)
         with pytest.raises(GuardHaltedError):
@@ -576,7 +583,7 @@ class TestSubmitBatch:
         g = self.make_guard()
         g.submit_query(vectorized(lambda points: binary_rows(1, self.M, seed=9)[0]))
         before = guard_state(g)
-        assert list(g.submit_batch(batch(np.empty((0, self.M))))) == []
+        assert list(g.submit_batch(np.empty((0, self.M)))) == []
         assert_same_state(guard_state(g), before)
 
     def test_memory_does_not_grow_with_answered_queries(self):
@@ -585,12 +592,12 @@ class TestSubmitBatch:
         m, k = 400, 2000
         g = self.make_guard(m=m)
         rows = np.random.default_rng(11).integers(0, 2, size=(k, m)).astype(bool)
-        assert next(g.submit_batch(batch(rows[:1]))).answered
+        assert next(g.submit_batch(rows[:1])).answered
         tracemalloc.start()
         try:
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
-            assert all(o.answered for o in g.submit_batch(batch(rows)))
+            assert all(o.answered for o in g.submit_batch(rows))
             gc.collect()
             growth = tracemalloc.get_traced_memory()[0] - before
         finally:

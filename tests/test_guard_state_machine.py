@@ -79,12 +79,12 @@ class GuardMachine(RuleBasedStateMachine):
         assert np.array_equal(self.guard.rad.running_sup, sup)
         assert self.guard.rad.query_count == count
 
-    def _submit_rejected(self, query, expected, submit=None):
+    def _submit_rejected(self, submission, expected, submit=None):
         # Exactly the expected class: a subclass is a second error type.
         expected = GuardHaltedError if self.was_halted else expected
         before = self._snapshot()
         with pytest.raises(expected) as excinfo:
-            (submit or self.guard.submit_query)(query)
+            (submit or self.guard.submit_query)(submission)
         assert type(excinfo.value) is expected
         self._assert_unchanged(before)
 
@@ -129,12 +129,11 @@ class GuardMachine(RuleBasedStateMachine):
     )
     def submit_batch(self, rows, pull):
         values = np.array([query_values(*row) for row in rows]).reshape(len(rows), M)
-        query = as_query(values, vectorized=True)
         if self.was_halted:
-            self._submit_rejected(query, GuardHaltedError, self.guard.submit_batch)
+            self._submit_rejected(values, GuardHaltedError, self.guard.submit_batch)
             return
         # Rows past ``pull`` are abandoned, and must leave no trace.
-        outcomes = self.guard.submit_batch(query)
+        outcomes = self.guard.submit_batch(values)
         for row in values[:pull]:
             outcome = next(outcomes)
             self._check_outcome(row, outcome)

@@ -528,11 +528,10 @@ def batches(monkeypatch):
     log = []
     original = Guard.submit_batch
 
-    def spy(self, query):
-        values = query(self.sample.points)
+    def spy(self, values):
         entry = [len(values), 0]
         log.append(entry)
-        for outcome in original(self, lambda _points: values):
+        for outcome in original(self, values):
             entry[1] += 1
             yield outcome
 

@@ -301,7 +301,7 @@ class TestCorrelationPaths:
         # Answers 18 rows, then halts on the 19th.
         config = GuardConfig(epsilon=0.06, delta=0.1, n_vectors=32, seed=3)
         guard = Guard(sample, config)
-        rows = list(guard.submit_batch(lambda points: bits))
+        rows = list(guard.submit_batch(bits))
         assert [row.answered for row in rows] == [True] * 18 + [False]
         # The float64 product's running suprema give the same r_tilde.
         corr = float64_product(guard.rad, bits[:19])[1]
