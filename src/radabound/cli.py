@@ -248,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--b", type=int, required=True)
     p_thr.add_argument("--eps", type=float, required=True)
     p_thr.add_argument("--delta", type=float, required=True)
-    p_thr.add_argument("--radabound-m", type=int, default=4000)
+    p_thr.add_argument("--radabound-m", type=int, default=4000,
+                       help="the RadaBound holdout size to compare against, "
+                            "as given; it is not computed (default: %(default)s)")
 
     return parser
 

@@ -1,12 +1,21 @@
-"""Adaptive experiment: greedy feature selection against a guarded holdout.
+"""Adaptive experiments: analysts that submit predictions to a guarded holdout.
 
-Features are ordered once by the absolute value of their training-set
-correlation with the labels.  Starting from the all-zero classifier, the
-learner tries weight -1 then +1 for each feature in order, submits each
-candidate's 0-1 loss to the guard, and keeps a candidate only when its
-released holdout loss strictly improves on the current best.  The learner
-sees nothing but released means; fresh-set accuracy is computed outside the
-guard as ground truth for the trace.
+The guard's certificate assumes that each query is chosen from released
+answers only, so no analyst here holds the holdout labels.  As on a
+leaderboard (Blum & Hardt, ICML 2015), an analyst submits k x m bool blocks
+of predictions on the holdout points to a mechanism's ``submit_batch``, and
+``PredictionGuard``, which builds the ``Guard`` and keeps the labels,
+answers each prediction's 0-1 loss.  The analysts are the greedy learner and
+``aggregation_attack``, the reusable-holdout attack of Dwork et al.
+(Science 2015).
+
+The greedy learner orders the features once by the absolute value of their
+training-set correlation with the labels.  Starting from the all-zero
+classifier, it tries weight -1 then +1 for each feature in order, submits
+each candidate's predictions, and keeps a candidate only when its released
+holdout loss strictly improves on the current best.  It sees nothing but
+released means; fresh-set accuracy is computed outside the mechanism as
+ground truth for the trace.
 
 For the same reason configs that share the sign vectors (``seed`` and
 ``n_vectors``) need one guard run, at their largest epsilon and smallest
@@ -16,22 +25,22 @@ them answers.  Each config's trace is a prefix of its rows, cut at the first
 row that config's own test rejects.
 
 The candidates are fixed until one is accepted, since only an acceptance
-moves the scores.  So the learner submits them in blocks: the holdout losses
-of the next features' candidates form one k x m bool matrix, in the order the
-learner tries them, and ``Guard.submit_batch`` answers it with one
-product.  Predictions come from comparing each feature with the current
-scores, so the candidates' float scores are never formed and the losses stay
-bool all the way to that product, an exact popcount over packed bits.  The
-learner reads the outcomes in order and abandons the rest of the block after
-the first feature with an accepted candidate, or at a halt.  A block starts
-at one feature after an acceptance and doubles, up to 64 features, after each
+moves the scores.  So the learner submits them in blocks: the predictions of
+the next features' candidates form one k x m bool matrix, in the order the
+learner tries them, and the guard answers their losses with one product.
+Predictions come from comparing each feature with the current scores, so
+the candidates' float scores are never formed and the losses stay bool all
+the way to that product, an exact popcount over packed bits.  The learner
+reads the outcomes in order and abandons the rest of the block after the
+first feature with an accepted candidate, or at a halt.  A block starts at
+one feature after an acceptance and doubles, up to 64 features, after each
 block without one.  The losses are 0/1, so every outcome is bit-equal to
 submitting the candidates one query at a time.
 
-The loop reads nothing but the guard's released outcomes.  The trace's truth
-column, the fresh-set accuracy of each row, is scored after the run: the
-learner's score moves are replayed on the fresh set, and the features tried
-between two moves are compared once, at most 64 features a call.
+The trace's truth column, the fresh-set accuracy of each row, is scored
+after the run: the learner's score moves are replayed on the fresh set, and
+the features tried between two moves are compared once, at most 64 features
+a call.
 
 ``run_adaptive_analysis`` checks its inputs once, before it builds the guard:
 a set that is not a non-empty ``LabeledDataset``, sets whose feature counts
@@ -43,14 +52,14 @@ them, take the checked inputs as given.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .guard import Certifier, Guard, GuardConfig, HoldoutSample
+from .errors import ConfigurationError, DomainError
+from .guard import Certifier, Guard, GuardConfig, HoldoutSample, QueryOutcome
 from .rademacher import _packed_rows, _popcount
 from .seeding import validate_type
 from .synthdata import LabeledDataset
@@ -138,6 +147,121 @@ def _candidate_predictions(
     return out.reshape(-1, len(scores))
 
 
+class PredictionGuard:
+    """The leaderboard mechanism: a ``Guard`` on the holdout that answers
+    predictions and keeps the labels from the analyst.
+
+    It keeps the guard and the labels, as whether each point is positive,
+    and nothing else of ``holdout``.  ``submit_batch`` takes a k x m bool
+    block of predictions, True where a row predicts +1, and returns
+    ``guard.submit_batch(predictions != labels)``: each row's 0-1 loss,
+    answered under the guard's contract.  The comparison reads the block
+    once, on submission, into a new array, so the caller's block is never
+    written and later changes to it change no outcome.  Any other block,
+    one that is not a 2-D numpy bool array of width m, raises DomainError
+    with the guard untouched.
+    """
+
+    def __init__(self, holdout: LabeledDataset, config: GuardConfig):
+        self._positive = holdout.labels == 1
+        # The guard answers value blocks only; its points are the labels,
+        # all that is kept of the holdout.
+        self.guard = Guard(HoldoutSample(points=self._positive, m=len(holdout)), config)
+
+    def submit_batch(self, predictions) -> Iterator[QueryOutcome]:
+        m = len(self._positive)
+        if not (
+            isinstance(predictions, np.ndarray)
+            and predictions.dtype == bool
+            and predictions.ndim == 2
+            and predictions.shape[1] == m
+        ):
+            # A k x 1 block would broadcast against the labels.
+            got = (
+                f"{predictions.dtype} array of shape {predictions.shape}"
+                if isinstance(predictions, np.ndarray)
+                else type(predictions).__name__
+            )
+            raise DomainError(f"predictions must be a k x {m} bool array, got {got}")
+        return self.guard.submit_batch(predictions != self._positive)
+
+
+def greedy_learner(mechanism, train: LabeledDataset, features: np.ndarray):
+    """The greedy learner against ``mechanism``, which answers k x m bool
+    blocks of predictions on the holdout points ``features`` (m x d) as
+    ``PredictionGuard.submit_batch`` does.  Reads nothing of the holdout but
+    its features and the released outcomes.
+
+    Returns ``(read, tried, moves)``: ``(feature, candidate, outcome,
+    accepted)`` for each row read, the baseline first; the features tried,
+    in order; and ``(features tried so far, feature, weight)`` for each move
+    of the scores.
+    """
+    d = features.shape[1]
+    order = feature_order(train)
+    scores = np.zeros(len(features))
+
+    # Baseline query: the all-zero classifier (predicts +1 everywhere), which
+    # is accepted when answered.  After a halt the loop below never runs.
+    outcome = next(mechanism.submit_batch(np.ones((1, len(features)), dtype=bool)))
+    best_loss = outcome.empirical_mean
+    read, moves = [(None, 0, outcome, True)], []
+    start, size = 0, 1
+    while start < d and outcome.answered:
+        block = order[start : start + size]
+        predictions = _candidate_predictions(features, scores, block)
+        # The rows in _candidate_predictions' order: feature-major, -1 then +1.
+        chosen = 0
+        for (i, cand), outcome in zip(
+            product(block.tolist(), (-1, 1)), mechanism.submit_batch(predictions)
+        ):
+            accepted = outcome.answered and outcome.empirical_mean < best_loss
+            if accepted:
+                best_loss, chosen = outcome.empirical_mean, cand
+            read.append((i, cand, outcome, accepted))
+            if not outcome.answered or (chosen and cand > 0):
+                break
+        # The baseline row, then two rows for each feature read (one, if
+        # its -1 row halted).
+        start = len(read) // 2
+        if chosen:
+            # Not ``+ chosen * column``: numpy will not negate an unsigned
+            # column, and for floats s - x is the same operation as s + -x.
+            step = np.add if chosen > 0 else np.subtract
+            scores = step(scores, features[:, i])
+            moves.append((start, i, chosen))
+        # An acceptance moves the scores and leaves the rest of the block
+        # stale: it is abandoned, and the next block starts at one feature.
+        size = 1 if chosen else min(2 * size, _MAX_BLOCK)
+    return read, order[:start], moves
+
+
+def aggregation_attack(mechanism, features: np.ndarray):
+    """The reusable-holdout attack of Dwork et al. (Science 2015) against
+    ``mechanism``, which answers k x m bool blocks of predictions on the
+    holdout points ``features`` (m x d) as ``PredictionGuard.submit_batch``
+    does.  Both steps are prediction blocks: first every single-feature
+    classifier ``x_j >= 0`` as one block of d rows, then the sign vote of
+    the features whose released accuracy is more than one standard deviation
+    (``0.5 / sqrt(m)``) from 0.5, as a block of one row.
+
+    Returns the released means and the vote's weights, or None for them if
+    the mechanism halted before the vote.
+    """
+    outcomes = list(mechanism.submit_batch(features.T >= 0))
+    means = [o.empirical_mean for o in outcomes if o.answered]
+    if len(means) < len(outcomes):
+        return means, None
+    deviation = 0.5 - np.array(means)  # accuracy - 0.5
+    weights = np.where(
+        np.abs(deviation) > 0.5 / math.sqrt(len(features)), np.sign(deviation), 0.0
+    )
+    outcome = next(mechanism.submit_batch((features @ weights >= 0)[None]))
+    if outcome.answered:
+        means.append(outcome.empirical_mean)
+    return means, weights
+
+
 def run_adaptive_analysis(
     train: LabeledDataset,
     holdout: LabeledDataset,
@@ -154,48 +278,10 @@ def run_adaptive_analysis(
     if holdout.features.shape[1] != d or fresh.features.shape[1] != d:
         raise ConfigurationError("train/holdout/fresh feature counts disagree")
 
-    guard = Guard(HoldoutSample(points=holdout, m=len(holdout)), guard_config)
-    order = feature_order(train)
-    positive_h = holdout.labels == 1
-    scores_h = np.zeros(len(holdout))
-
-    # Baseline query: the all-zero classifier (predicts +1 everywhere), which
-    # is accepted when answered.  After a halt the loop below never runs.
-    outcome = next(guard.submit_batch(~positive_h[None]))
-    best_loss = outcome.empirical_mean
-    # (feature, candidate, outcome, accepted) for each row read, and
-    # (features tried so far, feature, weight) for each move of the scores.
-    read, moves = [(None, 0, outcome, True)], []
-    start, size = 0, 1
-    while start < d and outcome.answered:
-        block = order[start : start + size]
-        losses = _candidate_predictions(holdout.features, scores_h, block)
-        np.not_equal(losses, positive_h, out=losses)
-        # The rows in _candidate_predictions' order: feature-major, -1 then +1.
-        chosen = 0
-        for (i, cand), outcome in zip(
-            product(block.tolist(), (-1, 1)), guard.submit_batch(losses)
-        ):
-            accepted = outcome.answered and outcome.empirical_mean < best_loss
-            if accepted:
-                best_loss, chosen = outcome.empirical_mean, cand
-            read.append((i, cand, outcome, accepted))
-            if not outcome.answered or (chosen and cand > 0):
-                break
-        # The baseline row, then two rows for each feature read (one, if
-        # its -1 row halted).
-        start = len(read) // 2
-        if chosen:
-            # Not ``+ chosen * column``: numpy will not negate an unsigned
-            # column, and for floats s - x is the same operation as s + -x.
-            step = np.add if chosen > 0 else np.subtract
-            scores_h = step(scores_h, holdout.features[:, i])
-            moves.append((start, i, chosen))
-        # An acceptance moves the scores and leaves the rest of the block
-        # stale: it is abandoned, and the next block starts at one feature.
-        size = 1 if chosen else min(2 * size, _MAX_BLOCK)
-
-    fresh_accs = _fresh_accuracies(fresh, order[:start], moves)
+    read, tried, moves = greedy_learner(
+        PredictionGuard(holdout, guard_config), train, holdout.features
+    )
+    fresh_accs = _fresh_accuracies(fresh, tried, moves)
     # A feature whose -1 row halted has its +1 row scored too; zip drops it.
     rows = [
         _trace_row(n, fresh_acc, out.r_tilde, out.delta_prime, out.answered, accepted,

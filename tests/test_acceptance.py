@@ -39,6 +39,7 @@ from radabound.bounds import (
 from radabound.cli import main as cli_main
 from radabound.errors import GuardHaltedError
 from radabound.guard import Certifier, Guard, GuardConfig, HoldoutSample
+from radabound.harness import PredictionGuard, aggregation_attack
 from radabound.rademacher import init_state
 from radabound.synthdata import DatasetSpec, generate
 from radabound.thresholdout import ThresholdoutParams, comparison_report, min_holdout_size
@@ -273,31 +274,6 @@ def test_band_gate_fails_a_guard_with_half_the_concentration_term():
     assert max(violating_runs.values()) > 9, violating_runs
 
 
-def aggregation_attack(data, config):
-    """The reusable-holdout attack of Dwork et al. (Science 2015): submit
-    every feature's 0-1 loss as one batch, then the loss of the sign vote of
-    the features whose released accuracy is more than one standard deviation
-    from 0.5.  Returns the released means and the vote's fresh accuracy, or
-    None for it if the guard halted before the vote."""
-    holdout, m = data.holdout, len(data.holdout)
-    guard = Guard(HoldoutSample(points=holdout, m=m), config)
-    losses = (holdout.features.T >= 0) != (holdout.labels == 1)
-    means = [o.empirical_mean for o in guard.submit_batch(losses) if o.answered]
-    if guard.halted:
-        return means, None
-    deviation = 0.5 - np.array(means)  # accuracy - 0.5
-    weights = np.where(np.abs(deviation) > 0.5 / math.sqrt(m), np.sign(deviation), 0.0)
-
-    def vote_loss(dataset):
-        return (dataset.features @ weights >= 0) != (dataset.labels == 1)
-
-    vote_loss.vectorized = True
-    outcome = guard.submit_query(vote_loss)
-    if outcome.answered:
-        means.append(outcome.empirical_mean)
-    return means, 1.0 - float(vote_loss(data.fresh).mean())
-
-
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -313,8 +289,14 @@ def test_answers_stay_within_epsilon_under_aggregation_attack():
     cfg = GuardConfig(
         epsilon=eps, delta=0.1, n_vectors=32, method=rb.BoundMethod.MCLT, seed=0
     )
-    means, fresh_acc = aggregation_attack(data, cfg)
+    means, weights = aggregation_attack(
+        PredictionGuard(data.holdout, cfg), data.holdout.features
+    )
     worst = max(abs(mean - 0.5) for mean in means)
+    fresh = data.fresh
+    fresh_acc = None if weights is None else float(
+        np.mean((fresh.features @ weights >= 0) == (fresh.labels == 1))
+    )
     assert worst <= eps, (len(means), worst, fresh_acc)
 
 

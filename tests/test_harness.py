@@ -7,11 +7,12 @@ import pytest
 
 from radabound import bounds, guard, harness
 from radabound.bounds import BoundMethod
-from radabound.errors import ConfigurationError
-from radabound.guard import Guard, GuardConfig, HoldoutSample
+from radabound.errors import ConfigurationError, DomainError
+from radabound.guard import Guard, GuardConfig, HoldoutSample, QueryOutcome
 from radabound.harness import (
     ExperimentTrace,
     LinearClassifier,
+    PredictionGuard,
     TraceRow,
     feature_order,
     run_adaptive_analysis,
@@ -686,3 +687,112 @@ class TestBlockedAnalysis:
         )
         assert_same_trace(got, want)
         assert {(r.feature, r.candidate) for r in got.rows if r.accepted} >= {(0, -1), (1, 1)}
+
+
+def holdout_and_config(m, epsilon=0.9, seed=3):
+    labels = np.where(np.random.default_rng(seed).random(m) < 0.6, 1, -1)
+    cfg = GuardConfig(epsilon=epsilon, delta=0.1, n_vectors=8, seed=seed)
+    return make_dataset(np.zeros((m, 1)), labels), cfg
+
+
+def random_predictions(k, m, seed):
+    return np.random.default_rng(seed).random((k, m)) < 0.5
+
+
+class TestPredictionGuard:
+    M = 60
+
+    @pytest.mark.parametrize("epsilon", [0.4, 0.9])  # halts mid-block at 0.4
+    def test_answers_the_losses_and_reads_the_block_once(self, epsilon):
+        holdout, cfg = holdout_and_config(self.M, epsilon)
+        predictions = random_predictions(8, self.M, seed=4)
+        losses = predictions != (holdout.labels == 1)
+        want = list(Guard(HoldoutSample(points=None, m=self.M), cfg).submit_batch(losses))
+        assert (epsilon < 0.5) == (not want[-1].answered)
+        # A read-only block: any write into it would raise.
+        frozen = predictions.copy()
+        frozen.setflags(write=False)
+        assert list(PredictionGuard(holdout, cfg).submit_batch(frozen)) == want
+        # Overwriting the caller's block before any row is pulled changes nothing.
+        outcomes = PredictionGuard(holdout, cfg).submit_batch(predictions)
+        np.logical_not(predictions, out=predictions)
+        assert list(outcomes) == want
+
+    MALFORMED = {
+        "float": lambda good: good.astype(float),
+        "int": lambda good: good.astype(int),
+        "one-dimensional": lambda good: good[0],
+        # != would broadcast a k x 1 block against the m labels.
+        "k x 1": lambda good: good[:, :1],
+        "k x (m + 1)": lambda good: np.hstack([good, good[:, :1]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_block_rejected_without_state_change(self, case):
+        good = random_predictions(3, self.M, seed=5)
+        pg = PredictionGuard(*holdout_and_config(self.M))
+        assert all(o.answered for o in pg.submit_batch(good))
+        rad = pg.guard.rad
+        before = rad.running_sup.copy(), rad.query_count, pg.guard.halted
+        with pytest.raises(DomainError) as excinfo:
+            pg.submit_batch(self.MALFORMED[case](good))
+        assert type(excinfo.value) is DomainError
+        assert np.array_equal(rad.running_sup, before[0])
+        assert (rad.query_count, pg.guard.halted) == before[1:]
+
+
+class ScriptedMechanism:
+    """A mechanism with no guard and no labels: it answers each row pulled
+    with the next scripted mean, and a None halts.  ``blocks`` holds
+    [a copy of each block submitted, rows pulled from it]."""
+
+    def __init__(self, means):
+        self.means = iter(means)
+        self.blocks = []
+
+    def submit_batch(self, predictions):
+        entry = [predictions.copy(), 0]
+        self.blocks.append(entry)
+
+        def rows():
+            for _ in predictions:
+                mean = next(self.means)
+                entry[1] += 1
+                yield QueryOutcome(mean, 0.0, 0.0, mean is not None)
+                if mean is None:
+                    return
+
+        return rows()
+
+
+def test_greedy_learner_follows_a_scripted_mechanism():
+    train = ranked_data(d=6)[0]  # tries the features in index order
+    features = np.random.default_rng(8).normal(size=(50, 6))
+    script = [
+        0.5,  # baseline: accepted
+        0.6, 0.5,  # feature 0: neither improves on 0.5
+        0.45, 0.47,  # feature 1: -1 accepted; feature 2 is abandoned
+        0.44, 0.4,  # feature 2, alone: -1 then +1 accepted
+        None,  # feature 3's -1 halts
+    ]
+    mechanism = ScriptedMechanism(script)
+    read, tried, moves = harness.greedy_learner(mechanism, train, features)
+    assert next(mechanism.means, "spent") == "spent"
+    assert [(i, cand, accepted) for i, cand, _, accepted in read[1:]] == [
+        (0, -1, False), (0, 1, False), (1, -1, True), (1, 1, False),
+        (2, -1, True), (2, 1, True), (3, -1, False),
+    ]
+    assert tried.tolist() == [0, 1, 2, 3] and moves == [(2, 1, -1), (3, 2, 1)]
+    # [rows submitted, rows pulled]: the acceptance in the 4-row block
+    # abandons its last 2 rows, and blocks restart at one feature.
+    assert [[len(b), n] for b, n in mechanism.blocks] == [
+        [1, 1], [2, 2], [4, 2], [2, 2], [2, 1],
+    ]
+    # Each block predicts sign(scores + w x_j), under the scores of the
+    # moves made before it.
+    scores = [np.zeros(50)] * 3 + [-features[:, 1], features[:, 2] - features[:, 1]]
+    for (block, _), s, first in zip(mechanism.blocks[1:], scores[1:], [0, 1, 2, 3]):
+        cols = range(first, first + len(block) // 2)
+        want = [s + w * features[:, j] >= 0 for j in cols for w in (-1, 1)]
+        assert np.array_equal(block, np.array(want))
+    assert mechanism.blocks[0][0].all()  # the all-zero classifier predicts +1

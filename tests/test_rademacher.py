@@ -76,6 +76,16 @@ class TestInitState:
                 want_rng.integers(2**31 - 1, dtype=dtype)
             )
 
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 4000, 9000])
+    def test_sign_vectors_nest(self, m):
+        # For one seed, the l-vector signs are the first l rows of the
+        # 512-vector signs, whatever the row blocks of the draw: one run at
+        # the largest l can then stand for every smaller l.
+        most = init_state(m, 512, rng=np.random.default_rng(7)).bits
+        for n_vectors in (1, 8, 32, 128, 300):
+            bits = init_state(m, n_vectors, rng=np.random.default_rng(7)).bits
+            assert np.array_equal(bits, most[:n_vectors]), n_vectors
+
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 4000])
     @pytest.mark.parametrize("n_vectors", [1, 37])
     def test_state_of_its_signs_has_its_words(self, m, n_vectors):
