@@ -9,13 +9,12 @@ answers each prediction's 0-1 loss.  The analysts are the greedy learner and
 ``aggregation_attack``, the reusable-holdout attack of Dwork et al.
 (Science 2015).
 
-The greedy learner orders the features once by the absolute value of their
-training-set correlation with the labels.  Starting from the all-zero
-classifier, it tries weight -1 then +1 for each feature in order, submits
-each candidate's predictions, and keeps a candidate only when its released
-holdout loss strictly improves on the current best.  It sees nothing but
-released means; fresh-set accuracy is computed outside the mechanism as
-ground truth for the trace.
+The greedy learner takes the features in ``feature_order``'s order, by the
+absolute value of their training-set correlation with the labels.  From the
+all-zero classifier, it tries weight -1 then +1 for each feature in order,
+submits each candidate's predictions, and keeps a candidate only when its
+released holdout loss strictly improves on the current best.  It sees
+nothing but released means.
 
 For the same reason configs that share the sign vectors (``seed`` and
 ``n_vectors``) need one guard run, at their largest epsilon and smallest
@@ -37,10 +36,10 @@ one feature after an acceptance and doubles, up to 64 features, after each
 block without one.  The losses are 0/1, so every outcome is bit-equal to
 submitting the candidates one query at a time.
 
-The trace's truth column, the fresh-set accuracy of each row, is scored
-after the run: the learner's score moves are replayed on the fresh set, and
-the features tried between two moves are compared once, at most 64 features
-a call.
+The trace's truth column, the fresh-set accuracy of each row, comes from
+rerunning the learner on the fresh set against a mechanism that answers with
+the outcomes the guard released: the learner reads nothing else, so it
+tries the same candidates again, and that mechanism counts their hits.
 
 ``run_adaptive_analysis`` checks its inputs once, before it builds the guard:
 a set that is not a non-empty ``LabeledDataset``, sets whose feature counts
@@ -159,11 +158,12 @@ class PredictionGuard:
     once, on submission, into a new array, so the caller's block is never
     written and later changes to it change no outcome.  Any other block,
     one that is not a 2-D numpy bool array of width m, raises DomainError
-    with the guard untouched.
+    with the guard untouched.  A holdout that is not a ``LabeledDataset``
+    raises ConfigurationError.
     """
 
     def __init__(self, holdout: LabeledDataset, config: GuardConfig):
-        self._positive = holdout.labels == 1
+        self._positive = validate_type("holdout", holdout, LabeledDataset).labels == 1
         # The guard answers value blocks only; its points are the labels,
         # all that is kept of the holdout.
         self.guard = Guard(HoldoutSample(points=self._positive, m=len(holdout)), config)
@@ -186,28 +186,25 @@ class PredictionGuard:
         return self.guard.submit_batch(predictions != self._positive)
 
 
-def greedy_learner(mechanism, train: LabeledDataset, features: np.ndarray):
+def greedy_learner(mechanism, order: np.ndarray, features: np.ndarray):
     """The greedy learner against ``mechanism``, which answers k x m bool
-    blocks of predictions on the holdout points ``features`` (m x d) as
-    ``PredictionGuard.submit_batch`` does.  Reads nothing of the holdout but
-    its features and the released outcomes.
+    blocks of predictions on the points ``features`` (m x d) as
+    ``PredictionGuard.submit_batch`` does.  It tries the columns of
+    ``features`` in ``order``, as ``feature_order`` ranks them, and reads
+    nothing of the points but their features and the released outcomes.
 
-    Returns ``(read, tried, moves)``: ``(feature, candidate, outcome,
-    accepted)`` for each row read, the baseline first; the features tried,
-    in order; and ``(features tried so far, feature, weight)`` for each move
-    of the scores.
+    Returns ``(feature, candidate, outcome, accepted)`` for each row read,
+    the baseline first.
     """
-    d = features.shape[1]
-    order = feature_order(train)
     scores = np.zeros(len(features))
 
     # Baseline query: the all-zero classifier (predicts +1 everywhere), which
     # is accepted when answered.  After a halt the loop below never runs.
     outcome = next(mechanism.submit_batch(np.ones((1, len(features)), dtype=bool)))
     best_loss = outcome.empirical_mean
-    read, moves = [(None, 0, outcome, True)], []
+    read = [(None, 0, outcome, True)]
     start, size = 0, 1
-    while start < d and outcome.answered:
+    while start < len(order) and outcome.answered:
         block = order[start : start + size]
         predictions = _candidate_predictions(features, scores, block)
         # The rows in _candidate_predictions' order: feature-major, -1 then +1.
@@ -229,11 +226,10 @@ def greedy_learner(mechanism, train: LabeledDataset, features: np.ndarray):
             # column, and for floats s - x is the same operation as s + -x.
             step = np.add if chosen > 0 else np.subtract
             scores = step(scores, features[:, i])
-            moves.append((start, i, chosen))
         # An acceptance moves the scores and leaves the rest of the block
         # stale: it is abandoned, and the next block starts at one feature.
         size = 1 if chosen else min(2 * size, _MAX_BLOCK)
-    return read, order[:start], moves
+    return read
 
 
 def aggregation_attack(mechanism, features: np.ndarray):
@@ -274,45 +270,44 @@ def run_adaptive_analysis(
         if len(dataset) < 1:
             raise ConfigurationError(f"{name} set must be non-empty")
     validate_type("guard_config", guard_config, GuardConfig)
-    d = train.features.shape[1]
-    if holdout.features.shape[1] != d or fresh.features.shape[1] != d:
+    if len({s.features.shape[1] for s in (train, holdout, fresh)}) > 1:
         raise ConfigurationError("train/holdout/fresh feature counts disagree")
 
-    read, tried, moves = greedy_learner(
-        PredictionGuard(holdout, guard_config), train, holdout.features
-    )
-    fresh_accs = _fresh_accuracies(fresh, tried, moves)
-    # A feature whose -1 row halted has its +1 row scored too; zip drops it.
+    order = feature_order(train)
+    read = greedy_learner(PredictionGuard(holdout, guard_config), order, holdout.features)
+    replay = _Replay([out for _, _, out, _ in read], fresh.labels)
+    greedy_learner(replay, order, fresh.features)
     rows = [
-        _trace_row(n, fresh_acc, out.r_tilde, out.delta_prime, out.answered, accepted,
-                   i, cand, out.empirical_mean)
-        for n, ((i, cand, out, accepted), fresh_acc) in enumerate(zip(read, fresh_accs), 1)
+        _trace_row(n, hits / len(fresh), out.r_tilde, out.delta_prime, out.answered,
+                   accepted, i, cand, out.empirical_mean)
+        for n, ((i, cand, out, accepted), hits) in enumerate(zip(read, replay.hits()), 1)
     ]
-    return _finish(rows, d, guard_config)
+    return _finish(rows, len(order), guard_config)
 
 
-def _fresh_accuracies(fresh: LabeledDataset, tried, moves) -> list[float]:
-    """The fresh-set accuracy of the baseline, then of the -1 and +1
-    candidates of each feature in ``tried``, under the scores the learner
-    held: a move ``(n, feature, weight)`` applies after the first ``n``
-    features tried, in the same order and with the same operation as on the
-    holdout.  The features between two moves are compared at most
-    ``_MAX_BLOCK`` at a time.  Hits are counted as the guard counts 0/1
-    rows, by ``_popcount``; the baseline predicts +1, so hits the positives."""
-    positive = fresh.labels == 1
-    scores = np.zeros(len(fresh))
-    right = _popcount(_packed_rows(positive[None])).tolist()
-    start = 0
-    for stop, i, weight in [*moves, (len(tried), None, 0)]:
-        for lo in range(start, stop, _MAX_BLOCK):
-            block = tried[lo : min(lo + _MAX_BLOCK, stop)]
-            hits = _candidate_predictions(fresh.features, scores, block)
-            np.equal(hits, positive, out=hits)
-            right += _popcount(_packed_rows(hits)).tolist()
-        if weight:
-            scores = (np.add if weight > 0 else np.subtract)(scores, fresh.features[:, i])
-        start = stop
-    return [n / len(fresh) for n in right]
+class _Replay:
+    """A mechanism that answers a rerun of a deterministic analyst, on
+    another set of points, with the ``outcomes`` it read, in order, and
+    counts how many of ``labels`` each row read predicts right.  A rerun
+    that reads more or fewer rows than ``outcomes`` raises RuntimeError."""
+
+    def __init__(self, outcomes: list[QueryOutcome], labels: np.ndarray):
+        self._outcomes = outcomes
+        self._positive = labels == 1
+        self._hits: list[int] = []
+
+    def submit_batch(self, predictions) -> Iterator[QueryOutcome]:
+        for n in _popcount(_packed_rows(predictions == self._positive)).tolist():
+            if len(self._hits) == len(self._outcomes):
+                raise RuntimeError("the rerun reads more rows than were recorded")
+            self._hits.append(n)
+            yield self._outcomes[len(self._hits) - 1]
+
+    def hits(self) -> list[int]:
+        """The hit count of each recorded row, once the rerun has read all."""
+        if len(self._hits) < len(self._outcomes):
+            raise RuntimeError("the rerun read fewer rows than were recorded")
+        return self._hits
 
 
 def _finish(

@@ -55,6 +55,10 @@ def test_candidate_predictions_match_the_sign_of_candidate_scores():
     assert np.array_equal(got, want)
 
 
+def answered(*means):
+    return [QueryOutcome(mean, 0.0, 0.0, True) for mean in means]
+
+
 @pytest.mark.parametrize("m", [1, 64, 65, 4000, 2**16 + 3])
 def test_truth_column_counts_as_count_nonzero(m):
     # The popcount sums each row's words in uint8 up to m = 192 (here
@@ -64,8 +68,18 @@ def test_truth_column_counts_as_count_nonzero(m):
     rng = np.random.default_rng(m)
     labels = rng.choice([-1, 1], size=m)
     features = np.column_stack([labels, rng.normal(size=(m, 4))])
-    fresh = make_dataset(features, labels)
-    tried, moves = np.array([0, 2, 1, 4, 3]), [(2, 2, -1), (4, 4, 1)]
+    tried = np.array([0, 2, 1, 4, 3])
+    # The replayed outcomes move the scores after 2 features tried (the
+    # second, at weight -1) and after 4 (the fourth, at weight +1); each
+    # acceptance abandons the rest of its block.
+    replay = harness._Replay(
+        answered(0.5, 0.6, 0.6, 0.4, 0.45, 0.5, 0.5, 0.5, 0.3, 0.5, 0.5), labels
+    )
+    read = harness.greedy_learner(replay, tried, features)
+    assert [(i, cand) for i, cand, _, accepted in read if accepted] == [
+        (None, 0), (2, -1), (4, 1),
+    ]
+    moves = [(2, 2, -1), (4, 4, 1)]
     scores = np.zeros(m)
     want = [np.count_nonzero(labels == 1)]
     for n, i in enumerate(tried.tolist()):
@@ -76,7 +90,30 @@ def test_truth_column_counts_as_count_nonzero(m):
             predicted = np.where(scores + cand * features[:, i] >= 0, 1, -1)
             want.append(np.count_nonzero(predicted == labels))
     assert want[1:3] == [0, m]
-    assert harness._fresh_accuracies(fresh, tried, moves) == [n / m for n in want]
+    assert replay.hits() == want
+
+
+@pytest.mark.parametrize(
+    "analyst, error",
+    [
+        # Three rows for two recorded outcomes: the third pull raises.
+        (lambda mech: list(mech.submit_batch(np.ones((3, 4), dtype=bool))), "more rows"),
+        # One row read of the two recorded.
+        (lambda mech: next(mech.submit_batch(np.ones((2, 4), dtype=bool))), None),
+        # The greedy learner over two features reads five rows, not two.
+        (lambda mech: harness.greedy_learner(mech, np.arange(2), np.eye(4, 2)), "more rows"),
+    ],
+    ids=["reads-more", "reads-fewer", "learner-reads-more"],
+)
+def test_replay_rejects_a_diverging_analyst(analyst, error):
+    replay = harness._Replay(answered(0.5, 0.5), np.array([1, -1, 1, 1]))
+    if error:
+        with pytest.raises(RuntimeError, match=error):
+            analyst(replay)
+    else:
+        analyst(replay)
+        with pytest.raises(RuntimeError, match="fewer rows"):
+            replay.hits()
 
 
 class TestFeatureOrder:
@@ -587,7 +624,7 @@ class TestBlockedAnalysis:
                 1,
             ),
             # Halts on row 6, the -1 row that opens a two-feature block: the
-            # truth pass scores that feature's +1 row too and must drop it.
+            # fresh rerun submits that feature's +1 row too and must not read it.
             (
                 DatasetSpec(
                     m_train=200, m_holdout=200, m_fresh=200, d=40, n_biased=3,
@@ -627,10 +664,9 @@ class TestBlockedAnalysis:
         cfg = GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=1)
         trace = run_adaptive_analysis(*data, cfg)
         assert_same_trace(trace, reference_analysis(*data, cfg))
-        # The fresh set is compared after the guard's last block: the
-        # 2 * cap - 1 features before the acceptance in blocks of at most
-        # cap features, then the 3 after it.
-        assert fresh_calls == [[len(batches), n] for n in (cap, cap - 1, 3)]
+        # The fresh set is compared after the guard's last block, in the
+        # blocks the learner submitted to the guard after the baseline.
+        assert fresh_calls == [[len(batches), n // 2] for n, _ in batches[1:]]
         capped = [i for i, (submitted, _) in enumerate(batches) if submitted == 2 * cap]
         assert len(capped) == 1
         assert batches[capped[0]] == [2 * cap, 2 * cap]
@@ -725,6 +761,7 @@ class TestPredictionGuard:
         # != would broadcast a k x 1 block against the m labels.
         "k x 1": lambda good: good[:, :1],
         "k x (m + 1)": lambda good: np.hstack([good, good[:, :1]]),
+        "nested list": lambda good: good.tolist(),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -739,6 +776,15 @@ class TestPredictionGuard:
         assert type(excinfo.value) is DomainError
         assert np.array_equal(rad.running_sup, before[0])
         assert (rad.query_count, pg.guard.halted) == before[1:]
+
+    @pytest.mark.parametrize(
+        "holdout", ["x", None, np.zeros((M, 1))], ids=["str", "None", "array"]
+    )
+    def test_non_dataset_holdout_rejected(self, holdout):
+        cfg = holdout_and_config(self.M)[1]
+        with pytest.raises(ConfigurationError, match="holdout must be") as excinfo:
+            PredictionGuard(holdout, cfg)
+        assert type(excinfo.value) is ConfigurationError
 
 
 class ScriptedMechanism:
@@ -766,7 +812,6 @@ class ScriptedMechanism:
 
 
 def test_greedy_learner_follows_a_scripted_mechanism():
-    train = ranked_data(d=6)[0]  # tries the features in index order
     features = np.random.default_rng(8).normal(size=(50, 6))
     script = [
         0.5,  # baseline: accepted
@@ -776,13 +821,12 @@ def test_greedy_learner_follows_a_scripted_mechanism():
         None,  # feature 3's -1 halts
     ]
     mechanism = ScriptedMechanism(script)
-    read, tried, moves = harness.greedy_learner(mechanism, train, features)
+    read = harness.greedy_learner(mechanism, np.arange(6), features)
     assert next(mechanism.means, "spent") == "spent"
     assert [(i, cand, accepted) for i, cand, _, accepted in read[1:]] == [
         (0, -1, False), (0, 1, False), (1, -1, True), (1, 1, False),
         (2, -1, True), (2, 1, True), (3, -1, False),
     ]
-    assert tried.tolist() == [0, 1, 2, 3] and moves == [(2, 1, -1), (3, 2, 1)]
     # [rows submitted, rows pulled]: the acceptance in the 4-row block
     # abandons its last 2 rows, and blocks restart at one feature.
     assert [[len(b), n] for b, n in mechanism.blocks] == [
@@ -796,3 +840,23 @@ def test_greedy_learner_follows_a_scripted_mechanism():
         want = [s + w * features[:, j] >= 0 for j in cols for w in (-1, 1)]
         assert np.array_equal(block, np.array(want))
     assert mechanism.blocks[0][0].all()  # the all-zero classifier predicts +1
+
+
+def test_greedy_learner_tries_the_features_of_its_order_only():
+    # The order, not the width of ``features``, bounds the learner's loop.
+    features = np.random.default_rng(8).normal(size=(50, 6))
+    mechanism = ScriptedMechanism([0.5, 0.6, 0.6])
+    read = harness.greedy_learner(mechanism, np.array([4]), features)
+    assert [(i, cand) for i, cand, _, _ in read] == [(None, 0), (4, -1), (4, 1)]
+    assert [[len(b), n] for b, n in mechanism.blocks] == [[1, 1], [2, 2]]
+
+
+def test_aggregation_attack_returns_before_the_vote_after_a_halt():
+    features = np.random.default_rng(9).normal(size=(50, 4))
+    # The second single-feature row halts: the third and fourth are not read.
+    mechanism = ScriptedMechanism([0.45, None])
+    means, weights = harness.aggregation_attack(mechanism, features)
+    assert (means, weights) == ([0.45], None)
+    # One block, the d single-feature classifiers, and no vote block.
+    [(block, pulled)] = mechanism.blocks
+    assert np.array_equal(block, features.T >= 0) and pulled == 2
