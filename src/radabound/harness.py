@@ -41,11 +41,12 @@ rerunning the learner on the fresh set against a mechanism that answers with
 the outcomes the guard released: the learner reads nothing else, so it
 tries the same candidates again, and that mechanism counts their hits.
 
-``run_adaptive_analysis`` checks its inputs once, before it builds the guard:
-a set that is not a non-empty ``LabeledDataset``, sets whose feature counts
-disagree, or a config that is not a ``GuardConfig`` is a bad run input and
-raises ConfigurationError.  The helpers it calls, ``feature_order`` among
-them, take the checked inputs as given.
+``run_adaptive_analysis`` checks its inputs once, before it builds the guard,
+and ``run_sweep`` checks the same sets before it ranks any config, even with
+no configs: a set that is not a non-empty ``LabeledDataset``, sets whose
+feature counts disagree, or a config that is not a ``GuardConfig`` is a bad
+run input and raises ConfigurationError.  The helpers they call,
+``feature_order`` among them, take the checked inputs as given.
 """
 
 from __future__ import annotations
@@ -258,6 +259,17 @@ def aggregation_attack(mechanism, features: np.ndarray):
     return means, weights
 
 
+def _check_sets(train, holdout, fresh) -> None:
+    """Raise ConfigurationError unless the three sets are non-empty
+    ``LabeledDataset`` instances that share one feature count."""
+    for name, dataset in (("train", train), ("holdout", holdout), ("fresh", fresh)):
+        validate_type(name, dataset, LabeledDataset)
+        if len(dataset) < 1:
+            raise ConfigurationError(f"{name} set must be non-empty")
+    if len({s.features.shape[1] for s in (train, holdout, fresh)}) > 1:
+        raise ConfigurationError("train/holdout/fresh feature counts disagree")
+
+
 def run_adaptive_analysis(
     train: LabeledDataset,
     holdout: LabeledDataset,
@@ -265,13 +277,8 @@ def run_adaptive_analysis(
     guard_config: GuardConfig,
 ) -> ExperimentTrace:
     """Run the greedy classifier search on pre-generated data."""
-    for name, dataset in (("train", train), ("holdout", holdout), ("fresh", fresh)):
-        validate_type(name, dataset, LabeledDataset)
-        if len(dataset) < 1:
-            raise ConfigurationError(f"{name} set must be non-empty")
+    _check_sets(train, holdout, fresh)
     validate_type("guard_config", guard_config, GuardConfig)
-    if len({s.features.shape[1] for s in (train, holdout, fresh)}) > 1:
-        raise ConfigurationError("train/holdout/fresh feature counts disagree")
 
     order = feature_order(train)
     read = greedy_learner(PredictionGuard(holdout, guard_config), order, holdout.features)
@@ -332,13 +339,10 @@ def _finish(
     )
 
 
-def _derive_trace(
-    run: ExperimentTrace, guard_config: GuardConfig, m: int
-) -> ExperimentTrace:
-    """``guard_config``'s trace cut from the rows of a sweep's run, which
-    answers every row that ``guard_config`` answers: so it halts on that
-    run's halting row at the latest."""
-    certify = Certifier(guard_config, m)
+def _derive_trace(run: ExperimentTrace, certify: Certifier) -> ExperimentTrace:
+    """``certify.config``'s trace cut from the rows of a sweep's run, which
+    answers every row that config answers: so it halts on that run's
+    halting row at the latest."""
     rows = []
     for row in run.rows:
         delta_prime, answered = certify(row.r_tilde)
@@ -350,7 +354,7 @@ def _derive_trace(
         )
         if not answered:
             break
-    return _finish(rows, len(run.final_classifier.weights), guard_config)
+    return _finish(rows, len(run.final_classifier.weights), certify.config)
 
 
 def run_sweep(
@@ -373,12 +377,11 @@ def run_sweep(
     configs = [validate_type("configs entry", c, GuardConfig) for c in configs]
     if len({(c.seed, c.n_vectors) for c in configs}) > 1:
         raise ConfigurationError("configs must share seed and n_vectors: they fix the signs")
+    _check_sets(train, holdout, fresh)
     if not configs:
         return []
-    # The run validates the datasets.  A holdout that fails there fails at
-    # every config, so only a valid one's s* picks the config to run.
-    m = len(holdout) if isinstance(holdout, LabeledDataset) else 0
-    lowest = min(configs, key=lambda c: Certifier(c, m).s_star) if m else configs[0]
+    certifiers = [Certifier(c, len(holdout)) for c in configs]
+    lowest = min(certifiers, key=lambda k: k.s_star).config
     master = replace(lowest, epsilon=max(c.epsilon for c in configs))
     run = run_adaptive_analysis(train, holdout, fresh, master)
-    return [run if c == master else _derive_trace(run, c, m) for c in configs]
+    return [run if k.config == master else _derive_trace(run, k) for k in certifiers]

@@ -286,6 +286,18 @@ class TestRunExperiment:
         (lambda s, c: run_adaptive_analysis(*s[:2], s[2].features, c), "fresh must be"),
         (lambda s, c: run_adaptive_analysis(*s, dataclasses.asdict(c)), "guard_config must be"),
         (lambda s, c: run_adaptive_analysis(None, *s[1:], c), "train must be"),
+        # With no configs too: the sets are checked before any config is run.
+        (lambda s, c: run_sweep(s[0].features, *s[1:], []), "train must be"),
+        (lambda s, c: run_sweep(s[0], None, s[2], []), "holdout must be"),
+        (lambda s, c: run_sweep(*s[:2], "fresh", []), "fresh must be"),
+        (
+            lambda s, c: run_sweep(s[0], make_dataset(np.zeros((0, 3)), []), s[2], []),
+            "holdout set must be non-empty",
+        ),
+        (
+            lambda s, c: run_sweep(*s[:2], make_dataset(np.zeros((5, 4)), s[2].labels), []),
+            "feature counts disagree",
+        ),
     ],
     ids=[
         "sweep-float-configs", "sweep-none-configs", "sweep-str-configs",
@@ -294,13 +306,17 @@ class TestRunExperiment:
         "run-array-train",
         "run-array-holdout", "run-array-fresh", "run-dict-config",
         "run-none-train",
+        "sweep-no-configs-array-train", "sweep-no-configs-none-holdout",
+        "sweep-no-configs-str-fresh", "sweep-no-configs-empty-holdout",
+        "sweep-no-configs-wide-fresh",
     ],
 )
 def test_wrong_argument_kinds_rejected(call, match):
     sets = tuple(generate(DatasetSpec(m_train=5, m_holdout=5, m_fresh=5, d=3, seed=1)))
     cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=4, seed=1)
-    with pytest.raises(ConfigurationError, match=match):
+    with pytest.raises(ConfigurationError, match=match) as excinfo:
         call(sets, cfg)
+    assert type(excinfo.value) is ConfigurationError
 
 
 def row_key(row):

@@ -409,6 +409,16 @@ class TestGenerateThreads:
         assert_same_bytes(generate(spec), serial_reference(spec))
         assert len(started) == min(3, cpus) - 1
 
+    @pytest.mark.parametrize("reported, expected", [(2, 2), (None, 1)])
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch, reported, expected):
+        # macOS and Windows have no os.sched_getaffinity: the count falls
+        # back to os.cpu_count(), or one CPU when that is unknown.
+        monkeypatch.delattr(synthdata.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(synthdata.os, "cpu_count", lambda: reported)
+        assert synthdata._cpu_count() == expected
+        spec = dataclasses.replace(self.SPEC, m_train=1501, d=41)
+        assert_same_bytes(generate(spec), serial_reference(spec))
+
     def test_failed_set_stops_and_the_others_finish(self, monkeypatch):
         # On two CPUs holdout fails on its first step and train on its
         # twentieth; fresh still finishes, and train's error is raised.
