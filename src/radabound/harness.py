@@ -4,10 +4,10 @@ The guard's certificate assumes that each query is chosen from released
 answers only, so no analyst here holds the holdout labels.  As on a
 leaderboard (Blum & Hardt, ICML 2015), an analyst submits k x m bool blocks
 of predictions on the holdout points to a mechanism's ``submit_batch``, and
-``PredictionGuard``, which builds the ``Guard`` and keeps the labels,
-answers each prediction's 0-1 loss.  The analysts are the greedy learner and
-``aggregation_attack``, the reusable-holdout attack of Dwork et al.
-(Science 2015).
+``PredictionGuard``, which builds the ``Guard`` on the holdout features and
+alone holds the labels, answers each prediction's 0-1 loss.  The analysts
+are the greedy learner and ``aggregation_attack``, the reusable-holdout
+attack of Dwork et al. (Science 2015).
 
 The greedy learner takes the features in ``feature_order``'s order, by the
 absolute value of their training-set correlation with the labels.  From the
@@ -151,23 +151,23 @@ class PredictionGuard:
     """The leaderboard mechanism: a ``Guard`` on the holdout that answers
     predictions and keeps the labels from the analyst.
 
-    It keeps the guard and the labels, as whether each point is positive,
-    and nothing else of ``holdout``.  ``submit_batch`` takes a k x m bool
-    block of predictions, True where a row predicts +1, and returns
-    ``guard.submit_batch(predictions != labels)``: each row's 0-1 loss,
-    answered under the guard's contract.  The comparison reads the block
-    once, on submission, into a new array, so the caller's block is never
-    written and later changes to it change no outcome.  Any other block,
-    one that is not a 2-D numpy bool array of width m, raises DomainError
-    with the guard untouched.  A holdout that is not a ``LabeledDataset``
-    raises ConfigurationError.
+    Its guard's points are the holdout features; the labels, as whether each
+    point is positive, live only in ``_positive``.  ``submit_batch`` takes a
+    k x m bool block of predictions, True where a row predicts +1, and
+    returns ``guard.submit_batch(predictions != labels)``: each row's 0-1
+    loss, answered under the guard's contract.  The comparison reads the
+    block once, on submission, into a new array, so the caller's block is
+    never written and later changes to it change no outcome.  Any other
+    block, one that is not a 2-D numpy bool array of width m, raises
+    DomainError with the guard untouched.  A holdout that is not a
+    ``LabeledDataset`` raises ConfigurationError.
     """
 
     def __init__(self, holdout: LabeledDataset, config: GuardConfig):
         self._positive = validate_type("holdout", holdout, LabeledDataset).labels == 1
-        # The guard answers value blocks only; its points are the labels,
-        # all that is kept of the holdout.
-        self.guard = Guard(HoldoutSample(points=self._positive, m=len(holdout)), config)
+        # The guard answers value blocks only.  Its points are the features,
+        # so no attribute of the guard leads to the labels.
+        self.guard = Guard(HoldoutSample(points=holdout.features, m=len(holdout)), config)
 
     def submit_batch(self, predictions) -> Iterator[QueryOutcome]:
         m = len(self._positive)

@@ -135,11 +135,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def __iter__(self):
-        # Per-point view: (feature row, label), for non-vectorized queries.
-        for row, label in zip(self.features, self.labels):
-            yield row, label
-
 
 # Compared and hashed by identity: == over array fields would raise.
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ import pytest
 from radabound.bounds import BoundMethod
 from radabound.errors import ConfigurationError, DomainError, GuardHaltedError
 from radabound.guard import Certifier, Guard, GuardConfig, HoldoutSample
+from radabound.synthdata import LabeledDataset
 
 from child_process import run_in_child
 from rademacher_oracle import signs_of
@@ -282,6 +283,22 @@ class TestSubmitQuery:
         # A TypeError that the query itself raises on iterable points is its own.
         with pytest.raises(TypeError):
             Guard(make_sample(5), g.config).submit_query(lambda x: x + "a")
+
+    def test_per_point_query_on_a_labeled_dataset(self):
+        # A LabeledDataset has no per-point view: as points it serves
+        # vectorized queries only, so no per-point query reads its labels.
+        dataset = LabeledDataset(
+            features=np.arange(6.0).reshape(3, 2), labels=np.array([1, -1, 1])
+        )
+        g = Guard(
+            HoldoutSample(points=dataset, m=3),
+            GuardConfig(epsilon=0.9, delta=0.1, n_vectors=8, seed=5),
+        )
+        with pytest.raises(DomainError, match="per-point query needs iterable points") as excinfo:
+            g.submit_query(lambda point: 0.5)
+        assert type(excinfo.value) is DomainError
+        assert g.rad.query_count == 0 and not g.halted
+        assert not g.rad.running_sup.any()
 
     def test_numeric_value_types_answer_alike(self):
         sample = make_sample(10, seed=4)

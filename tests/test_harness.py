@@ -793,6 +793,29 @@ class TestPredictionGuard:
         assert np.array_equal(rad.running_sup, before[0])
         assert (rad.query_count, pg.guard.halted) == before[1:]
 
+    def test_labels_live_only_in_positive(self):
+        holdout, cfg = holdout_and_config(self.M)
+        pg = PredictionGuard(holdout, cfg)
+        # The guard's points are the features the analyst already holds.
+        assert pg.guard.sample.points is holdout.features
+        positive = holdout.labels == 1
+
+        def holds_labels(value):
+            return value is holdout or (
+                isinstance(value, np.ndarray) and value.shape == positive.shape and any(
+                    np.array_equal(value, form) for form in (holdout.labels, positive, ~positive)
+                )
+            )
+
+        assert holds_labels(pg._positive)
+        held = [
+            f"{owner}.{name}"
+            for owner, obj in (("mechanism", pg), ("guard", pg.guard), ("sample", pg.guard.sample))
+            for name, value in vars(obj).items()
+            if name != "_positive" and holds_labels(value)
+        ]
+        assert held == []
+
     @pytest.mark.parametrize(
         "holdout", ["x", None, np.zeros((M, 1))], ids=["str", "None", "array"]
     )

@@ -622,16 +622,6 @@ class TestGenerateThreads:
 
 
 class TestLabeledDataset:
-    def test_iteration_yields_point_label_pairs(self):
-        ds = LabeledDataset(
-            features=np.arange(6.0).reshape(3, 2),
-            labels=np.array([1, -1, 1]),
-        )
-        pairs = list(ds)
-        assert len(pairs) == len(ds) == 3
-        assert np.array_equal(pairs[1][0], [2.0, 3.0])
-        assert pairs[1][1] == -1
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LabeledDataset(features=np.zeros((2, 2)), labels=np.array([1, 0]))
