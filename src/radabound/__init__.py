@@ -31,8 +31,6 @@ _EXPORTS = {
     "run_sweep": "harness",
     "DatasetSpec": "synthdata",
     "generate": "synthdata",
-    "ThresholdoutParams": "thresholdout",
-    "comparison_report": "thresholdout",
 }
 
 __all__ = list(_EXPORTS)

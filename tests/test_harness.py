@@ -463,6 +463,20 @@ class TestSweep:
         assert run_sweep(*data, []) == []
         assert run_sweep(*data, iter(())) == []
 
+    def test_generator_of_configs_equals_the_list(self):
+        # run_sweep reads a one-shot iterable once: a generator of configs
+        # gives the traces that the same configs give as a list.
+        data = generate(self.spec(True))
+        cfg = GuardConfig(epsilon=0.5, delta=0.1, n_vectors=16, seed=2)
+        epsilons = self.SWEEPS[BoundMethod.MCLT]
+        from_list = run_sweep(*data, at_epsilons(cfg, epsilons))
+        from_generator = run_sweep(
+            *data, (dataclasses.replace(cfg, epsilon=eps) for eps in epsilons)
+        )
+        assert len(from_generator) == len(from_list) == len(epsilons)
+        for got, want in zip(from_generator, from_list):
+            assert_same_trace(got, want)
+
     def test_one_run_where_the_guard_sees_a_non_monotone_bound(
         self, monkeypatch, count_runs
     ):

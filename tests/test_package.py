@@ -18,8 +18,6 @@ PUBLIC = {
     "run_sweep": "harness",
     "DatasetSpec": "synthdata",
     "generate": "synthdata",
-    "ThresholdoutParams": "thresholdout",
-    "comparison_report": "thresholdout",
 }
 
 
@@ -55,6 +53,17 @@ def test_star_import_binds_exactly_the_public_names():
 def test_dir_lists_the_public_names():
     assert set(PUBLIC) <= set(dir(radabound))
     assert "__version__" in dir(radabound)
+
+
+def test_thresholdout_report_is_not_a_top_level_name():
+    # The size report lives in its submodule, which the top level still
+    # imports on request through __getattr__'s AttributeError.
+    for name in ("ThresholdoutParams", "comparison_report"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(radabound, name)
+    from radabound import thresholdout
+
+    assert thresholdout.comparison_report.__module__ == "radabound.thresholdout"
 
 
 def test_unknown_name_raises_attribute_error_naming_it():
